@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.assignment import assign_buffers_to_net
 from repro.core.length_rule import length_violations
-from repro.core.two_path import best_buffered_path, _window_for
+from repro.core.two_path import best_buffered_path
 from repro.routing.maze import route_net_on_tiles
 from repro.routing.tree import RouteTree
 from repro.tilegraph.graph import Tile, TileGraph
@@ -47,8 +47,7 @@ def _bufferable_tree(
     for sink in pending:
         if sink in tree_tiles:
             continue
-        window = _window_for(graph, source, sink, max(window_margin, 10))
-        # Widen the window to cover the current tree extent as well.
+        # The window covers the current tree extent and the sink.
         xs = [t[0] for t in tree_tiles] + [sink[0]]
         ys = [t[1] for t in tree_tiles] + [sink[1]]
         margin = max(window_margin, 10)

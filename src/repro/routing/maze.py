@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import heapq
 import weakref
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import RoutingError
 from repro.routing.tree import RouteTree
@@ -85,8 +85,8 @@ def soft_congestion_cost(graph: TileGraph, u: Tile, v: Tile) -> float:
 def scalar_edge_cost(graph: TileGraph, cost_fn: EdgeCost) -> EdgeCost:
     """Swap a built-in cost for its cached-lookup equivalent.
 
-    The monotone and two-path optimizers evaluate edge costs one scalar at
-    a time while *mutating usage between evaluations*, so they cannot hold
+    The monotone optimizer evaluates edge costs one scalar at a time
+    while *mutating usage between evaluations*, so it cannot hold
     a cost list across calls; the returned closure re-reads the cache on
     every lookup, which is still just a staleness check plus a list index
     once the dirty set is empty. Unrecognized cost functions are returned
@@ -176,6 +176,7 @@ def _dijkstra_flat(
     seeds: Sequence[Tuple[int, float]],
     targets: Set[int],
     window: Tuple[int, int, int, int],
+    blocked: Iterable[int] = (),
 ) -> Tuple[int, int, int, int]:
     """Flat-index wavefront from ``seeds`` until the cheapest target settles.
 
@@ -184,7 +185,8 @@ def _dijkstra_flat(
     costs. Parent links land in ``ws.parent``/``ws.parent_eid`` (valid for
     this epoch only). Seeds are expandable even when they lie outside the
     window — only *neighbor* tiles are window-clipped, matching the
-    object-graph router.
+    object-graph router. ``blocked`` tile indices are never entered (a
+    seed among them is still expanded).
     """
     x0, y0, x1, y1 = window
     epoch = ws.begin()
@@ -203,6 +205,8 @@ def _dijkstra_flat(
     for x in range(x0, x1 + 1):
         base = x * ny + y0
         live[base : base + len(row)] = row
+    for idx in blocked:
+        live[idx] = 0
     heap = ws.heap
     for idx, c in seeds:
         dist[idx] = c

@@ -434,6 +434,8 @@ class RouteTree:
         (index -1). The new interior tiles must not collide with any other
         tile of the tree. Buffer annotations on removed tiles are dropped;
         the caller is expected to re-run buffer insertion afterwards.
+        Removed nodes are unlinked from each other, so reference counting
+        frees them without waiting for the cycle collector.
         """
         if old_path[0] != new_path[0] or old_path[-1] != new_path[-1]:
             raise RoutingError("replacement path must keep the same endpoints")
@@ -452,7 +454,9 @@ class RouteTree:
         head_node.decoupled_children.discard(first_old.tile)
         head_node.decoupled_kinds.pop(first_old.tile, None)
         for t in interior_old:
-            del self.nodes[t]
+            node = self.nodes.pop(t)
+            node.parent = None
+            node.children = []
         # Attach new interior.
         prev = head_node
         for t in interior_new:

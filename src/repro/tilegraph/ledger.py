@@ -269,8 +269,8 @@ class SiteCostCache:
     """Per-tile Eq. (2) cost at ``p(v) = 0`` with dirty-set invalidation.
 
     The buffer-side mirror of :class:`CongestionCostCache`: Stage 4's
-    buffered-path wavefront reads ``q(v)`` once per expansion, and the
-    rescue pass once per candidate tile — list indexing on a lazily
+    buffered-path search (two-path reroutes and the rescue pass) reads
+    the whole ``q(v)`` list once per search — list indexing on a lazily
     refreshed flat vector instead of two NumPy scalar probes and a
     division per read.
     """
@@ -314,6 +314,11 @@ class SiteCostCache:
     @property
     def dirty_count(self) -> int:
         return self._graph.num_tiles if self._all_dirty else len(self._dirty)
+
+    @property
+    def graph(self) -> "TileGraph":
+        """The graph whose ``B(v)``/``b(v)`` this cache prices."""
+        return self._graph
 
     # -- refresh -------------------------------------------------------- #
 
@@ -372,7 +377,10 @@ class SiteCostCache:
 
         Refreshes lazily on every call (the staleness probe is two
         attribute reads), so the closure stays correct across the site
-        bookings interleaved with Stage-4 path searches.
+        bookings interleaved with Stage-4 path searches. The closure's
+        ``site_cost_cache`` attribute names this cache, so flat-index
+        searches can read :meth:`costs` once instead of calling it per
+        tile.
         """
         ny = self._graph.ny
 
@@ -381,4 +389,5 @@ class SiteCostCache:
                 self.refresh()
             return self._costs[tile[0] * ny + tile[1]]
 
+        q_of.site_cost_cache = self
         return q_of

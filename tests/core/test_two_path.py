@@ -5,7 +5,7 @@ import pytest
 from repro.core.costs import buffer_site_cost
 from repro.core.two_path import _remove_loops, best_buffered_path, optimize_two_paths
 from repro.routing.tree import RouteTree
-from repro.tilegraph import wire_congestion_stats
+from repro.tilegraph import CapacityModel, TileGraph, wire_congestion_stats
 
 INF = float("inf")
 
@@ -80,6 +80,17 @@ class TestBestBufferedPath:
             length_limit=3, forbidden=forbidden, window=window,
         )
         assert path is None
+
+    def test_foreign_site_cache_is_called_not_read(self, graph10_sites, die10):
+        """A ``q_of`` bound to another graph's site cache prices tiles by
+        that graph's sites, not by this graph's cache list."""
+        siteless = TileGraph(die10, 10, 10, CapacityModel.uniform(10))
+        args = ((0, 0), (9, 0))
+        kwargs = dict(length_limit=3, forbidden=set(), window=(0, 0, 9, 9))
+        foreign = siteless.site_cost_cache().cost_fn()
+        own = graph10_sites.site_cost_cache().cost_fn()
+        assert best_buffered_path(graph10_sites, *args, foreign, **kwargs) is None
+        assert best_buffered_path(graph10_sites, *args, own, **kwargs) is not None
 
     def test_no_sites_and_long_distance_returns_none(self, graph10):
         window = (0, 0, 9, 9)

@@ -7,6 +7,7 @@ from repro.errors import ConfigurationError
 from repro.geometry import Rect
 from repro.routing.maze import (
     RoutingWorkspace,
+    _dijkstra_flat,
     congestion_cost,
     route_net_on_tiles,
     scalar_edge_cost,
@@ -108,6 +109,38 @@ class TestFlatVsGenericParity:
         # Unknown callables pass through untouched.
         custom = lambda g, u, v: 2.0
         assert scalar_edge_cost(graph10, custom) is custom
+
+
+class TestBlockedTiles:
+    def _path(self, graph, ws, target):
+        path = [target]
+        while path[-1] != graph.tile_index((0, 5)):
+            path.append(ws.parent[path[-1]])
+        return [graph.tile_at(i) for i in reversed(path)]
+
+    def test_blocked_tiles_are_never_entered(self, graph10):
+        """A wall of blocked tiles with one gap forces the path through it."""
+        index = graph10.tile_index
+        ws = RoutingWorkspace(graph10.num_tiles)
+        wall = {(5, y) for y in range(1, 10)}
+        target, _, _, _ = _dijkstra_flat(
+            graph10.flat(), ws, graph10.cost_cache().strict_costs(),
+            [(index((0, 5)), 0.0)], {index((9, 5))}, (0, 0, 9, 9),
+            blocked=[index(t) for t in wall],
+        )
+        path = self._path(graph10, ws, target)
+        assert path[-1] == (9, 5)
+        assert (5, 0) in path and not wall & set(path)
+
+    def test_blocked_seed_still_expands(self, graph10):
+        index = graph10.tile_index
+        ws = RoutingWorkspace(graph10.num_tiles)
+        target, _, _, _ = _dijkstra_flat(
+            graph10.flat(), ws, graph10.cost_cache().strict_costs(),
+            [(index((0, 5)), 0.0)], {index((3, 5))}, (0, 0, 9, 9),
+            blocked=[index((0, 5))],
+        )
+        assert self._path(graph10, ws, target) == [(x, 5) for x in range(4)]
 
 
 class TestRouteCounters:

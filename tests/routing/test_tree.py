@@ -1,5 +1,8 @@
 """RouteTree topology, buffers, usage, and two-path surgery."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import RoutingError
@@ -164,6 +167,22 @@ class TestTwoPaths:
         assert (1, 0) not in t
         assert (1, 1) in t
         assert t.sink_tiles == [(3, 0)]
+
+    def test_replace_two_path_frees_dropped_nodes(self, path_tree_factory):
+        """Dropped interior nodes are unlinked, so reference counting frees
+        them without waiting for the cycle collector."""
+        t = path_tree_factory([(0, 0), (1, 0), (2, 0), (3, 0)])
+        dropped = [weakref.ref(t.node((1, 0))), weakref.ref(t.node((2, 0)))]
+        gc.disable()
+        try:
+            t.replace_two_path(
+                [(0, 0), (1, 0), (2, 0), (3, 0)],
+                [(0, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 0)],
+            )
+            assert [ref() for ref in dropped] == [None, None]
+        finally:
+            gc.enable()
+        t.validate()
 
     def test_replace_collision_rejected(self):
         t = self._y_tree()
