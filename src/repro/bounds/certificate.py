@@ -10,7 +10,11 @@ and the workload can re-check the claim without trusting the oracle:
   max-over-sinks cheapest buffered path price under the certificate's
   lengths (re-priced independently by :class:`~repro.bounds.pricing.PathPricer`);
 * *arithmetic*: ``lower_bound <= sum_i u_i - theta * D`` with ``D``
-  recomputed from the lengths and the graph's capacities.
+  recomputed from the lengths and the graph's capacities, and the
+  claimed ``dual_load`` equal to it;
+* *infeasibility*: claimed structural nets must be unreachable when
+  priced again, and a capacity claim needs ``lambda_lb`` derived again
+  above 1.
 
 Certificates serialize to versioned JSON (:data:`BOUND_CERT_SCHEMA_VERSION`)
 following the same conventions as :mod:`repro.io.serialize`.
@@ -137,36 +141,65 @@ def verify_certificate(
     """Independently re-check a certificate against its workload.
 
     Returns a report dict with ``ok`` (bool), the recomputed dual load,
-    the worst per-net dual violation, and the re-derived bound. The
-    check is one pricing sweep — the same cost as a single oracle
-    iteration — and never trusts the certificate's own arithmetic.
+    the worst per-net dual violation, and the re-derived bound; a
+    rejected claim adds an ``error`` line. Besides the per-net duals,
+    every claim the certificate makes is derived again:
+
+    * every edge with ``W(e) > 0`` and every tile with ``B(v) > 0``
+      carries a finite length (a missing one would hide a resource from
+      the re-pricing and from ``D``);
+    * the claimed ``dual_load`` equals the recomputed ``D``;
+    * ``certified_infeasible`` agrees with ``infeasible_reason``, and
+      ``structural_nets`` is non-empty exactly for ``"structural"``;
+    * each net in ``structural_nets`` is priced again and must be
+      unreachable (:meth:`PathPricer.price` widens its window to the
+      whole grid before it reports that);
+    * a ``"capacity"`` reason needs ``lambda_lb`` derived again (one
+      sweep at zero base costs) above 1 and at least the claimed value.
+
+    The check is one pricing sweep — the same cost as a single oracle
+    iteration — plus one more for a capacity claim, and never trusts
+    the certificate's own arithmetic. ``triage-*`` results carry no
+    duals and are not re-checked: their verdict comes from the
+    routability triage, not from dual lengths, so they verify vacuously.
     """
     pricer = PathPricer(graph, window_margin)
-    num_edges = len(graph.edge_capacity)
-    num_tiles = len(graph.sites_flat)
-    edge_lengths = [INF] * num_edges
+    capacities = graph.edge_capacity.tolist()
+    site_caps = graph.sites_flat.tolist()
+    edge_lengths = [INF] * len(capacities)
     for eid, value in certificate.edge_lengths.items():
-        if not 0 <= eid < num_edges:
+        if not 0 <= eid < len(capacities):
             return {"ok": False, "error": f"edge id {eid} out of range"}
         edge_lengths[eid] = value
-    site_lengths = [INF] * num_tiles
+    site_lengths = [INF] * len(site_caps)
     for idx, value in certificate.site_lengths.items():
-        if not 0 <= idx < num_tiles:
+        if not 0 <= idx < len(site_caps):
             return {"ok": False, "error": f"tile {idx} out of range"}
         site_lengths[idx] = value
     if any(v < 0 for v in certificate.edge_lengths.values()) or any(
         v < 0 for v in certificate.site_lengths.values()
     ):
         return {"ok": False, "error": "negative dual length"}
+    triage = certificate.infeasible_reason.startswith("triage-")
+    if not triage and any(
+        cap > 0 and length >= INF
+        for caps, lengths in ((capacities, edge_lengths),
+                              (site_caps, site_lengths))
+        for cap, length in zip(caps, lengths)
+    ):
+        return {
+            "ok": False,
+            "error": "missing dual length on an edge or site with capacity",
+        }
 
     dual_load = sum(
-        cap * edge_lengths[eid]
-        for eid, cap in enumerate(graph.edge_capacity.tolist())
-        if edge_lengths[eid] < INF
+        cap * length
+        for cap, length in zip(capacities, edge_lengths)
+        if length < INF
     ) + sum(
-        cap * site_lengths[idx]
-        for idx, cap in enumerate(graph.sites_flat.tolist())
-        if site_lengths[idx] < INF
+        cap * length
+        for cap, length in zip(site_caps, site_lengths)
+        if length < INF
     )
 
     worst_violation = 0.0
@@ -193,7 +226,7 @@ def verify_certificate(
     ok = worst_violation <= tolerance
     if certificate.lower_bound is not None:
         ok = ok and certificate.lower_bound <= derived_bound + tolerance
-    return {
+    report: Dict[str, Any] = {
         "ok": ok,
         "nets_checked": checked,
         "worst_dual_violation": worst_violation,
@@ -201,3 +234,68 @@ def verify_certificate(
         "derived_bound": derived_bound,
         "claimed_bound": certificate.lower_bound,
     }
+    error = _claim_error(
+        certificate, pricer, nets, limits, edge_lengths, site_lengths,
+        dual_load, tolerance,
+    )
+    if error:
+        report["ok"] = False
+        report["error"] = error
+    return report
+
+
+def _claim_error(
+    certificate: BoundCertificate,
+    pricer: PathPricer,
+    nets: Dict[str, Tuple[Tile, Sequence[Tile]]],
+    limits: Dict[str, int],
+    edge_lengths: List[float],
+    site_lengths: List[float],
+    dual_load: float,
+    tolerance: float,
+) -> str:
+    """Why the certificate's dual load or infeasibility claim fails ("" if
+    it holds); see :func:`verify_certificate`."""
+    slack = tolerance * max(1.0, dual_load)
+    if abs(certificate.dual_load - dual_load) > slack:
+        return (
+            f"claimed dual_load {certificate.dual_load!r} is not the "
+            f"recomputed {dual_load!r}"
+        )
+    reason = certificate.infeasible_reason
+    if reason not in ("", "structural", "capacity") and not reason.startswith(
+        "triage-"
+    ):
+        return f"unknown infeasible_reason {reason!r}"
+    if certificate.certified_infeasible != bool(reason):
+        return "certified_infeasible disagrees with infeasible_reason"
+    if bool(certificate.structural_nets) != (reason == "structural"):
+        return "structural_nets disagree with infeasible_reason"
+    for name in certificate.structural_nets:
+        if name not in nets:
+            return f"unknown structural net {name!r}"
+        source, sinks = nets[name]
+        priced = pricer.price(
+            source, list(sinks), limits[name], edge_lengths, site_lengths
+        )
+        if priced.reachable:
+            return f"structural net {name!r} has a buffered path"
+    if reason == "capacity":
+        numerator = 0.0
+        for name in sorted(nets):
+            source, sinks = nets[name]
+            value = pricer.price(
+                source, list(sinks), limits[name],
+                edge_lengths, site_lengths,
+                wire_cost=0.0, buffer_cost=0.0,
+            ).dual_value()
+            if value < INF:
+                numerator += value
+        derived = numerator / dual_load if dual_load > 0 else 0.0
+        claimed = certificate.lambda_lb
+        if not (derived > 1.0 and claimed <= derived + tolerance):
+            return (
+                f"capacity claim lambda_lb={claimed!r} not backed: "
+                f"derived lambda_lb is {derived!r}"
+            )
+    return ""

@@ -300,57 +300,39 @@ def compute_bound(
     best_duals: Dict[str, float] = {}
     unconstrained: Optional[float] = None
     lambda_numerator = 0.0
+
+    def _price_theta(theta: float) -> "Tuple[float, Dict[str, float]]":
+        """``(LB(theta), duals)`` from one pricing sweep over the nets."""
+        nonlocal pricing_calls
+        total = 0.0
+        duals: Dict[str, float] = {}
+        for name in names:
+            if name in structural:
+                continue
+            source, sinks = nets[name]
+            priced = pricer.price(
+                source, list(sinks), limits[name],
+                edge_lengths, site_lengths,
+                options.wire_cost, options.buffer_cost,
+                scale=theta,
+            )
+            pricing_calls += 1
+            value = priced.dual_value()
+            if value >= INF:
+                structural.add(name)
+                continue
+            duals[name] = value
+            total += value
+        return total - theta * dual_load, duals
+
     with tracer.span("bound.linesearch", thetas=len(options.theta_grid)):
         for theta in sorted(set(options.theta_grid)):
-            total = 0.0
-            duals: Dict[str, float] = {}
-            for name in names:
-                if name in structural:
-                    continue
-                source, sinks = nets[name]
-                priced = pricer.price(
-                    source, list(sinks), limits[name],
-                    edge_lengths, site_lengths,
-                    options.wire_cost, options.buffer_cost,
-                    scale=theta,
-                )
-                pricing_calls += 1
-                value = priced.dual_value()
-                if value >= INF:
-                    structural.add(name)
-                    continue
-                duals[name] = value
-                total += value
-            lb = total - theta * dual_load
+            lb, duals = _price_theta(theta)
             if theta == 0.0:
-                unconstrained = total if duals or not names else None
+                # total - 0.0 * D is total exactly: the capacity-blind floor.
+                unconstrained = lb if duals or not names else None
             if duals and lb > best_lb:
-                best_lb = lb
-                best_theta = theta
-                best_duals = duals
-
-        def _price_theta(theta: float) -> "Tuple[float, Dict[str, float]]":
-            nonlocal pricing_calls
-            total = 0.0
-            duals: Dict[str, float] = {}
-            for name in names:
-                if name in structural:
-                    continue
-                source, sinks = nets[name]
-                priced = pricer.price(
-                    source, list(sinks), limits[name],
-                    edge_lengths, site_lengths,
-                    options.wire_cost, options.buffer_cost,
-                    scale=theta,
-                )
-                pricing_calls += 1
-                value = priced.dual_value()
-                if value >= INF:
-                    structural.add(name)
-                    continue
-                duals[name] = value
-                total += value
-            return total - theta * dual_load, duals
+                best_lb, best_theta, best_duals = lb, theta, duals
 
         # Golden-section refinement inside the bracket around the best
         # grid theta. LB(theta) is concave, so the peak lies between the

@@ -34,6 +34,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.two_path import _tile_masks
 from repro.errors import ConfigurationError
 from repro.tilegraph.graph import TileGraph
 
@@ -48,9 +49,9 @@ class PricedPath:
 
     sink: Tile
     cost: float
-    #: flat edge ids along the path (source -> sink order not guaranteed).
+    #: flat edge ids along the path, in source-to-sink order.
     edges: Tuple[int, ...]
-    #: flat tile indices where the path inserts a buffer.
+    #: flat tile indices where the path inserts a buffer, in the same order.
     buffers: Tuple[int, ...]
 
 
@@ -79,8 +80,44 @@ class NetPricing:
 class PathPricer:
     """Reusable layered-Dijkstra kernel over one graph.
 
-    Scratch arrays are allocated per call (sizes depend on the window
-    and the net's length limit); the flat adjacency is built once.
+    State ``(tile, d)`` is the integer ``tile_index * (L + 1) + d`` over
+    ``graph.flat().adj``. Each call allocates its own ``dist`` list (its
+    size depends on the net's length limit), a ``pred`` list only when
+    paths are collected (it keeps every relaxing state's integer alive),
+    a byte mask of the window's tiles with the sinks marked in a second
+    mask, and a byte mask of the tiles with sites; the flat adjacency is
+    built once.
+
+    Search rules:
+
+    * *First-pop settlement.* A sink tile is priced by the first of its
+      states the heap pops, and the search stops once every sink tile
+      has been popped. Dijkstra pops in nondecreasing cost, so that
+      state holds the tile's minimum cost. Heap keys are
+      ``(cost, state)`` and the state integer grows with ``d``, so among
+      equal-cost states of one tile the lowest ``d`` pops first: the
+      state is the one a ``min`` over the tile's settled layers returns.
+      This needs every step to cost more than 0, which holds wherever
+      paths are collected (base costs 1). With zero-cost steps the
+      costs still agree, but an equal-cost lower-``d`` state may arrive
+      after the first pop, so the path may differ.
+    * *Dominance skip.* A state ``(t, d)`` is dropped once some
+      ``(t, d')`` with ``d' < d`` has settled at a strictly smaller
+      cost: a relaxation into it is not pushed, and a pushed entry is
+      not expanded when popped. Any continuation of ``(t, d)`` replays
+      from ``(t, d')`` for no more cost: every wire step stays legal at
+      the lower depth, and a buffer costs the same or is left out when
+      the replay is already at ``d = 0``. Float addition is monotone,
+      so the replay is no dearer after rounding either, and no tile's
+      minimum cost changes. With every step > 0 the dropped states never
+      lie on a returned path (the argument of
+      :func:`repro.core.two_path.best_buffered_path`).
+
+    The step costs are evaluated as ``d + wire_cost + scale * l(e)`` and
+    ``d + buffer_cost + scale * s(v)``, left to right, on every call.
+    Tabulating ``wire_cost + scale * l(e)`` per arc would round
+    differently (``(d + w) + θl`` is not ``d + (w + θl)`` in floats) and
+    move the oracle's certificates.
     """
 
     def __init__(self, graph: TileGraph, window_margin: int = 10) -> None:
@@ -147,94 +184,99 @@ class PathPricer:
     ) -> NetPricing:
         flat = self.flat
         ny = flat.ny
-        sites = self._sites
         layers = length_limit + 1
-        num_states = flat.num_tiles * layers
+        last = length_limit
 
         xs = [source[0], *(s[0] for s in sinks)]
         ys = [source[1], *(s[1] for s in sinks)]
-        x_lo = max(0, min(xs) - margin)
-        x_hi = min(flat.nx - 1, max(xs) + margin)
-        y_lo = max(0, min(ys) - margin)
-        y_hi = min(flat.ny - 1, max(ys) + margin)
-        tile_x = flat.tile_x
-        tile_y = flat.tile_y
+        window = (min(xs) - margin, min(ys) - margin,
+                  max(xs) + margin, max(ys) + margin)
+        targets = set(sinks)
+        inside, sink_tiles = _tile_masks(flat, targets, set(), window)
+        has_sites = (self._sites > 0).tobytes()
 
-        dist = [INF] * num_states
-        parent = [-1] * num_states if collect_paths else None
-        via = [-1] * num_states if collect_paths else None
+        dist = [INF] * (flat.num_tiles * layers)
+        pred = [-1] * len(dist) if collect_paths else None
+        # Lowest depth settled so far per tile (``layers`` = none yet).
+        low_d = [layers] * flat.num_tiles
+        # First-popped state per sink tile: the tile's cheapest state.
+        first: Dict[int, int] = {}
+        left = len(targets)  # sink tiles not popped yet
 
-        src_idx = source[0] * ny + source[1]
-        start = src_idx * layers  # (source, d=0)
+        start = (source[0] * ny + source[1]) * layers  # (source, d=0)
         dist[start] = 0.0
         heap: List[Tuple[float, int]] = [(0.0, start)]
+        pop = heapq.heappop
+        push = heapq.heappush
         adj = flat.adj
-        targets = {s[0] * ny + s[1] for s in sinks}
-        remaining = {t: layers for t in targets}  # states left per target
-
         while heap:
-            d_cur, state = heapq.heappop(heap)
+            d_cur, state = pop(heap)
             if d_cur > dist[state]:
-                continue
+                continue  # stale entry; the state settled cheaper
             tile = state // layers
             depth = state - tile * layers
-            if tile in remaining:
-                remaining[tile] -= 1
-                if remaining[tile] <= 0:
-                    del remaining[tile]
-                    if not remaining:
+            low = low_d[tile]
+            if low > depth:
+                if low == layers and sink_tiles[tile]:
+                    first[tile] = state
+                    left -= 1
+                    if not left:
                         break
+                low_d[tile] = depth
+            elif dist[state - depth + low] < d_cur:
+                continue  # a lower depth of this tile settled cheaper
             # Buffer insertion: reset the spacing counter on a site tile.
-            if depth > 0 and sites[tile] > 0:
+            if depth and has_sites[tile]:
                 s_len = site_lengths[tile]
                 if s_len < INF:
                     nd = d_cur + buffer_cost + scale * s_len
-                    nstate = tile * layers
+                    nstate = state - depth
                     if nd < dist[nstate]:
                         dist[nstate] = nd
                         if collect_paths:
-                            parent[nstate] = state
-                            via[nstate] = -2  # buffer marker
-                        heapq.heappush(heap, (nd, nstate))
+                            pred[nstate] = state
+                        push(heap, (nd, nstate))
             # Wire step: advance one tile, spend one unit of drive length.
-            if depth + 1 >= layers:
-                continue
-            for nbr, eid in adj[tile]:
-                if not (x_lo <= tile_x[nbr] <= x_hi and y_lo <= tile_y[nbr] <= y_hi):
-                    continue
-                e_len = edge_lengths[eid]
-                if e_len >= INF:
-                    continue
-                nd = d_cur + wire_cost + scale * e_len
-                nstate = nbr * layers + depth + 1
-                if nd < dist[nstate]:
-                    dist[nstate] = nd
-                    if collect_paths:
-                        parent[nstate] = state
-                        via[nstate] = eid
-                    heapq.heappush(heap, (nd, nstate))
+            if depth < last:
+                nj = depth + 1
+                for nbr, eid in adj[tile]:
+                    if inside[nbr]:
+                        e_len = edge_lengths[eid]
+                        if e_len < INF:
+                            nd = d_cur + wire_cost + scale * e_len
+                            nstate = nbr * layers + nj
+                            if nd < dist[nstate]:
+                                low = low_d[nbr]
+                                if low < nj and dist[nstate - nj + low] < nd:
+                                    continue  # dominated on arrival
+                                dist[nstate] = nd
+                                if collect_paths:
+                                    pred[nstate] = state
+                                push(heap, (nd, nstate))
 
         costs: Dict[Tile, float] = {}
         paths: Dict[Tile, PricedPath] = {}
         for sink in sinks:
-            t_idx = sink[0] * ny + sink[1]
-            base = t_idx * layers
-            best_state = min(
-                range(base, base + layers), key=lambda s: dist[s]
-            )
+            best_state = first.get(sink[0] * ny + sink[1], -1)
+            if best_state < 0:
+                costs[sink] = INF
+                continue
             best = dist[best_state]
             costs[sink] = best
-            if collect_paths and best < INF:
+            if collect_paths:
                 edges: List[int] = []
                 buffers: List[int] = []
                 state = best_state
-                while state != start and parent is not None:
-                    step = via[state]
-                    if step == -2:
-                        buffers.append(state // layers)
+                while state != start:
+                    prev = pred[state]
+                    tile, prev_tile = state // layers, prev // layers
+                    if tile == prev_tile:
+                        buffers.append(tile)
                     else:
-                        edges.append(step)
-                    state = parent[state]
+                        edges.append(
+                            next(e for n, e in adj[prev_tile] if n == tile)
+                        )
+                    state = prev
                 paths[sink] = PricedPath(
                     sink=sink,
                     cost=best,

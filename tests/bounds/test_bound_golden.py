@@ -1,0 +1,112 @@
+"""Golden certificates: the lower-bound oracle's output, pinned to the byte.
+
+Each golden records one oracle run: the SHA-256 of the canonical
+certificate JSON, the headline numbers (bound, floor, theta, lambda,
+dual load, pricing calls) and a SHA-256 over every net's candidate
+columns with their pick counts. Any change to the pricing search that
+moves a single dual length, a tie-broken path or a column shows here.
+
+* ``bound_scenario12_seed0.json``: the 12x12 / 40-net ``SCENARIO`` of
+  ``test_oracle.py`` at two iterations (fast, tier 1);
+* ``bound_ladder32_seed0.json``: the ``ladder-32`` tier at seed 0 with
+  the options ``rabidbench``'s ``bound-ladder32`` workload uses
+  (epsilon 0.5, one iteration; slow).
+
+Both were recorded before the pricing search settled sinks at their
+first pop. To record them again from a checkout's own sources::
+
+    PYTHONPATH=src python tests/bounds/test_bound_golden.py
+"""
+
+import dataclasses
+import hashlib
+import json
+import os
+
+import pytest
+
+from repro.bounds import BoundOptions, bound_scenario, compute_bound
+from repro.service.engine import build_graph
+from repro.service.jobs import ScenarioSpec
+from repro.workloads import get_workload
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "golden")
+
+SCENARIO12 = ScenarioSpec(
+    grid=12, num_nets=40, total_sites=300, seed=0, site_seed=0
+)
+
+
+def _sha256(payload) -> str:
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()
+    ).hexdigest()
+
+
+def golden_payload(result) -> dict:
+    """The pinned digest of one :class:`~repro.bounds.BoundResult`."""
+    columns = {
+        name: [
+            [list(c.edges), list(c.buffers), c.cost, picks]
+            for c, picks in slots
+        ]
+        for name, slots in result.candidates.items()
+    }
+    return {
+        "certificate_sha256": _sha256(result.certificate().to_dict()),
+        "lower_bound": result.lower_bound,
+        "unconstrained_bound": result.unconstrained_bound,
+        "theta": result.theta,
+        "lambda_lb": result.lambda_lb,
+        "dual_load": result.dual_load,
+        "pricing_calls": result.pricing_calls,
+        "columns_sha256": _sha256(columns),
+    }
+
+
+def scenario12_bound():
+    return bound_scenario(SCENARIO12, BoundOptions(iterations=2))
+
+
+def ladder32_bound():
+    scenario = dataclasses.replace(
+        get_workload("ladder-32").scenario(), seed=0, site_seed=0
+    )
+    nets = scenario.nets()
+    return compute_bound(
+        build_graph(scenario), nets, scenario.limits(sorted(nets)),
+        BoundOptions(epsilon=0.5, iterations=1),
+    )
+
+
+GOLDENS = {
+    "bound_scenario12_seed0.json": scenario12_bound,
+    "bound_ladder32_seed0.json": ladder32_bound,
+}
+
+
+def load_golden(name):
+    with open(os.path.join(GOLDEN_DIR, name), "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_scenario12_matches_golden():
+    assert golden_payload(scenario12_bound()) == load_golden(
+        "bound_scenario12_seed0.json"
+    )
+
+
+@pytest.mark.slow
+def test_ladder32_matches_golden():
+    assert golden_payload(ladder32_bound()) == load_golden(
+        "bound_ladder32_seed0.json"
+    )
+
+
+if __name__ == "__main__":
+    for name, run in GOLDENS.items():
+        path = os.path.join(GOLDEN_DIR, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(golden_payload(run()), fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        print("wrote", path)

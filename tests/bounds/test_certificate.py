@@ -7,13 +7,16 @@ import pytest
 from repro.bounds import (
     BoundOptions,
     bound_scenario,
+    compute_bound,
     load_certificate,
     save_certificate,
     verify_certificate,
 )
 from repro.errors import ConfigurationError
+from repro.geometry import Rect
 from repro.service.engine import build_graph
 from repro.service.jobs import ScenarioSpec
+from repro.tilegraph import CapacityModel, TileGraph
 
 
 SCENARIO = ScenarioSpec(
@@ -89,3 +92,104 @@ class TestVerification:
         lengths[10**9] = 1.0
         forged = dataclasses.replace(cert, edge_lengths=lengths)
         assert not verify_certificate(forged, graph, nets, limits)["ok"]
+
+    def test_missing_length_fails(self, cert, workload):
+        """Dropping a capacity edge's length would make every path across
+        it unusable in the re-pricing, so duals could be inflated."""
+        graph, nets, limits = workload
+        lengths = dict(cert.edge_lengths)
+        del lengths[next(iter(lengths))]
+        forged = dataclasses.replace(cert, edge_lengths=lengths)
+        verdict = verify_certificate(forged, graph, nets, limits)
+        assert not verdict["ok"]
+        assert "missing" in verdict["error"]
+
+
+class TestForgedInfeasibility:
+    """Infeasibility claims are derived again, not taken on trust."""
+
+    def test_forged_capacity_claim_fails(self, cert, workload):
+        graph, nets, limits = workload
+        forged = dataclasses.replace(
+            cert,
+            certified_infeasible=True,
+            infeasible_reason="capacity",
+            lambda_lb=50.0,
+            dual_load=cert.dual_load * 7,
+        )
+        verdict = verify_certificate(forged, graph, nets, limits)
+        assert not verdict["ok"]
+        assert "dual_load" in verdict["error"]
+
+    def test_forged_lambda_with_true_dual_load_fails(self, cert, workload):
+        graph, nets, limits = workload
+        forged = dataclasses.replace(
+            cert,
+            certified_infeasible=True,
+            infeasible_reason="capacity",
+            lambda_lb=50.0,
+        )
+        verdict = verify_certificate(forged, graph, nets, limits)
+        assert not verdict["ok"]
+        assert "lambda_lb" in verdict["error"]
+
+    def test_forged_structural_nets_fail(self, cert, workload):
+        graph, nets, limits = workload
+        routable = sorted(cert.net_duals)[:3]
+        forged = dataclasses.replace(
+            cert,
+            certified_infeasible=True,
+            infeasible_reason="structural",
+            structural_nets=routable,
+        )
+        verdict = verify_certificate(forged, graph, nets, limits)
+        assert not verdict["ok"]
+        assert routable[0] in verdict["error"]
+
+    def test_reason_without_claim_fails(self, cert, workload):
+        graph, nets, limits = workload
+        forged = dataclasses.replace(cert, certified_infeasible=True)
+        assert not verify_certificate(forged, graph, nets, limits)["ok"]
+
+    def test_genuine_capacity_certificate_verifies(self):
+        """The instance of ``test_oracle.py``'s capacity certificate."""
+        graph = TileGraph(
+            Rect(0, 0, 4.0, 2.0), 4, 2, CapacityModel.uniform(1)
+        )
+        nets = {f"n{i}": ((0, 0), [(3, 0)]) for i in range(8)}
+        limits = {name: 8 for name in nets}
+        result = compute_bound(
+            graph, nets, limits, BoundOptions(epsilon=0.5, iterations=8)
+        )
+        assert result.infeasible_reason == "capacity"
+        verdict = verify_certificate(result.certificate(), graph, nets, limits)
+        assert verdict["ok"], verdict
+
+    def test_genuine_structural_certificate_verifies(self):
+        graph = TileGraph(
+            Rect(0, 0, 4.0, 2.0), 4, 2, CapacityModel.uniform(0)
+        )
+        nets = {"n0": ((0, 0), [(3, 0)])}
+        result = compute_bound(
+            graph, nets, {"n0": 8}, BoundOptions(iterations=1)
+        )
+        assert result.structural_nets == ["n0"]
+        verdict = verify_certificate(
+            result.certificate(), graph, nets, {"n0": 8}
+        )
+        assert verdict["ok"], verdict
+
+    def test_triage_result_is_not_rechecked(self):
+        """A triage verdict carries no duals; it verifies vacuously."""
+        starved = ScenarioSpec(
+            grid=12, num_nets=60, capacity=6, total_sites=5, length_limit=2
+        )
+        result = bound_scenario(starved, BoundOptions(triage=True))
+        assert result.infeasible_reason.startswith("triage-")
+        nets = starved.nets()
+        verdict = verify_certificate(
+            result.certificate(), build_graph(starved), nets,
+            starved.limits(sorted(nets)),
+        )
+        assert verdict["ok"]
+        assert verdict["nets_checked"] == 0
