@@ -2,9 +2,8 @@
 
 Times exactly ``assign_buffers_stage3`` over the ISSUE's 32x32 / 500-net
 workload (16x16 / 120 nets under ``REPRO_BENCH_FAST=1``) and records the
-unified-engine entries — sequential and a 2-worker tile-disjoint-batch
-arm — next to the committed pre-solver baseline. Both arms must stay
-byte-identical to the pre-change golden capture.
+unified-engine entry next to the committed pre-solver baseline. It must
+stay byte-identical to the pre-change golden capture.
 """
 
 import json
@@ -59,35 +58,10 @@ def test_buffering_kernel_sequential(benchmark):
 
     result = benchmark.pedantic(body, rounds=1, iterations=1)
     entry = append_entry(
-        TRAJECTORY, "unified-engine", result, holder["scenario"], workers=1
+        TRAJECTORY, "unified-engine", result, holder["scenario"]
     )
     _record(entry)
     if not FAST and SEED == 0:
-        with open(GOLDEN_KERNEL, "r", encoding="utf-8") as fh:
-            golden = json.load(fh)
-        assert result.signature == golden["signature"]
-
-
-@pytest.mark.skipif(FAST, reason="parallel arm duplicates the smoke entry")
-def test_buffering_kernel_parallel_entry(benchmark):
-    """Record the workers=2 arm; must match the sequential output exactly
-    (tile-disjoint batches are an exact partition, unlike Stage 2's
-    bounding boxes)."""
-    holder = {}
-
-    def body():
-        holder["scenario"], holder["result"] = run_best_of(
-            5, workers=2, **_scenario_kwargs()
-        )
-        return holder["result"]
-
-    result = benchmark.pedantic(body, rounds=1, iterations=1)
-    entry = append_entry(
-        TRAJECTORY, "unified-engine-2workers", result, holder["scenario"],
-        workers=2, min_speedup_vs_workers1=1.0,
-    )
-    _record(entry)
-    if SEED == 0:
         with open(GOLDEN_KERNEL, "r", encoding="utf-8") as fh:
             golden = json.load(fh)
         assert result.signature == golden["signature"]
@@ -98,11 +72,7 @@ def test_buffering_kernel_parallel_entry(benchmark):
     reason="multi-minute 128x128/10k tier; set REPRO_BENCH_LARGE=1",
 )
 def test_buffering_kernel_large_tier(benchmark):
-    """Record the 128x128 / 10k-net Stage-3 tier, sequential and pooled.
-
-    The emit gate only arms on machines with >= 2 cores; the committed
-    entries record ``cores`` either way so the speedup column is honest.
-    """
+    """Record the 128x128 / 10k-net Stage-3 tier."""
     # capacity 12 matches the routing tier (zero-overflow routes).
     kwargs = dict(
         grid=128, num_nets=10000, capacity=12, total_sites=40000,
@@ -112,18 +82,10 @@ def test_buffering_kernel_large_tier(benchmark):
 
     def body():
         holder["scenario"], holder["result"] = run_best_of(1, **kwargs)
-        _, holder["result2"] = run_best_of(1, workers=2, **kwargs)
         return holder["result"]
 
     result = benchmark.pedantic(body, rounds=1, iterations=1)
     entry = append_entry(
-        TRAJECTORY, "unified-engine-128x128", result, holder["scenario"],
-        workers=1,
+        TRAJECTORY, "unified-engine-128x128", result, holder["scenario"]
     )
-    entry2 = append_entry(
-        TRAJECTORY, "unified-engine-128x128-2workers", holder["result2"],
-        holder["scenario"], workers=2, min_speedup_vs_workers1=1.0,
-    )
-    assert holder["result2"].signature == result.signature
     _record(entry)
-    _record(entry2)

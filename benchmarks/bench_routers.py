@@ -99,9 +99,7 @@ def test_routing_kernel_speedup(benchmark):
         return holder["result"]
 
     result = benchmark.pedantic(body, rounds=1, iterations=1)
-    entry = append_entry(
-        TRAJECTORY, "flat-kernel", result, holder["scenario"], workers=1
-    )
+    entry = append_entry(TRAJECTORY, "flat-kernel", result, holder["scenario"])
     record_table(
         "Routing kernel (BENCH_routing.json)",
         render_table(
@@ -124,34 +122,30 @@ def test_routing_kernel_speedup(benchmark):
         assert entry.get("speedup_vs_baseline", 0.0) >= 2.5
 
 
-@pytest.mark.skipif(FAST, reason="parallel run duplicates the smoke entry")
-def test_routing_kernel_parallel_entry(benchmark):
-    """Record the workers=2 arm; must stay route-identical to sequential.
-
-    The emit-layer gate fails this test if the parallel arm is slower
-    than the recorded workers=1 entry — but only on machines with at
-    least 2 cores; on smaller boxes the entry records the skip reason
-    (``speedup_gate``) alongside its honest ``cores`` count.
-    """
+@pytest.mark.skipif(
+    FAST or os.environ.get("REPRO_BENCH_LARGE") != "1",
+    reason="multi-minute 128x128/10k tier; set REPRO_BENCH_LARGE=1",
+)
+def test_routing_kernel_large_tier(benchmark):
+    """Record the 128x128 / 10k-net tier."""
     holder = {}
 
+    # capacity 12: at the default 8 the 10k-net workload cannot reach
+    # zero overflow on this grid, and overflow entries are not
+    # comparable across router changes.
+    kwargs = dict(grid=128, num_nets=10000, capacity=12, seed=SEED)
+
     def body():
-        holder["scenario"], holder["result"] = run_best_of(
-            3, workers=2, seed=SEED
-        )
+        holder["scenario"], holder["result"] = run_best_of(1, **kwargs)
         return holder["result"]
 
     result = benchmark.pedantic(body, rounds=1, iterations=1)
     entry = append_entry(
-        TRAJECTORY, "flat-kernel-2workers", result, holder["scenario"],
-        workers=2, min_speedup_vs_workers1=1.0,
+        TRAJECTORY, "flat-kernel-128x128", result, holder["scenario"]
     )
-    if SEED == 0:
-        with open(GOLDEN_KERNEL, "r", encoding="utf-8") as fh:
-            golden = json.load(fh)
-        assert result.signature == golden["signature"]
+    assert result.overflow == 0
     record_table(
-        "Routing kernel (BENCH_routing.json)",
+        "Routing kernel 128x128 tier (BENCH_routing.json)",
         render_table(
             ["label", "grid", "nets", "workers", "total s", "speedup"],
             [[
@@ -162,57 +156,5 @@ def test_routing_kernel_parallel_entry(benchmark):
                 f"{entry['seconds_total']:.3f}",
                 str(entry.get("speedup_vs_baseline", "-")),
             ]],
-        ),
-    )
-
-
-@pytest.mark.skipif(
-    FAST or os.environ.get("REPRO_BENCH_LARGE") != "1",
-    reason="multi-minute 128x128/10k tier; set REPRO_BENCH_LARGE=1",
-)
-def test_routing_kernel_large_tier(benchmark):
-    """Record the 128x128 / 10k-net tier: sequential + pooled 2-worker arm.
-
-    This is the scale where shipping batches to shm workers has real
-    work to amortise against. Committed entries carry ``cores`` so a
-    1-core measurement is never mistaken for a parallelism result.
-    """
-    holder = {}
-
-    # capacity 12: at the default 8 the 10k-net workload cannot reach
-    # zero overflow on this grid, and overflow entries are not
-    # comparable across router changes.
-    kwargs = dict(grid=128, num_nets=10000, capacity=12, seed=SEED)
-
-    def body():
-        holder["scenario"], holder["result"] = run_best_of(1, **kwargs)
-        _, holder["result2"] = run_best_of(1, workers=2, **kwargs)
-        return holder["result"]
-
-    result = benchmark.pedantic(body, rounds=1, iterations=1)
-    entry = append_entry(
-        TRAJECTORY, "flat-kernel-128x128", result, holder["scenario"], workers=1
-    )
-    entry2 = append_entry(
-        TRAJECTORY, "flat-kernel-128x128-2workers", holder["result2"],
-        holder["scenario"], workers=2, min_speedup_vs_workers1=1.0,
-    )
-    assert holder["result2"].signature == result.signature
-    assert result.overflow == 0
-    record_table(
-        "Routing kernel 128x128 tier (BENCH_routing.json)",
-        render_table(
-            ["label", "grid", "nets", "workers", "total s", "speedup"],
-            [
-                [
-                    e["label"],
-                    str(e["params"]["grid"]),
-                    str(e["params"]["num_nets"]),
-                    str(e["workers"]),
-                    f"{e['seconds_total']:.3f}",
-                    str(e.get("speedup_vs_baseline", "-")),
-                ]
-                for e in (entry, entry2)
-            ],
         ),
     )

@@ -154,10 +154,7 @@ def run_routing_kernel(
     passes: int = 2,
     radius_weight: float = 0.4,
     window_margin: int = 6,
-    workers: int = 1,
-    backend: str = "pool",
     tracer=None,
-    pool=None,
 ) -> KernelResult:
     """Route every net, then rip-up/reroute for ``passes`` full passes."""
     graph = scenario.graph
@@ -176,22 +173,13 @@ def run_routing_kernel(
         tree.add_usage(graph)
         routes[name] = tree
     mid = time.perf_counter()
-    option_kwargs = dict(
+    options = RipupOptions(
         max_iterations=passes,
         radius_weight=radius_weight,
         window_margin=window_margin,
     )
-    # ``workers`` arrived with the flat kernel and ``backend`` with the
-    # shared-memory pool; stay runnable on the pre-flat code so the
-    # baseline entry can be recorded from it.
-    known = getattr(RipupOptions, "__dataclass_fields__", {})
-    if workers != 1 or "workers" in known:
-        option_kwargs["workers"] = workers
-    if "backend" in known:
-        option_kwargs["backend"] = backend
-    options = RipupOptions(**option_kwargs)
     executed = ripup_and_reroute(
-        graph, routes, scenario.order, options, tracer=tracer, pool=pool
+        graph, routes, scenario.order, options, tracer=tracer
     )
     end = time.perf_counter()
     return KernelResult(
@@ -207,8 +195,6 @@ def run_routing_kernel(
 
 def run_best_of(
     repetitions: int,
-    workers: int = 1,
-    backend: str = "pool",
     tracer=None,
     **scenario_kwargs,
 ) -> Tuple[RoutingScenario, KernelResult]:
@@ -229,9 +215,7 @@ def run_best_of(
     try:
         for _ in range(max(1, repetitions)):
             scenario = make_routing_scenario(**scenario_kwargs)
-            result = run_routing_kernel(
-                scenario, workers=workers, backend=backend, tracer=tracer
-            )
+            result = run_routing_kernel(scenario, tracer=tracer)
             if best is None or result.seconds_total < best[1].seconds_total:
                 best = (scenario, result)
             gc.collect()
@@ -251,9 +235,6 @@ def append_entry(
     label: str,
     result: KernelResult,
     scenario: RoutingScenario,
-    workers: int = 1,
-    extra: Optional[dict] = None,
-    min_speedup_vs_workers1: Optional[float] = None,
 ) -> dict:
     """Append one measured entry; computes speedup vs the first entry.
 
@@ -261,8 +242,8 @@ def append_entry(
     parameters; entries record them so a reader can check. Re-running with
     a label already in the trajectory *replaces* that entry in place, so
     benchmark reruns refresh their numbers instead of growing the file.
-    ``min_speedup_vs_workers1`` arms the emit-layer speedup gate (see
-    :func:`repro.benchmarks.emit.append_trajectory_entry`).
+    Entries record ``"workers": 1`` so they keep matching the recorded
+    rows, which used the worker count in their identity.
     """
     params = {
         "grid": scenario.grid,
@@ -283,10 +264,8 @@ def append_entry(
             "wirelength_tiles": result.wirelength_tiles,
             "signature": result.signature,
         },
-        workers=workers,
+        workers=1,
         speedup_from="seconds_total",
-        extra=extra,
-        min_speedup_vs_workers1=min_speedup_vs_workers1,
     )
 
 
@@ -299,11 +278,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--label", required=True, help="entry label")
     parser.add_argument("--out", default=DEFAULT_TRAJECTORY)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument(
-        "--backend", choices=("pool", "threads"), default="pool",
-        help="parallel engine for --workers > 1",
-    )
     parser.add_argument(
         "--fast", action="store_true",
         help="small instance (16x16, 120 nets) for CI smoke runs",
@@ -312,24 +286,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--repeat", type=int, default=3,
         help="record the fastest of N runs (default 3)",
     )
-    parser.add_argument(
-        "--min-speedup", type=float, default=None,
-        help="fail if a --workers > 1 entry is below this speedup over "
-        "the workers=1 baseline (armed only when the machine has that "
-        "many cores)",
-    )
     args = parser.parse_args(argv)
     kwargs = dict(seed=args.seed)
     if args.fast:
         kwargs.update(grid=16, num_nets=120)
-    scenario, result = run_best_of(
-        args.repeat, workers=args.workers, backend=args.backend, **kwargs
-    )
-    entry = append_entry(
-        args.out, args.label, result, scenario, workers=args.workers,
-        extra={"backend": args.backend},
-        min_speedup_vs_workers1=args.min_speedup,
-    )
+    scenario, result = run_best_of(args.repeat, **kwargs)
+    entry = append_entry(args.out, args.label, result, scenario)
     print(json.dumps(entry, indent=2))
     return 0
 

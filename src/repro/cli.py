@@ -87,14 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run RABID on one benchmark")
     run.add_argument("circuit", choices=sorted(BENCHMARK_SPECS))
     run.add_argument(
-        "--workers", type=int, default=1,
-        help="Stage-2 reroute threads (1 = sequential, byte-identical)",
-    )
-    run.add_argument(
-        "--stage3-workers", type=int, default=1,
-        help="Stage-3 buffering threads (output identical at any count)",
-    )
-    run.add_argument(
         "--stage3-solver", default="dp",
         help="Stage-3 buffering strategy (dp, single_sink, greedy, "
         "van_ginneken, multi_type)",
@@ -430,30 +422,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_worker_flags(args) -> None:
-    """Validate the worker-knob interplay with the machine.
+    """Validate ``--workers`` against the machine.
 
-    Values below 1 are rejected (exit 2); values beyond ``os.cpu_count()``
-    are *clamped* to it with a clear warning on stderr — oversubscribing
-    threads past the core count only adds contention, and results are
-    identical at any worker count, so degrading to the machine's
-    capacity is always safe. Library callers are unaffected — only the
-    CLI flags are validated.
+    Values beyond ``os.cpu_count()`` are *clamped* to it with a clear
+    warning on stderr — oversubscribing processes past the core count
+    only adds contention, and results are identical at any worker count,
+    so degrading to the machine's capacity is always safe. Values below
+    1 are left to the library's own validation (exit 2). Library callers
+    are unaffected — only the CLI flag is validated.
     """
     cpus = os.cpu_count() or 1
-    for flag, attr in (("--workers", "workers"),
-                       ("--stage3-workers", "stage3_workers")):
-        value = getattr(args, attr, 1)
-        if value < 1:
-            # Leave sub-1 values to RabidConfig's own validation so the
-            # error message stays the library's.
-            continue
-        if value > cpus:
-            print(
-                f"warning: clamping {flag}={value} to {cpus} "
-                f"(this machine has {cpus} CPU core(s))",
-                file=sys.stderr,
-            )
-            setattr(args, attr, cpus)
+    if args.workers > cpus:
+        print(
+            f"warning: clamping --workers={args.workers} to {cpus} "
+            f"(this machine has {cpus} CPU core(s))",
+            file=sys.stderr,
+        )
+        args.workers = cpus
 
 
 def _parse_sweep_values(text: str, pairs: bool = False) -> list:
@@ -1054,8 +1039,6 @@ def _cmd_run(args) -> int:
         length_limit=bench.spec.length_limit,
         window_margin=10,
         stage4_iterations=args.stage4_iterations,
-        workers=args.workers,
-        stage3_workers=args.stage3_workers,
         stage3_solver=args.stage3_solver,
         buffer_library=args.buffer_library,
     )
@@ -1157,7 +1140,6 @@ def _dispatch(args) -> int:
     if args.command == "bound":
         return _cmd_bound(args)
     if args.command == "run":
-        _check_worker_flags(args)
         return _cmd_run(args)
     if args.command == "workload":
         _check_worker_flags(args)

@@ -13,21 +13,15 @@ The per-net pipeline is *solve then commit*:
   in its place; exceptions anywhere inside a net's scope unwind its site
   bookings automatically.
 
-With ``workers > 1`` the order is cut into maximal prefixes of nets with
-pairwise-disjoint tile sets; a batch is solved concurrently and committed
-serially in order. Because every solver input — the Eq. (2)/``p(v)``
-gather, free-site probes, the length rule — reads only the net's own
-tiles, and batch members share none, each concurrent solve sees exactly
-the state the sequential loop would have shown it: the parallel path is
-byte-identical, with no escape hatch needed (unlike Stage 2's bounding
-boxes, tile-set disjointness is exact, not approximate).
+Nets are walked strictly in order: each net's solve sees the bookings of
+every net committed before it, which is what the paper's
+descending-delay order relies on.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.core.candidates import INF, oversubscribes
 from repro.core.fallback import greedy_buffering
@@ -73,7 +67,7 @@ def _solve_net(
     solver: BufferingSolver,
     tracer=None,
 ) -> SolveOutcome:
-    """Run one net's strategy (read-only; safe off-thread untraced)."""
+    """Run one net's strategy (read-only: nothing is booked)."""
     return solver.solve(
         SolveRequest(
             graph=graph,
@@ -175,34 +169,6 @@ def assign_buffers_to_net(
         return _commit_outcome(graph, tree, length_limit, outcome, tracer=tracer)
 
 
-def _disjoint_prefix_batches(
-    routes: Dict[str, RouteTree],
-    order: Sequence[str],
-    ny: int,
-) -> Iterator[List[str]]:
-    """Cut ``order`` into maximal prefixes of tile-disjoint nets.
-
-    Stopping at the first overlap (rather than skipping ahead) keeps the
-    concatenation of all batches equal to the original order, which the
-    serial commit phase relies on.
-    """
-    n = len(order)
-    idx = 0
-    while idx < n:
-        batch = [order[idx]]
-        footprint = set(routes[order[idx]].tile_indices(ny).tolist())
-        j = idx + 1
-        while j < n:
-            tiles = routes[order[j]].tile_indices(ny).tolist()
-            if not footprint.isdisjoint(tiles):
-                break
-            batch.append(order[j])
-            footprint.update(tiles)
-            j += 1
-        idx = j
-        yield batch
-
-
 def assign_buffers_stage3(
     graph: TileGraph,
     routes: Dict[str, RouteTree],
@@ -210,13 +176,7 @@ def assign_buffers_stage3(
     order: Sequence[str],
     use_probability: bool = True,
     tracer=None,
-    workers: int = 1,
     solver_for: "Callable[[str], BufferingSolver] | None" = None,
-    backend: str = "pool",
-    pool=None,
-    solver_names: "Callable[[str], str] | None" = None,
-    technology=None,
-    buffer_library: str = "single",
 ) -> AssignmentResult:
     """Assign buffer sites to every net, highest-delay nets first.
 
@@ -229,30 +189,10 @@ def assign_buffers_stage3(
         use_probability: include the ``p(v)`` term of Eq. (2).
         tracer: optional :class:`repro.obs.Tracer`; per-net ``buffered`` /
             ``failed`` events and the ``buffer_sites_used`` counter, plus
-            ``stage3.ledger_rollbacks`` and (parallel) ``stage3.batches``.
-        workers: solve tile-disjoint batches of nets with this many
-            workers; 1 (default) runs strictly sequentially. All paths
-            produce identical output (tile-set disjointness is exact);
-            off-process/off-thread solves run untraced, so per-net DP
-            counters are only exact at ``workers=1``.
-        solver_for: optional net-name -> strategy mapping; default is the
+            ``stage3.ledger_rollbacks``.
+        solver_for: net name -> strategy (see
+            :func:`repro.core.solver.make_solver_lookup`); default is the
             Fig. 9 multi-sink DP for every net.
-        backend: parallel engine for ``workers > 1``: ``"pool"`` (the
-            shared-memory worker-process pool, default) or ``"threads"``
-            (legacy in-process threads). The pool needs solver *names* to
-            instantiate strategies worker-side, so a custom ``solver_for``
-            without ``solver_names`` silently takes the thread path.
-        pool: optional :class:`repro.parallel.WorkerPool` to reuse (shared
-            with Stage 2 / the planner); otherwise one is created and
-            closed here.
-        solver_names: net name -> solver registry name (see
-            :data:`repro.core.solver.SOLVER_NAMES`), required by the pool
-            backend; also used to build the default ``solver_for``.
-        technology: electrical parameters forwarded to
-            :func:`repro.core.solver.make_solver` (``van_ginneken``,
-            ``multi_type``).
-        buffer_library: named buffer library the ``multi_type`` strategy
-            sizes over (:data:`repro.technology.LIBRARY_NAMES`).
 
     Returns:
         An :class:`AssignmentResult`; the trees and graph are updated in
@@ -266,39 +206,24 @@ def assign_buffers_stage3(
             probability.add_net(routes[name], length_limits[name])
     cost_field = Stage3CostField(graph, probability)
     if solver_for is None:
-        from repro.core.solver import make_solver
-
-        names_of = solver_names if solver_names is not None else (
-            lambda name: "dp"
-        )
-        solver_names = names_of
-        _solvers: Dict[str, BufferingSolver] = {}
+        default_solver = MultiSinkDPSolver()
 
         def solver_for(name: str) -> BufferingSolver:
-            key = names_of(name)
-            solver = _solvers.get(key)
-            if solver is None:
-                solver = _solvers[key] = make_solver(
-                    key, technology=technology, buffer_library=buffer_library
-                )
-            return solver
+            return default_solver
 
     out = AssignmentResult()
-
-    def process(name: str, outcome: "SolveOutcome | None") -> None:
-        """Commit one net (serial phase) and record its accounting."""
+    for name in order:
         tree = routes[name]
-        if outcome is None:
-            if probability is not None:
-                probability.remove_net(tree)
-            outcome = _solve_net(
-                graph,
-                tree,
-                length_limits[name],
-                cost_field,
-                solver_for(name),
-                tracer=tracer,
-            )
+        if probability is not None:
+            probability.remove_net(tree)
+        outcome = _solve_net(
+            graph,
+            tree,
+            length_limits[name],
+            cost_field,
+            solver_for(name),
+            tracer=tracer,
+        )
         meets, dp_ok, cost = _commit_outcome(
             graph, tree, length_limits[name], outcome, tracer=tracer
         )
@@ -320,86 +245,4 @@ def assign_buffers_stage3(
                 dp_feasible=dp_ok,
             )
             tracer.check_site_invariants(graph, f"stage3 net {name}")
-
-    if workers <= 1 or len(order) <= 1:
-        for name in order:
-            process(name, None)
-        return out
-
-    if backend == "pool" and solver_names is not None:
-        from repro.parallel import PoolError, Stage3Session, WorkerPool
-
-        own_pool = None
-        if pool is None:
-            pool = own_pool = WorkerPool(workers, tracer=tracer)
-        session = Stage3Session(
-            pool,
-            graph,
-            probability,
-            technology=technology,
-            buffer_library=buffer_library,
-        )
-        try:
-            for batch in _disjoint_prefix_batches(routes, order, graph.ny):
-                if tracer.enabled:
-                    tracer.count("stage3.batches")
-                if len(batch) == 1:
-                    process(batch[0], None)
-                    continue
-                # Solve off-process first — workers subtract their own
-                # net's p(v) weight from the published field, so the
-                # parent's field must still be intact here. Then mirror
-                # the sequential remove-before-solve parent-side and
-                # commit in order.
-                try:
-                    outcomes = session.solve_batch(
-                        batch, routes, length_limits, solver_names
-                    )
-                except PoolError:
-                    if tracer.enabled:
-                        tracer.count("stage3.pool_fallbacks")
-                    for name in batch:
-                        process(name, None)
-                    continue
-                if probability is not None:
-                    for name in batch:
-                        probability.remove_net(routes[name])
-                for name in batch:
-                    process(name, outcomes[name])
-        finally:
-            session.close()
-            if own_pool is not None:
-                own_pool.close()
-        return out
-
-    with ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix="stage3"
-    ) as executor:
-        for batch in _disjoint_prefix_batches(routes, order, graph.ny):
-            if tracer.enabled:
-                tracer.count("stage3.batches")
-            if len(batch) == 1:
-                process(batch[0], None)
-                continue
-            # Remove the whole batch's p(v) contributions up front (each
-            # net's tiles are its own, so this equals the sequential
-            # remove-before-solve), then solve concurrently against the
-            # frozen graph state and commit serially in order.
-            if probability is not None:
-                for name in batch:
-                    probability.remove_net(routes[name])
-            futures = [
-                executor.submit(
-                    _solve_net,
-                    graph,
-                    routes[name],
-                    length_limits[name],
-                    cost_field,
-                    solver_for(name),
-                )
-                for name in batch
-            ]
-            outcomes = [f.result() for f in futures]  # barrier
-            for name, outcome in zip(batch, outcomes):
-                process(name, outcome)
     return out

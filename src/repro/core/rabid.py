@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 from repro.core.assignment import AssignmentResult, assign_buffers_stage3, assign_buffers_to_net
 from repro.core.length_rule import net_meets_length_rule
-from repro.core.solver import SOLVER_NAMES, BufferingSolver, make_solver
+from repro.core.solver import SOLVER_NAMES, make_solver_lookup
 from repro.core.two_path import optimize_two_paths
 from repro.errors import ConfigurationError
 from repro.netlist import Net, Netlist
@@ -54,19 +54,6 @@ class RabidConfig:
         rescue_failing: after the Stage-4 iterations, attempt a whole-net
             bufferable re-route for nets still violating the length rule
             (an extension of Stage 4's goal; see repro.core.rescue).
-        workers: Stage-2 reroute concurrency; 1 (default) is strictly
-            sequential, >1 reroutes bounding-box-disjoint batches of nets
-            on the configured parallel backend.
-        stage3_workers: Stage-3 buffering concurrency; >1 solves
-            tile-disjoint batches of nets on the configured backend
-            (output identical to sequential — tile-set disjointness is
-            exact).
-        parallel_backend: engine behind ``workers``/``stage3_workers``:
-            ``"pool"`` (default) shares one persistent
-            :class:`repro.parallel.WorkerPool` of forked processes across
-            Stage 2 and Stage 3 — output is byte-identical to sequential
-            at every worker count; ``"threads"`` is the legacy in-process
-            ``ThreadPoolExecutor`` path.
         stage3_solver: default buffering strategy for Stage 3, one of
             :data:`repro.core.solver.SOLVER_NAMES` (``"dp"`` is the
             paper's Fig. 9 multi-sink DP).
@@ -97,9 +84,6 @@ class RabidConfig:
     use_probability: bool = True
     router: str = "pd"
     rescue_failing: bool = True
-    workers: int = 1
-    stage3_workers: int = 1
-    parallel_backend: str = "pool"
     stage3_solver: str = "dp"
     stage3_solvers: Dict[str, str] = field(default_factory=dict)
     buffer_library: str = "single"
@@ -135,8 +119,6 @@ class RabidConfig:
                 f"unknown buffer library {self.buffer_library!r}; "
                 f"expected one of {LIBRARY_NAMES}"
             )
-        if self.stage3_workers < 1:
-            raise ConfigurationError("stage3_workers must be >= 1")
         if self.length_limit < 1:
             raise ConfigurationError("length_limit must be >= 1")
         if any(l < 1 for l in self.length_limits.values()):
@@ -147,13 +129,6 @@ class RabidConfig:
             raise ConfigurationError("window_margin must be >= 0")
         if self.pd_tradeoff < 0:
             raise ConfigurationError("pd_tradeoff must be >= 0")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be >= 1")
-        if self.parallel_backend not in ("pool", "threads"):
-            raise ConfigurationError(
-                f"unknown parallel backend {self.parallel_backend!r}; "
-                "expected 'pool' or 'threads'"
-            )
 
     def limit_for(self, net_name: str) -> int:
         return self.length_limits.get(net_name, self.length_limit)
@@ -180,16 +155,23 @@ class RabidConfig:
 
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "RabidConfig":
-        """Inverse of :meth:`as_dict`; unknown keys are rejected."""
+        """Inverse of :meth:`as_dict`; unknown keys are rejected.
+
+        The removed Stage-2/3 worker knobs, which plan files, checkpoints
+        and job configs written by older versions carry, are dropped:
+        they only ever chose how the sequential walk was executed, never
+        its output.
+        """
         from dataclasses import fields
 
+        retired = ("workers", "stage3_workers", "parallel_backend")
         known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
+        kwargs = {k: v for k, v in d.items() if k not in retired}
+        unknown = set(kwargs) - known
         if unknown:
             raise ConfigurationError(
                 f"unknown RabidConfig fields {sorted(unknown)!r}"
             )
-        kwargs = dict(d)
         tech = kwargs.get("technology")
         if isinstance(tech, dict):
             kwargs["technology"] = Technology(**tech)
@@ -267,36 +249,6 @@ class RabidPlanner:
         self.stage_metrics: List[StageMetrics] = []
         self.failed_nets: List[str] = []
         self.assignment: Optional[AssignmentResult] = None
-        self._pool = None
-
-    def _shared_pool(self):
-        """One worker pool shared by Stage 2 and Stage 3 (pool backend).
-
-        Sized to the larger of the two worker counts so whichever stage
-        runs first forks enough processes for both; created lazily so a
-        sequential run never pays for it. ``close()`` (or ``run``'s
-        ``finally``) shuts it down.
-        """
-        needed = max(self.config.workers, self.config.stage3_workers)
-        if self.config.parallel_backend != "pool" or needed <= 1:
-            return None
-        if self._pool is None:
-            from repro.parallel import WorkerPool
-
-            self._pool = WorkerPool(needed, tracer=self.tracer)
-        return self._pool
-
-    def close(self) -> None:
-        """Release the shared worker pool, if one was ever created."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
 
     # ------------------------------------------------------------------ #
     # Stages                                                             #
@@ -330,8 +282,6 @@ class RabidPlanner:
                 max_iterations=self.config.stage2_iterations,
                 radius_weight=self.config.pd_tradeoff,
                 window_margin=self.config.window_margin,
-                workers=self.config.workers,
-                backend=self.config.parallel_backend,
             )
             on_pass_end = None
             if self.tracer.enabled:
@@ -350,7 +300,6 @@ class RabidPlanner:
                 options,
                 on_pass_end=on_pass_end,
                 tracer=self.tracer,
-                pool=self._shared_pool() if self.config.workers > 1 else None,
             )
             self._snapshot(2, time.perf_counter() - start)
 
@@ -361,19 +310,6 @@ class RabidPlanner:
             delays = self._net_delays()
             order = reroute_order_by_delay(delays, ascending=False)
             limits = {name: self.config.limit_for(name) for name in self.routes}
-            solvers: Dict[str, BufferingSolver] = {}
-
-            def solver_for(name: str) -> BufferingSolver:
-                key = self.config.solver_name_for(name)
-                solver = solvers.get(key)
-                if solver is None:
-                    solver = solvers[key] = make_solver(
-                        key,
-                        technology=self.config.technology,
-                        buffer_library=self.config.buffer_library,
-                    )
-                return solver
-
             self.assignment = assign_buffers_stage3(
                 self.graph,
                 self.routes,
@@ -381,17 +317,7 @@ class RabidPlanner:
                 order,
                 use_probability=self.config.use_probability,
                 tracer=self.tracer,
-                workers=self.config.stage3_workers,
-                solver_for=solver_for,
-                backend=self.config.parallel_backend,
-                pool=(
-                    self._shared_pool()
-                    if self.config.stage3_workers > 1
-                    else None
-                ),
-                solver_names=self.config.solver_name_for,
-                technology=self.config.technology,
-                buffer_library=self.config.buffer_library,
+                solver_for=make_solver_lookup(self.config),
             )
             self.failed_nets = list(self.assignment.failed_nets)
             self._snapshot(3, time.perf_counter() - start)
@@ -431,18 +357,7 @@ class RabidPlanner:
         order = reroute_order_by_delay(delays, ascending=True)
         failed: List[str] = []
         ledger = self.graph.ledger()
-        solvers: Dict[str, BufferingSolver] = {}
-
-        def solver_for(name: str) -> BufferingSolver:
-            key = self.config.solver_name_for(name)
-            solver = solvers.get(key)
-            if solver is None:
-                solver = solvers[key] = make_solver(
-                    key,
-                    technology=self.config.technology,
-                    buffer_library=self.config.buffer_library,
-                )
-            return solver
+        solver_for = make_solver_lookup(self.config)
 
         for name in order:
             tree = self.routes[name]
@@ -489,14 +404,11 @@ class RabidPlanner:
         """
         if tracer is not None:
             self.tracer = tracer
-        try:
-            with self.tracer.span("rabid.run", nets=len(self.netlist)):
-                self.stage1()
-                self.stage2()
-                self.stage3()
-                self.stage4()
-        finally:
-            self.close()
+        with self.tracer.span("rabid.run", nets=len(self.netlist)):
+            self.stage1()
+            self.stage2()
+            self.stage3()
+            self.stage4()
         return RabidResult(
             routes=self.routes,
             stage_metrics=self.stage_metrics,

@@ -23,7 +23,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.core.assignment import assign_buffers_to_net
 from repro.core.length_rule import length_violations
 from repro.core.two_path import best_buffered_path
-from repro.routing.maze import route_net_on_tiles
 from repro.routing.tree import RouteTree
 from repro.tilegraph.graph import Tile, TileGraph
 

@@ -12,8 +12,7 @@ A :class:`SolveRequest` carries the net (tree), its length limit, and a
 *pure*: they read the graph but never book sites or touch tree
 annotations — committing an outcome (site booking under a
 :class:`SiteLedger` transaction, greedy fallback on oversubscription) is
-``repro.core.assignment``'s job. That purity is what lets Stage 3 solve
-tile-disjoint nets concurrently and commit serially.
+``repro.core.assignment``'s job.
 
 The per-net ``q(v)`` lookups go through :class:`Stage3CostField`, which
 gathers Eq. (2) over the net's own tiles in one vectorized shot (flat
@@ -24,7 +23,8 @@ IEEE-754 double ops on exactly represented integers.
 
 Strategy selection is per net via :func:`make_solver` /
 ``RabidConfig.stage3_solver`` (plus the ``stage3_solvers`` per-net
-override map).
+override map); :func:`make_solver_lookup` turns a config into the
+net-name -> solver mapping every Stage-3 walk uses.
 """
 
 from __future__ import annotations
@@ -281,6 +281,28 @@ def make_solver(
     raise ConfigurationError(
         f"unknown buffering solver {name!r}; expected one of {SOLVER_NAMES}"
     )
+
+
+def make_solver_lookup(config) -> Callable[[str], BufferingSolver]:
+    """Net name -> solver for a :class:`repro.core.RabidConfig`.
+
+    Honors the per-net ``stage3_solvers`` overrides and builds each
+    strategy once; every call returns a lookup with its own cache.
+    """
+    solvers: Dict[str, BufferingSolver] = {}
+
+    def solver_for(name: str) -> BufferingSolver:
+        key = config.solver_name_for(name)
+        solver = solvers.get(key)
+        if solver is None:
+            solver = solvers[key] = make_solver(
+                key,
+                technology=config.technology,
+                buffer_library=config.buffer_library,
+            )
+        return solver
+
+    return solver_for
 
 
 class Stage3CostField:

@@ -235,8 +235,8 @@ def config_to_dict(config) -> Dict[str, Any]:
     """Serialize a full :class:`repro.core.RabidConfig`.
 
     Every field round-trips — per-net length limits, ``stage3_solver`` and
-    the per-net ``stage3_solvers`` overrides, ``workers``,
-    ``stage3_workers``, and the expanded technology parameters.
+    the per-net ``stage3_solvers`` overrides, and the expanded technology
+    parameters.
     """
     return {"version": PLAN_SCHEMA_VERSION, "config": config.as_dict()}
 

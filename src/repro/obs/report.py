@@ -17,7 +17,6 @@ BUFFERING_COUNTERS = (
     "dp_candidates",
     "dp.candidates_pruned",
     "buffer_sites_used",
-    "stage3.batches",
     "stage3.ledger_rollbacks",
 )
 

@@ -1,4 +1,6 @@
-"""Shared-memory worker pool for the flat planning kernels.
+"""Shared-memory worker pool: the process substrate of the planning
+fleet (:mod:`repro.service.fleet`) and the sweep executor
+(:mod:`repro.explore.executor`).
 
 Layers:
 
@@ -6,8 +8,6 @@ Layers:
   generation/version stamps (publish parent-side, view worker-side).
 * :mod:`repro.parallel.pool` — a persistent forked worker pool with
   crash detection, respawn, retries and per-task timeouts.
-* :mod:`repro.parallel.stage2` / :mod:`repro.parallel.stage3` — the
-  Stage-2 reroute and Stage-3 buffering batch sessions built on both.
 """
 
 from repro.parallel.pool import PoolError, PoolWorker, TaskResult, WorkerPool
@@ -17,8 +17,6 @@ from repro.parallel.shm import (
     SharedArraySpec,
     attach_segment,
 )
-from repro.parallel.stage2 import Stage2Session
-from repro.parallel.stage3 import Stage3Session
 
 __all__ = [
     "AttachmentCache",
@@ -26,8 +24,6 @@ __all__ = [
     "PoolWorker",
     "SharedArrayRegistry",
     "SharedArraySpec",
-    "Stage2Session",
-    "Stage3Session",
     "TaskResult",
     "WorkerPool",
     "attach_segment",

@@ -2,10 +2,7 @@
 
 One pool outlives many batches: workers are forked once, handlers are
 resolved once per worker, and big read-only state travels through the
-:mod:`repro.parallel.shm` registry instead of per-batch pickling. That
-is the fix for the recorded parallel regression — the old per-batch
-thread/fork paths paid their setup cost on every batch and never
-amortized it.
+:mod:`repro.parallel.shm` registry instead of per-batch pickling.
 
 Protocol (all frames are ``pickle`` bytes over a duplex pipe):
 
@@ -415,9 +412,8 @@ class WorkerPool:
     ) -> List[Any]:
         """Run one handler over many payloads; raise on any failure.
 
-        The strict front end for deterministic stages: a task that still
-        fails after retries raises :class:`PoolError` (Stage 2/3 callers
-        then fall back to the sequential path for the batch).
+        The strict front end: a task that still fails after retries
+        raises :class:`PoolError`, and the caller decides how to recover.
         """
         results = self.run_tasks(
             [(handler, p) for p in payloads],

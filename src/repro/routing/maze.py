@@ -27,10 +27,8 @@ order the old object-keyed heap used for tie-breaking, and the cached
 costs are bit-identical to the scalar formulas, the flat kernel settles
 tiles in exactly the same order and returns byte-identical trees.
 
-A caller-supplied ``cost_fn`` other than the two built-ins still works —
-it takes the original dict-based wavefront — but the fast path also
-accepts ``cost_array`` (per-edge-id costs) so bulk callers like the MCF
-router can stay on the flat kernel.
+The cost is either one of the two built-ins or ``cost_array`` (per-edge-id
+costs, for bulk callers like the MCF router).
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ import heapq
 import weakref
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import RoutingError
+from repro.errors import ConfigurationError, RoutingError
 from repro.routing.tree import RouteTree
 from repro.tilegraph.cost_cache import OVERFLOW_PENALTY
 from repro.tilegraph.graph import Tile, TileGraph
@@ -131,8 +129,7 @@ class RoutingWorkspace:
     Buffers are *stamped*, not cleared: :meth:`begin` bumps an epoch and a
     slot only counts as written when its stamp matches, so starting a new
     search costs O(1) instead of O(num_tiles). One workspace serves any
-    number of sequential searches; concurrent searches (parallel Stage 2)
-    each need their own instance.
+    number of sequential searches.
     """
 
     __slots__ = ("num_tiles", "epoch", "dist", "dist_stamp",
@@ -154,14 +151,14 @@ class RoutingWorkspace:
         return self.epoch
 
 
-#: One lazily-created default workspace per graph (sequential callers).
+#: One lazily-created workspace per graph.
 _default_workspaces: "weakref.WeakKeyDictionary[TileGraph, RoutingWorkspace]" = (
     weakref.WeakKeyDictionary()
 )
 
 
 def workspace_for(graph: TileGraph) -> RoutingWorkspace:
-    """The graph's shared sequential workspace (created on first use)."""
+    """The graph's shared workspace (created on first use)."""
     ws = _default_workspaces.get(graph)
     if ws is None or ws.num_tiles != graph.num_tiles:
         ws = RoutingWorkspace(graph.num_tiles)
@@ -246,50 +243,6 @@ def _dijkstra_flat(
     return -1, expanded, pops, lookups
 
 
-def _dijkstra_to_sink(
-    graph: TileGraph,
-    seeds: Dict[Tile, float],
-    targets: Set[Tile],
-    cost_fn: EdgeCost,
-    window: Tuple[int, int, int, int],
-) -> Tuple[Optional[Tuple[Tile, Dict[Tile, Tile]]], int]:
-    """Dict-keyed wavefront — the fallback for caller-supplied cost_fns.
-
-    Returns ``(result, nodes_expanded)`` where ``result`` is (reached
-    target, predecessor map) or None when unreachable within the window
-    under finite costs, and ``nodes_expanded`` counts settled tiles.
-    """
-    x0, y0, x1, y1 = window
-    dist: Dict[Tile, float] = dict(seeds)
-    pred: Dict[Tile, Tile] = {}
-    heap: List[Tuple[float, Tile]] = [(c, t) for t, c in seeds.items()]
-    heapq.heapify(heap)
-    settled: Set[Tile] = set()
-    expanded = 0
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled.add(u)
-        expanded += 1
-        if u in targets:
-            return (u, pred), expanded
-        for v in graph.neighbors(u):
-            if not (x0 <= v[0] <= x1 and y0 <= v[1] <= y1):
-                continue
-            if v in settled:
-                continue
-            step = cost_fn(graph, u, v)
-            if step == float("inf"):
-                continue
-            nd = d + step
-            if nd < dist.get(v, float("inf")):
-                dist[v] = nd
-                pred[v] = u
-                heapq.heappush(heap, (nd, v))
-    return None, expanded
-
-
 def _route_net_flat(
     graph: TileGraph,
     source: Tile,
@@ -301,12 +254,11 @@ def _route_net_flat(
     net_name: str,
     window_margin: int,
     tracer,
-    workspace: Optional[RoutingWorkspace],
     cache_backed: bool,
 ) -> RouteTree:
-    """Fast path: route with per-edge-id cost lists on the flat index."""
+    """Route with per-edge-id cost lists on the flat index."""
     flat = graph.flat()
-    ws = workspace if workspace is not None else workspace_for(graph)
+    ws = workspace_for(graph)
     tile_index = graph.tile_index
     tile_at = graph.tile_at
 
@@ -322,9 +274,6 @@ def _route_net_flat(
     total_expanded = 0
     total_pops = 0
     total_lookups = 0
-    # True once any search read beyond the first window (wider margins or
-    # the soft rescan). Soft-start callers are conservatively escalated.
-    escalated = start_soft
 
     while pending:
         target = -1
@@ -344,7 +293,6 @@ def _route_net_flat(
             total_lookups += lookups
             if target >= 0:
                 break
-            escalated = True
             if attempt == len(margins) - 1 and not soft:
                 # Full-grid strict search failed: relax to the soft cost
                 # and rescan the margins. The workspace (dist/parent/heap
@@ -391,87 +339,7 @@ def _route_net_flat(
         if cache_backed and total_lookups:
             tracer.count("route.cache_hits", total_lookups)
     sink_tiles = sorted(sink_set)
-    tree = RouteTree.from_parent_map(source, parent, sink_tiles, net_name=net_name)
-    # Everything this search read lies inside the first window iff it
-    # never escalated — the parallel Stage-2 commit relies on this flag.
-    tree.search_escalated = escalated
-    return tree
-
-
-def _route_net_generic(
-    graph: TileGraph,
-    source: Tile,
-    sinks: Sequence[Tile],
-    cost_fn: EdgeCost,
-    radius_weight: float,
-    net_name: str,
-    window_margin: int,
-    tracer,
-) -> RouteTree:
-    """Dict-keyed path for caller-supplied cost functions."""
-    sink_set = {t for t in sinks}
-    tree_tiles: Dict[Tile, float] = {source: 0.0}  # tile -> path cost from source
-    parent: Dict[Tile, Tile] = {}
-    pending: Set[Tile] = set(sink_set) - {source}
-
-    all_pins = [source] + list(sinks)
-    margins = [window_margin, window_margin * 4, max(graph.nx, graph.ny)]
-    total_expanded = 0
-    escalated = cost_fn is soft_congestion_cost
-
-    while pending:
-        found = None
-        used_cost: EdgeCost = cost_fn
-        for attempt, margin in enumerate(margins):
-            window = _search_window(graph, all_pins, margin)
-            seeds = {
-                t: radius_weight * path_cost for t, path_cost in tree_tiles.items()
-            }
-            found, expanded = _dijkstra_to_sink(
-                graph, seeds, pending, used_cost, window
-            )
-            total_expanded += expanded
-            if found is not None:
-                break
-            escalated = True
-            if attempt == len(margins) - 1 and used_cost is not soft_congestion_cost:
-                # Full-grid search failed: relax to the soft cost and
-                # rescan the margins.
-                used_cost = soft_congestion_cost
-                for margin2 in margins:
-                    window = _search_window(graph, all_pins, margin2)
-                    found, expanded = _dijkstra_to_sink(
-                        graph, seeds, pending, used_cost, window
-                    )
-                    total_expanded += expanded
-                    if found is not None:
-                        break
-                break
-        if found is None:
-            raise RoutingError(
-                f"net {net_name!r}: sink(s) {sorted(pending)} unreachable from {source}"
-            )
-        target, pred = found
-        # Walk back to the tree, recording path costs from the source.
-        path = [target]
-        while path[-1] not in tree_tiles:
-            path.append(pred[path[-1]])
-        attach = path[-1]
-        path.reverse()  # attach ... target
-        running = tree_tiles[attach]
-        for a, b in zip(path, path[1:]):
-            running += used_cost(graph, a, b)
-            if b not in tree_tiles:
-                tree_tiles[b] = running
-                parent[b] = a
-        pending -= set(tree_tiles)
-
-    if tracer is not None and tracer.enabled and total_expanded:
-        tracer.count("maze_nodes_expanded", total_expanded)
-    sink_tiles = sorted(sink_set)
-    tree = RouteTree.from_parent_map(source, parent, sink_tiles, net_name=net_name)
-    tree.search_escalated = escalated
-    return tree
+    return RouteTree.from_parent_map(source, parent, sink_tiles, net_name=net_name)
 
 
 def route_net_on_tiles(
@@ -484,7 +352,6 @@ def route_net_on_tiles(
     window_margin: int = 6,
     tracer=None,
     cost_array: Optional[Sequence[float]] = None,
-    workspace: Optional[RoutingWorkspace] = None,
 ) -> RouteTree:
     """Route one net on the tile graph, congestion-aware.
 
@@ -493,9 +360,9 @@ def route_net_on_tiles(
             ripped up, i.e., its own usage removed).
         source: driver tile.
         sinks: sink tiles (duplicates and the source tile allowed).
-        cost_fn: per-edge cost; defaults to the strict Eq. (1) cost. The
-            two built-ins run on the flat kernel with cached cost lists;
-            any other callable takes the dict-keyed fallback.
+        cost_fn: per-edge cost: the strict Eq. (1) cost (default) or
+            :func:`soft_congestion_cost`, both read from the graph's cached
+            cost lists.
         radius_weight: PD-style bias ``c``; attaching to a tree tile whose
             path cost from the source is ``P`` charges ``c * P`` up front.
         net_name: label for the returned tree.
@@ -508,18 +375,13 @@ def route_net_on_tiles(
         cost_array: per-edge-id costs overriding ``cost_fn`` on the flat
             kernel (bulk callers, e.g. the MCF router). The soft-cost
             fallback still applies when it leaves a sink unreachable.
-        workspace: preallocated buffers to use; defaults to the graph's
-            shared sequential workspace. Parallel callers must pass a
-            per-thread instance.
 
     Returns:
-        A :class:`RouteTree` connecting the source to every sink. The
-        tree carries a ``search_escalated`` attribute — ``False``
-        guarantees every edge the search read lies inside the first
-        ``window_margin`` window around the pins (the speculation
-        contract of the parallel Stage-2 pool backend).
+        A :class:`RouteTree` connecting the source to every sink.
 
     Raises:
+        ConfigurationError: ``cost_fn`` is neither built-in cost and no
+            ``cost_array`` is given.
         RoutingError: only if even the soft cost cannot connect (grid
             disconnected), which cannot happen on a standard grid.
     """
@@ -527,24 +389,24 @@ def route_net_on_tiles(
         cache = graph.cost_cache()
         return _route_net_flat(
             graph, source, sinks, cost_array, cache.soft_costs, False,
-            radius_weight, net_name, window_margin, tracer, workspace,
+            radius_weight, net_name, window_margin, tracer,
             cache_backed=False,
         )
     if cost_fn is congestion_cost:
         cache = graph.cost_cache()
         return _route_net_flat(
             graph, source, sinks, cache.strict_costs(), cache.soft_costs,
-            False, radius_weight, net_name, window_margin, tracer, workspace,
+            False, radius_weight, net_name, window_margin, tracer,
             cache_backed=True,
         )
     if cost_fn is soft_congestion_cost:
         cache = graph.cost_cache()
         return _route_net_flat(
             graph, source, sinks, cache.soft_costs(), cache.soft_costs,
-            True, radius_weight, net_name, window_margin, tracer, workspace,
+            True, radius_weight, net_name, window_margin, tracer,
             cache_backed=True,
         )
-    return _route_net_generic(
-        graph, source, sinks, cost_fn, radius_weight, net_name,
-        window_margin, tracer,
+    raise ConfigurationError(
+        f"unsupported cost_fn {cost_fn!r}: pass congestion_cost, "
+        "soft_congestion_cost or a cost_array"
     )

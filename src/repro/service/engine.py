@@ -27,7 +27,7 @@ from repro.core.assignment import _commit_outcome, _solve_net
 from repro.core.candidates import INF
 from repro.core.probability import UsageProbability
 from repro.core.rabid import RabidConfig
-from repro.core.solver import Stage3CostField, make_solver
+from repro.core.solver import Stage3CostField, make_solver_lookup
 from repro.geometry import Rect
 from repro.obs import NULL_TRACER
 from repro.routing.maze import route_net_on_tiles
@@ -172,24 +172,6 @@ def route_one(
         window_margin=config.window_margin,
         tracer=tracer,
     )
-
-
-def make_solver_lookup(config: RabidConfig) -> Callable[[str], object]:
-    """Net-name -> solver, honoring per-net overrides, one per strategy."""
-    solvers: Dict[str, object] = {}
-
-    def solver_for(name: str):
-        key = config.solver_name_for(name)
-        solver = solvers.get(key)
-        if solver is None:
-            solver = solvers[key] = make_solver(
-                key,
-                technology=config.technology,
-                buffer_library=config.buffer_library,
-            )
-        return solver
-
-    return solver_for
 
 
 def run_buffer_walk(

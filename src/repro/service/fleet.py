@@ -588,12 +588,8 @@ class FleetPlanningService:
             "fallbacks": 0,
             "respawns": 0,
         }
-        # The per-baseline RabidConfig shipped to workers: force the
-        # engine sequential inside shard processes — the fleet is the
-        # parallelism; nested pools would just fight over cores.
-        cfg = self.config.as_dict()
-        cfg.update(workers=1, stage3_workers=1)
-        self._config_dict = cfg
+        # The per-baseline RabidConfig shipped to workers.
+        self._config_dict = self.config.as_dict()
 
     # -- counters --------------------------------------------------------- #
 
@@ -723,7 +719,6 @@ class FleetPlanningService:
                 config = dict(self._config_dict)
                 if job.config:
                     config = RabidConfig.from_dict(job.config).as_dict()
-                    config.update(workers=1, stage3_workers=1)
                 self._baselines[job.job_id] = FleetBaseline(
                     baseline_id=job.job_id,
                     shard=shard,

@@ -23,8 +23,7 @@ integers), and scattered back.
 
 Thread-safety contract: refresh and mutation must happen on the
 coordinating thread; concurrent *readers* of the returned lists are safe
-as long as no usage changes underneath them (the parallel Stage-2 batch
-protocol guarantees this).
+as long as no usage changes underneath them.
 """
 
 from __future__ import annotations

@@ -31,8 +31,7 @@ registration for wire edges.
 
 Thread-safety contract (same as the congestion cache): mutation, refresh,
 and transactions happen on the coordinating thread; concurrent *readers*
-of a refreshed cost list are safe while no usage changes underneath them
-(the parallel Stage-3 batch protocol guarantees this).
+of a refreshed cost list are safe while no usage changes underneath them.
 """
 
 from __future__ import annotations

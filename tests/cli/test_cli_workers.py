@@ -1,48 +1,11 @@
-"""CLI --workers / --seed validation via the exit-2 configuration path."""
+"""CLI --workers clamping and --seed / --stage3-solver validation."""
 
 import pytest
 
 from repro.cli import main
 
 
-class TestWorkersFlag:
-    def test_run_with_workers(self, capsys):
-        assert main(["run", "apte", "--stage4-iterations", "0",
-                     "--workers", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "stage" in out
-
-    def test_zero_workers_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "apte", "--workers", "0"])
-        assert exc.value.code == 2
-        assert "workers" in capsys.readouterr().err
-
-    def test_negative_workers_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "apte", "--workers", "-3"])
-        assert exc.value.code == 2
-        assert "workers" in capsys.readouterr().err
-
-
-class TestStage3WorkersFlag:
-    def test_run_with_stage3_workers(self, capsys):
-        assert main(["run", "apte", "--stage4-iterations", "0",
-                     "--stage3-workers", "2"]) == 0
-        assert "stage" in capsys.readouterr().out
-
-    def test_zero_stage3_workers_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "apte", "--stage3-workers", "0"])
-        assert exc.value.code == 2
-        assert "stage3_workers" in capsys.readouterr().err
-
-    def test_negative_stage3_workers_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "apte", "--stage3-workers", "-2"])
-        assert exc.value.code == 2
-        assert "stage3_workers" in capsys.readouterr().err
-
+class TestStage3SolverFlag:
     def test_unknown_stage3_solver_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "apte", "--stage3-solver", "quantum"])
@@ -51,22 +14,20 @@ class TestStage3WorkersFlag:
 
 
 class TestWorkerClamping:
-    """Values past os.cpu_count() clamp (with a warning) instead of dying."""
+    """``repro workload --workers`` past os.cpu_count() clamps (with a
+    warning) instead of dying."""
 
     def test_workers_clamped_to_cpu_count(self, capsys, monkeypatch):
-        monkeypatch.setattr("repro.cli.os.cpu_count", lambda: 2)
-        assert main(["run", "apte", "--stage4-iterations", "0",
-                     "--workers", "64"]) == 0
-        captured = capsys.readouterr()
-        assert "warning: clamping --workers=64 to 2" in captured.err
-        assert "stage" in captured.out
+        from repro.cli import _check_worker_flags
 
-    def test_stage3_workers_clamped_to_cpu_count(self, capsys, monkeypatch):
         monkeypatch.setattr("repro.cli.os.cpu_count", lambda: 2)
-        assert main(["run", "apte", "--stage4-iterations", "0",
-                     "--stage3-workers", "64"]) == 0
-        captured = capsys.readouterr()
-        assert "warning: clamping --stage3-workers=64 to 2" in captured.err
+
+        class Args:
+            workers = 64
+
+        _check_worker_flags(Args)
+        assert Args.workers == 2
+        assert "warning: clamping --workers=64 to 2" in capsys.readouterr().err
 
     def test_in_range_values_not_clamped(self, capsys, monkeypatch):
         from repro.cli import _check_worker_flags
@@ -75,11 +36,9 @@ class TestWorkerClamping:
 
         class Args:
             workers = 4
-            stage3_workers = 3
 
         _check_worker_flags(Args)
         assert Args.workers == 4
-        assert Args.stage3_workers == 3
         assert capsys.readouterr().err == ""
 
     def test_unknown_cpu_count_clamps_to_one(self, capsys, monkeypatch):
@@ -89,7 +48,6 @@ class TestWorkerClamping:
 
         class Args:
             workers = 8
-            stage3_workers = 1
 
         _check_worker_flags(Args)
         assert Args.workers == 1
@@ -102,12 +60,10 @@ class TestWorkerClamping:
 
         class Args:
             workers = 0
-            stage3_workers = -3
 
         _check_worker_flags(Args)
-        # Untouched: RabidConfig owns the "must be >= 1" rejection.
+        # Untouched: TraceOptions owns the "must be >= 1" rejection.
         assert Args.workers == 0
-        assert Args.stage3_workers == -3
 
 
 class TestSeedValidation:

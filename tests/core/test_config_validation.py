@@ -71,6 +71,17 @@ class TestRabidConfigValidation:
         assert clone.bound == "gk"
         assert clone.bound_epsilon == 0.125
 
+    def test_config_saved_with_worker_knobs_loads(self):
+        """A config in the ``as_dict()`` shape of versions that still had
+        the Stage-2/3 worker knobs loads; the retired keys are dropped."""
+        legacy = RabidConfig().as_dict()
+        legacy.update(workers=2, stage3_workers=2, parallel_backend="threads")
+        assert RabidConfig.from_dict(legacy) == RabidConfig()
+
+    def test_unknown_key_still_rejected(self):
+        with pytest.raises(ConfigurationError, match="bogus"):
+            RabidConfig.from_dict({"bogus": 1})
+
     def test_limit_for_prefers_override(self):
         config = RabidConfig(length_limit=5, length_limits={"n0": 2})
         assert config.limit_for("n0") == 2

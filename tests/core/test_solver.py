@@ -18,6 +18,7 @@ from repro.core.solver import (
     VanGinnekenSolver,
     _as_path,
     make_solver,
+    make_solver_lookup,
 )
 from repro.errors import ConfigurationError
 from repro.routing.tree import BufferSpec, RouteTree
@@ -52,6 +53,16 @@ class TestRegistry:
     def test_van_ginneken_requires_technology(self):
         with pytest.raises(ConfigurationError):
             make_solver("van_ginneken")
+
+    def test_lookup_honors_overrides_and_caches_per_strategy(self):
+        from repro.core import RabidConfig
+
+        config = RabidConfig(stage3_solvers={"a": "greedy"})
+        lookup = make_solver_lookup(config)
+        assert lookup("a").name == "greedy"
+        assert lookup("b").name == "dp"
+        assert lookup("c") is lookup("b")
+        assert make_solver_lookup(config)("b") is not lookup("b")
 
 
 class TestAsPath:

@@ -1,11 +1,11 @@
-"""Golden comparisons: sequential runs must match pre-flat-kernel output.
+"""Golden comparisons: runs must match pre-flat-kernel output.
 
 The routing-kernel goldens were captured with the object-graph router
 *before* the flat-array kernel landed, and the planner goldens before
-Stage 4 moved to the flat buffered-path kernel. ``workers=1`` runs are
-required to be byte-identical to them — routed trees, buffer placements,
-and site assignments — so these tests pin the acceptance criterion
-"sequential runs produce output identical to pre-change output".
+Stage 4 moved to the flat buffered-path kernel. Runs are required to be
+byte-identical to them — routed trees, buffer placements, and site
+assignments — so these tests pin the acceptance criterion "runs produce
+output identical to pre-change output".
 """
 
 import json
@@ -27,52 +27,61 @@ def load_golden(name):
         return json.load(fh)
 
 
+def run_routing_golden(name):
+    golden = load_golden(name)
+    spec = golden["scenario"]
+    scenario = make_routing_scenario(
+        grid=spec["grid"],
+        num_nets=spec["num_nets"],
+        capacity=spec["capacity"],
+        seed=spec["seed"],
+    )
+    result = run_routing_kernel(
+        scenario,
+        passes=spec["passes"],
+        radius_weight=spec["radius_weight"],
+        window_margin=spec["window_margin"],
+    )
+    return golden, result
+
+
+def assert_signature_matches(name):
+    golden, result = run_routing_golden(name)
+    assert result.signature == golden["signature"]
+    assert result.wirelength_tiles == golden["wirelength_tiles"]
+    assert result.overflow == golden["overflow"]
+
+
+def assert_edges_match(name):
+    """Not just the hash: compare the actual edge lists, so a failure
+    names the first differing net instead of two signatures."""
+    golden, result = run_routing_golden(name)
+    got = routes_as_json(result.routes)
+    want = {
+        net: [[list(e[0]), list(e[1])] for e in edges]
+        for net, edges in golden["routes"].items()
+    }
+    assert set(got) == set(want)
+    for net in sorted(want):
+        assert got[net] == want[net], f"net {net} routed differently"
+
+
 class TestRoutingKernelGolden:
     def test_sequential_kernel_matches_golden(self):
-        golden = load_golden("routing_kernel_32x32_seed0.json")
-        spec = golden["scenario"]
-        scenario = make_routing_scenario(
-            grid=spec["grid"],
-            num_nets=spec["num_nets"],
-            capacity=spec["capacity"],
-            seed=spec["seed"],
-        )
-        result = run_routing_kernel(
-            scenario,
-            passes=spec["passes"],
-            radius_weight=spec["radius_weight"],
-            window_margin=spec["window_margin"],
-            workers=1,
-        )
-        assert result.signature == golden["signature"]
-        assert result.wirelength_tiles == golden["wirelength_tiles"]
-        assert result.overflow == golden["overflow"]
+        assert_signature_matches("routing_kernel_32x32_seed0.json")
 
     def test_per_net_edges_match_golden(self):
-        """Not just the hash: compare the actual edge lists, so a failure
-        names the first differing net instead of two signatures."""
-        golden = load_golden("routing_kernel_32x32_seed0.json")
-        spec = golden["scenario"]
-        scenario = make_routing_scenario(
-            grid=spec["grid"],
-            num_nets=spec["num_nets"],
-            capacity=spec["capacity"],
-            seed=spec["seed"],
-        )
-        result = run_routing_kernel(
-            scenario,
-            passes=spec["passes"],
-            radius_weight=spec["radius_weight"],
-            window_margin=spec["window_margin"],
-        )
-        got = routes_as_json(result.routes)
-        want = {
-            name: [[list(e[0]), list(e[1])] for e in edges]
-            for name, edges in golden["routes"].items()
-        }
-        assert set(got) == set(want)
-        for name in sorted(want):
-            assert got[name] == want[name], f"net {name} routed differently"
+        assert_edges_match("routing_kernel_32x32_seed0.json")
+
+
+class TestRoutingKernelGolden64:
+    """The larger, sparser 64x64 golden."""
+
+    def test_sequential_kernel_matches_golden(self):
+        assert_signature_matches("routing_kernel_64x64_seed0.json")
+
+    def test_per_net_edges_match_golden(self):
+        assert_edges_match("routing_kernel_64x64_seed0.json")
 
 
 def assert_planner_matches_golden(name):

@@ -1,21 +1,17 @@
-"""multi_type determinism matrix.
+"""multi_type golden pins.
 
 Two pins, per the tentpole acceptance criteria:
 
 * ``multi_type`` with the single-kind library reproduces the recorded
-  ``dp`` buffering goldens (32x32 and 64x64) byte for byte at every
-  worker count — the typed-buffer refactor is invisible until a real
-  library is selected.
+  ``dp`` buffering goldens (32x32 and 64x64) byte for byte — the
+  typed-buffer refactor is invisible until a real library is selected.
 * ``multi_type`` with the 3-kind ``tech`` library is itself pinned by its
-  own golden (kinded specs, signature, per-kind bookings) at every worker
-  count and backend — kind assignment is deterministic and
-  worker-count-independent too.
+  own golden (kinded specs, signature, per-kind bookings) — kind
+  assignment is deterministic.
 """
 
 import json
 import os
-
-import pytest
 
 from repro.benchmarks.buffering_kernel import (
     buffers_as_json,
@@ -25,15 +21,13 @@ from repro.benchmarks.buffering_kernel import (
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "golden")
 
-BACKENDS = ("pool", "threads")
-
 
 def load_golden(name):
     with open(os.path.join(GOLDEN_DIR, name), "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def run_golden(golden, workers, backend, solver="multi_type", library="single"):
+def run_golden(golden, solver="multi_type", library="single"):
     spec = golden["scenario"]
     instance = make_buffering_scenario(
         grid=spec["grid"],
@@ -44,54 +38,34 @@ def run_golden(golden, workers, backend, solver="multi_type", library="single"):
         total_sites=spec["total_sites"],
         site_seed=spec["site_seed"],
     )
-    result = run_buffering_kernel(
-        instance, workers=workers, backend=backend,
-        solver=solver, library=library,
-    )
+    result = run_buffering_kernel(instance, solver=solver, library=library)
     return instance, result
 
 
 class TestSingleKindMatchesDpGolden32:
-    @pytest.mark.parametrize("workers", (1, 2, 4))
-    def test_signature_byte_identical(self, workers):
+    def test_signature_byte_identical(self):
         golden = load_golden("buffering_kernel_32x32_seed0.json")
-        _, result = run_golden(golden, workers, "pool")
+        _, result = run_golden(golden)
         assert result.signature == golden["signature"]
         assert result.buffers_inserted == golden["buffers_inserted"]
         assert result.num_fails == golden["num_fails"]
-
-    def test_threads_backend_too(self):
-        golden = load_golden("buffering_kernel_32x32_seed0.json")
-        _, result = run_golden(golden, 2, "threads")
-        assert result.signature == golden["signature"]
 
 
 class TestSingleKindMatchesDpGolden64:
     def test_sequential(self):
         golden = load_golden("buffering_kernel_64x64_seed0.json")
-        _, result = run_golden(golden, 1, "pool")
+        _, result = run_golden(golden)
         assert result.signature == golden["signature"]
         assert result.buffers_inserted == golden["buffers_inserted"]
         assert result.num_fails == golden["num_fails"]
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("workers", (2, 4))
-    def test_parallel(self, workers):
-        golden = load_golden("buffering_kernel_64x64_seed0.json")
-        _, result = run_golden(golden, workers, "pool")
-        assert result.signature == golden["signature"]
 
 
 class TestTechLibraryGolden:
     GOLDEN = "buffering_multitype_tech_16x16_seed0.json"
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_matches_golden(self, workers, backend):
+    def test_matches_golden(self):
         golden = load_golden(self.GOLDEN)
-        instance, result = run_golden(
-            golden, workers, backend, library="tech"
-        )
+        instance, result = run_golden(golden, library="tech")
         assert result.signature == golden["signature"]
         assert result.buffers_inserted == golden["buffers_inserted"]
         assert result.num_fails == golden["num_fails"]
@@ -102,7 +76,7 @@ class TestTechLibraryGolden:
         """Not just the hash: a failure names the first differing net, and
         the golden demonstrably exercises non-default kinds."""
         golden = load_golden(self.GOLDEN)
-        instance, _ = run_golden(golden, 1, "pool", library="tech")
+        instance, _ = run_golden(golden, library="tech")
         got = json.loads(json.dumps(buffers_as_json(instance.routes)))
         want = golden["buffers"]
         assert set(got) == set(want)
@@ -115,7 +89,7 @@ class TestTechLibraryGolden:
 
     def test_kind_bookings_sum_to_kinded_buffers(self):
         golden = load_golden(self.GOLDEN)
-        instance, _ = run_golden(golden, 1, "pool", library="tech")
+        instance, _ = run_golden(golden, library="tech")
         kinded = sum(
             1
             for specs in golden["buffers"].values()

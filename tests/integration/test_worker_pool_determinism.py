@@ -1,12 +1,11 @@
-"""Worker-count determinism matrix: every backend × worker count must
-reproduce the sequential golden byte for byte.
+"""Worker-pool determinism: the sequential Stage-2 and Stage-3 kernels
+reproduce their 32x32 goldens byte for byte inside a forked
+:class:`repro.parallel.WorkerPool` worker.
 
-This is the acceptance criterion of the shared-memory pool: parallel
-Stage 2 and Stage 3 are *replays* of the sequential algorithm, not
-approximations of it. The matrix runs both backends — the shm worker
-pool and the legacy in-process threads — across worker counts on the
-32x32 golden and the (larger, sparser) 64x64 golden. The heaviest
-combinations carry the ``slow`` marker.
+The planning fleet and the sweep executor plan on that pool, so a
+kernel run in a worker must not drift from the same run in the parent:
+the fork, the handler dispatch and the pickled reply are the only
+differences. The ids name the pool size and where the kernel runs.
 """
 
 import json
@@ -22,10 +21,9 @@ from repro.benchmarks.routing_kernel import (
     make_routing_scenario,
     run_routing_kernel,
 )
+from repro.parallel import WorkerPool
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "golden")
-
-BACKENDS = ("pool", "threads")
 
 
 def load_golden(name):
@@ -33,26 +31,31 @@ def load_golden(name):
         return json.load(fh)
 
 
-def run_routing_golden(golden, workers, backend):
-    spec = golden["scenario"]
+def route_golden(name, ctx):
+    """Pool handler: run the routing golden's scenario, reply its figures."""
+    spec = load_golden(name)["scenario"]
     scenario = make_routing_scenario(
         grid=spec["grid"],
         num_nets=spec["num_nets"],
         capacity=spec["capacity"],
         seed=spec["seed"],
     )
-    return run_routing_kernel(
+    result = run_routing_kernel(
         scenario,
         passes=spec["passes"],
         radius_weight=spec["radius_weight"],
         window_margin=spec["window_margin"],
-        workers=workers,
-        backend=backend,
     )
+    return {
+        "signature": result.signature,
+        "wirelength_tiles": result.wirelength_tiles,
+        "overflow": result.overflow,
+    }
 
 
-def run_buffering_golden(golden, workers, backend):
-    spec = golden["scenario"]
+def buffer_golden(name, ctx):
+    """Pool handler: run the buffering golden's scenario, reply its figures."""
+    spec = load_golden(name)["scenario"]
     instance = make_buffering_scenario(
         grid=spec["grid"],
         num_nets=spec["num_nets"],
@@ -62,91 +65,38 @@ def run_buffering_golden(golden, workers, backend):
         total_sites=spec["total_sites"],
         site_seed=spec["site_seed"],
     )
-    return run_buffering_kernel(instance, workers=workers, backend=backend)
+    result = run_buffering_kernel(instance)
+    return {
+        "signature": result.signature,
+        "buffers_inserted": result.buffers_inserted,
+        "num_fails": result.num_fails,
+    }
+
+
+def run_in_pool(handler, golden_name, workers):
+    """Run ``handler`` once per worker; every reply comes from a fork."""
+    spec = f"{__name__}:{handler.__name__}"
+    with WorkerPool(workers) as pool:
+        return pool.map(spec, [golden_name] * workers)
 
 
 class TestRouting32:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("workers", (1, 2, 4))
-    def test_matches_golden(self, workers, backend):
-        golden = load_golden("routing_kernel_32x32_seed0.json")
-        result = run_routing_golden(golden, workers, backend)
-        assert result.signature == golden["signature"]
-        assert result.wirelength_tiles == golden["wirelength_tiles"]
-        assert result.overflow == golden["overflow"]
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_golden_at_eight_workers(self, backend):
-        golden = load_golden("routing_kernel_32x32_seed0.json")
-        result = run_routing_golden(golden, 8, backend)
-        assert result.signature == golden["signature"]
-
-
-class TestRouting64:
-    def test_sequential_matches_golden(self):
-        golden = load_golden("routing_kernel_64x64_seed0.json")
-        result = run_routing_golden(golden, 1, "pool")
-        assert result.signature == golden["signature"]
-        assert result.wirelength_tiles == golden["wirelength_tiles"]
-        assert result.overflow == golden["overflow"]
-
-    def test_per_net_edges_match_golden(self):
-        """Not just the hash: a failure names the first differing net."""
-        from repro.benchmarks.routing_kernel import routes_as_json
-
-        golden = load_golden("routing_kernel_64x64_seed0.json")
-        result = run_routing_golden(golden, 2, "pool")
-        got = routes_as_json(result.routes)
-        want = {
-            name: [[list(e[0]), list(e[1])] for e in edges]
-            for name, edges in golden["routes"].items()
-        }
-        assert set(got) == set(want)
-        for name in sorted(want):
-            assert got[name] == want[name], f"net {name} routed differently"
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("workers", (2, 4, 8))
-    def test_matrix_matches_golden(self, workers, backend):
-        golden = load_golden("routing_kernel_64x64_seed0.json")
-        result = run_routing_golden(golden, workers, backend)
-        assert result.signature == golden["signature"]
+    @pytest.mark.parametrize("workers", [pytest.param(1, id="1-pool")])
+    def test_matches_golden(self, workers):
+        name = "routing_kernel_32x32_seed0.json"
+        golden = load_golden(name)
+        for reply in run_in_pool(route_golden, name, workers):
+            assert reply["signature"] == golden["signature"]
+            assert reply["wirelength_tiles"] == golden["wirelength_tiles"]
+            assert reply["overflow"] == golden["overflow"]
 
 
 class TestBuffering32:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("workers", (1, 2, 4))
-    def test_matches_golden(self, workers, backend):
-        golden = load_golden("buffering_kernel_32x32_seed0.json")
-        result = run_buffering_golden(golden, workers, backend)
-        assert result.signature == golden["signature"]
-        assert result.buffers_inserted == golden["buffers_inserted"]
-        assert result.num_fails == golden["num_fails"]
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_golden_at_eight_workers(self, backend):
-        golden = load_golden("buffering_kernel_32x32_seed0.json")
-        result = run_buffering_golden(golden, 8, backend)
-        assert result.signature == golden["signature"]
-
-
-class TestBuffering64:
-    def test_sequential_matches_golden(self):
-        golden = load_golden("buffering_kernel_64x64_seed0.json")
-        result = run_buffering_golden(golden, 1, "pool")
-        assert result.signature == golden["signature"]
-        assert result.buffers_inserted == golden["buffers_inserted"]
-        assert result.num_fails == golden["num_fails"]
-        assert result.dp_infeasible == golden["dp_infeasible"]
-        assert sorted(result.assignment.failed_nets) == golden["failed_nets"]
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("workers", (2, 4, 8))
-    def test_matrix_matches_golden(self, workers, backend):
-        golden = load_golden("buffering_kernel_64x64_seed0.json")
-        result = run_buffering_golden(golden, workers, backend)
-        assert result.signature == golden["signature"]
+    @pytest.mark.parametrize("workers", [pytest.param(1, id="1-pool")])
+    def test_matches_golden(self, workers):
+        name = "buffering_kernel_32x32_seed0.json"
+        golden = load_golden(name)
+        for reply in run_in_pool(buffer_golden, name, workers):
+            assert reply["signature"] == golden["signature"]
+            assert reply["buffers_inserted"] == golden["buffers_inserted"]
+            assert reply["num_fails"] == golden["num_fails"]

@@ -1,10 +1,12 @@
 """Plan / config / ledger payload round-trips (the service's file layer).
 
 These close the serialization gaps the planning service depends on:
-the FULL RabidConfig (per-net limits, per-net solvers, worker knobs,
-technology) and the SiteLedger state must survive plan -> JSON -> plan
-exactly, and version fields must gate every payload kind.
+the FULL RabidConfig (per-net limits, per-net solvers, technology) and
+the SiteLedger state must survive plan -> JSON -> plan exactly, and
+version fields must gate every payload kind.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -43,8 +45,6 @@ def non_default_config() -> RabidConfig:
         pd_tradeoff=0.7,
         stage4_iterations=5,
         use_probability=False,
-        workers=2,
-        stage3_workers=3,
         stage3_solver="greedy",
         stage3_solvers={"netA": "dp"},
         technology=replace(TECH_180NM, buffer_delay=2.5e-11, sink_cap=9e-15),
@@ -151,3 +151,15 @@ class TestPlanRoundTrip:
         payload["version"] = 99
         with pytest.raises(ConfigurationError, match="plan schema"):
             plan_from_dict(payload)
+
+    def test_plan_with_retired_worker_keys_loads(self, planned):
+        """A plan saved by a version that still had the Stage-2/3 worker
+        knobs loads, and re-saves without them."""
+        payload = plan_to_dict(planned.graph, planned.routes, planned.config)
+        legacy = json.loads(json.dumps(payload))
+        legacy["config"]["config"].update(
+            workers=2, stage3_workers=2, parallel_backend="threads"
+        )
+        graph, routes, config = plan_from_dict(legacy)
+        assert config.as_dict() == planned.config.as_dict()
+        assert plan_to_dict(graph, routes, config) == payload

@@ -1,13 +1,13 @@
 """Property: state shipped through shared-memory views is lossless.
 
-The pool's batch protocol is "publish the flat vectors, let the worker
-rebuild a replica graph from the views". This test drives a random
-interleaving of route commits/rips, buffer-site commits/rips, and
-rolled-back ledger transactions against an authoritative graph, and at
-random sync points replays the published state into a mirror graph the
-way :func:`repro.parallel.stage2.route_nets` and
-:func:`repro.parallel.stage3.solve_nets` do. The mirror must be
-byte-identical everywhere the workers read: flat edge usage (and its
+The planning fleet publishes each baseline's flat plan vectors
+(``edge_usage``, ``edge_capacity``, ``sites``, ``used_sites``) through
+:class:`repro.parallel.SharedArrayRegistry` and reads them back from
+views. This test drives a random interleaving of route commits/rips,
+buffer-site commits/rips, and rolled-back ledger transactions against an
+authoritative graph, and at random sync points publishes its state and
+rebuilds a mirror graph from the attached views. The mirror must be
+byte-identical everywhere a reader can look: flat edge usage (and its
 h/v reshapes), the site vectors, the ledger's free counts, and the
 Eq. (1) congestion costs derived from them.
 """

@@ -1,21 +1,150 @@
-"""The flat-array maze kernel: fallback parity, workspaces, parallel Stage 2."""
+"""The flat-array maze kernel: fallback parity, workspaces, blocked tiles."""
+
+import heapq
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.geometry import Rect
+from repro.errors import ConfigurationError, RoutingError
 from repro.routing.maze import (
+    EdgeCost,
     RoutingWorkspace,
     _dijkstra_flat,
+    _search_window,
     congestion_cost,
     route_net_on_tiles,
     scalar_edge_cost,
     soft_congestion_cost,
     workspace_for,
 )
-from repro.routing.ripup import RipupOptions, ripup_and_reroute
+from repro.routing.tree import RouteTree
 from repro.tilegraph import CapacityModel, TileGraph
+from repro.tilegraph.graph import Tile
+
+# Reference: the dict-keyed wavefront ``route_net_on_tiles`` ran for
+# caller-supplied cost functions before it rejected them, copied verbatim.
+
+
+def _dijkstra_to_sink(
+    graph: TileGraph,
+    seeds: Dict[Tile, float],
+    targets: Set[Tile],
+    cost_fn: EdgeCost,
+    window: Tuple[int, int, int, int],
+) -> Tuple[Optional[Tuple[Tile, Dict[Tile, Tile]]], int]:
+    """Dict-keyed wavefront — the fallback for caller-supplied cost_fns.
+
+    Returns ``(result, nodes_expanded)`` where ``result`` is (reached
+    target, predecessor map) or None when unreachable within the window
+    under finite costs, and ``nodes_expanded`` counts settled tiles.
+    """
+    x0, y0, x1, y1 = window
+    dist: Dict[Tile, float] = dict(seeds)
+    pred: Dict[Tile, Tile] = {}
+    heap: List[Tuple[float, Tile]] = [(c, t) for t, c in seeds.items()]
+    heapq.heapify(heap)
+    settled: Set[Tile] = set()
+    expanded = 0
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled.add(u)
+        expanded += 1
+        if u in targets:
+            return (u, pred), expanded
+        for v in graph.neighbors(u):
+            if not (x0 <= v[0] <= x1 and y0 <= v[1] <= y1):
+                continue
+            if v in settled:
+                continue
+            step = cost_fn(graph, u, v)
+            if step == float("inf"):
+                continue
+            nd = d + step
+            if nd < dist.get(v, float("inf")):
+                dist[v] = nd
+                pred[v] = u
+                heapq.heappush(heap, (nd, v))
+    return None, expanded
+
+
+def _route_net_generic(
+    graph: TileGraph,
+    source: Tile,
+    sinks: Sequence[Tile],
+    cost_fn: EdgeCost,
+    radius_weight: float,
+    net_name: str,
+    window_margin: int,
+    tracer,
+) -> RouteTree:
+    """Dict-keyed path for caller-supplied cost functions."""
+    sink_set = {t for t in sinks}
+    tree_tiles: Dict[Tile, float] = {source: 0.0}  # tile -> path cost from source
+    parent: Dict[Tile, Tile] = {}
+    pending: Set[Tile] = set(sink_set) - {source}
+
+    all_pins = [source] + list(sinks)
+    margins = [window_margin, window_margin * 4, max(graph.nx, graph.ny)]
+    total_expanded = 0
+    escalated = cost_fn is soft_congestion_cost
+
+    while pending:
+        found = None
+        used_cost: EdgeCost = cost_fn
+        for attempt, margin in enumerate(margins):
+            window = _search_window(graph, all_pins, margin)
+            seeds = {
+                t: radius_weight * path_cost for t, path_cost in tree_tiles.items()
+            }
+            found, expanded = _dijkstra_to_sink(
+                graph, seeds, pending, used_cost, window
+            )
+            total_expanded += expanded
+            if found is not None:
+                break
+            escalated = True
+            if attempt == len(margins) - 1 and used_cost is not soft_congestion_cost:
+                # Full-grid search failed: relax to the soft cost and
+                # rescan the margins.
+                used_cost = soft_congestion_cost
+                for margin2 in margins:
+                    window = _search_window(graph, all_pins, margin2)
+                    found, expanded = _dijkstra_to_sink(
+                        graph, seeds, pending, used_cost, window
+                    )
+                    total_expanded += expanded
+                    if found is not None:
+                        break
+                break
+        if found is None:
+            raise RoutingError(
+                f"net {net_name!r}: sink(s) {sorted(pending)} unreachable from {source}"
+            )
+        target, pred = found
+        # Walk back to the tree, recording path costs from the source.
+        path = [target]
+        while path[-1] not in tree_tiles:
+            path.append(pred[path[-1]])
+        attach = path[-1]
+        path.reverse()  # attach ... target
+        running = tree_tiles[attach]
+        for a, b in zip(path, path[1:]):
+            running += used_cost(graph, a, b)
+            if b not in tree_tiles:
+                tree_tiles[b] = running
+                parent[b] = a
+        pending -= set(tree_tiles)
+
+    if tracer is not None and tracer.enabled and total_expanded:
+        tracer.count("maze_nodes_expanded", total_expanded)
+    sink_tiles = sorted(sink_set)
+    tree = RouteTree.from_parent_map(source, parent, sink_tiles, net_name=net_name)
+    tree.search_escalated = escalated
+    return tree
+
 
 
 def canonical_edges(tree):
@@ -57,16 +186,10 @@ class TestSoftFallbackParity:
         # the same workspace: the epoch advanced once per search.
         assert ws.epoch >= epoch_before + 4
 
-    def test_explicit_workspace_is_used(self, graph10):
-        ws = RoutingWorkspace(graph10.num_tiles)
-        tree = route_net_on_tiles(graph10, (0, 0), [(5, 5)], workspace=ws)
-        assert ws.epoch > 0
-        assert tree.sink_tiles == [(5, 5)]
-
 
 class TestFlatVsGenericParity:
     def test_flat_path_matches_generic_dict_path(self, die10):
-        """The flat kernel and the dict-based fallback agree edge-for-edge."""
+        """The flat kernel and the dict-keyed reference agree edge-for-edge."""
         flat_graph = TileGraph(die10, 10, 10, CapacityModel.uniform(3))
         generic_graph = TileGraph(die10, 10, 10, CapacityModel.uniform(3))
         rng = np.random.default_rng(7)
@@ -75,21 +198,25 @@ class TestFlatVsGenericParity:
             pts = [(int(a), int(b)) for a, b in rng.integers(0, 10, size=(4, 2))]
             pins.append((pts[0], pts[1:]))
 
-        def strict_clone(graph, u, v):  # not `is congestion_cost` -> generic path
-            return congestion_cost(graph, u, v)
-
         for i, (source, sinks) in enumerate(pins):
             fast = route_net_on_tiles(
                 flat_graph, source, sinks, radius_weight=0.4, net_name=f"n{i}"
             )
-            slow = route_net_on_tiles(
-                generic_graph, source, sinks, cost_fn=strict_clone,
-                radius_weight=0.4, net_name=f"n{i}",
+            slow = _route_net_generic(
+                generic_graph, source, sinks, congestion_cost, 0.4, f"n{i}",
+                6, None,
             )
             assert canonical_edges(fast) == canonical_edges(slow), f"net {i}"
             fast.add_usage(flat_graph)
             slow.add_usage(generic_graph)
         assert (flat_graph.edge_usage == generic_graph.edge_usage).all()
+
+    def test_other_cost_fn_rejected(self, graph10):
+        def strict_clone(graph, u, v):
+            return congestion_cost(graph, u, v)
+
+        with pytest.raises(ConfigurationError, match="cost_fn"):
+            route_net_on_tiles(graph10, (0, 0), [(5, 5)], cost_fn=strict_clone)
 
     def test_cost_array_override(self, graph10):
         """A uniform cost array routes like an unweighted BFS (shortest path)."""
@@ -153,58 +280,3 @@ class TestRouteCounters:
         assert expanded > 0
         assert tracer.metrics.value("route.heap_pops") >= expanded
         assert tracer.metrics.value("route.cache_hits") > 0
-
-
-class TestParallelRipup:
-    def _routes(self, graph, num_nets=40, seed=3):
-        rng = np.random.default_rng(seed)
-        routes = {}
-        order = []
-        for i in range(num_nets):
-            sx, sy = (int(v) for v in rng.integers(0, graph.nx, size=2))
-            dx, dy = (int(v) for v in rng.integers(-3, 4, size=2))
-            tx = min(graph.nx - 1, max(0, sx + dx))
-            ty = min(graph.ny - 1, max(0, sy + dy))
-            name = f"n{i:02d}"
-            tree = route_net_on_tiles(graph, (sx, sy), [(tx, ty)], net_name=name)
-            tree.add_usage(graph)
-            routes[name] = tree
-            order.append(name)
-        return routes, order
-
-    def test_workers_validated(self):
-        with pytest.raises(ConfigurationError):
-            RipupOptions(workers=0)
-
-    def test_parallel_matches_expected_usage_accounting(self, die10):
-        graph = TileGraph(die10, 10, 10, CapacityModel.uniform(4))
-        routes, order = self._routes(graph)
-        ripup_and_reroute(graph, routes, order, RipupOptions(workers=3))
-        expected = np.zeros_like(graph.edge_usage)
-        for tree in routes.values():
-            for u, v in tree.edges():
-                expected[graph.edge_id(u, v)] += 1
-        assert (expected == graph.edge_usage).all()
-
-    def test_parallel_deterministic_across_worker_counts(self, die10):
-        results = []
-        for workers in (2, 4):
-            graph = TileGraph(die10, 10, 10, CapacityModel.uniform(4))
-            routes, order = self._routes(graph)
-            ripup_and_reroute(graph, routes, order, RipupOptions(workers=workers))
-            results.append(
-                {name: canonical_edges(t) for name, t in routes.items()}
-            )
-        assert results[0] == results[1]
-
-    def test_stage2_batches_counter(self, die10):
-        from repro.obs import Tracer
-
-        graph = TileGraph(die10, 10, 10, CapacityModel.uniform(4))
-        routes, order = self._routes(graph)
-        tracer = Tracer()
-        ripup_and_reroute(
-            graph, routes, order, RipupOptions(workers=2, max_iterations=1),
-            tracer=tracer,
-        )
-        assert tracer.metrics.value("stage2.batches") >= 1
