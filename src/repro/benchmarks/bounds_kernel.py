@@ -1,13 +1,15 @@
 """The lower-bound-oracle benchmark feeding ``BENCH_bounds.json``.
 
 Each run takes one workload (grid / nets / site budget) and a list of
-epsilon values. The RABID plan is computed once per workload; then, for
-every epsilon, the Garg-Konemann oracle produces a certified lower
-bound, the dual certificate is re-verified from scratch, and the
-fractional columns are rounded into a concrete comparison plan. One
-trajectory entry is appended per epsilon, so the recorded file shows
-gap-versus-epsilon directly: tighter epsilon, more pricing work, smaller
-certified gap.
+epsilon values. The ``full_plan`` plan (a maze route plus the Stage-3
+walk, no Stage 2 or 4) is computed once per workload; then, for every
+epsilon, the Garg-Konemann oracle produces a certified lower bound, the
+dual certificate is re-verified from scratch, and the fractional
+columns are rounded into a concrete comparison plan. One trajectory
+entry is appended per epsilon. The bound prices at ``theta = 0`` and
+depends on neither epsilon nor the iteration count, so the gap is the
+same in every row; epsilon moves ``lambda_lb`` and the rounding
+columns.
 
 The acceptance workloads are the 32x32 / 500-net scenario (the repo's
 standard kernel size) and the 64x64 / 2000-net stretch; ``--fast`` runs
@@ -52,13 +54,11 @@ class BoundsKernelResult:
 
     params: Dict[str, Any]
     lower_bound: float
-    unconstrained_bound: float
     plan_cost: float
     plan_unassigned_nets: int
     gap: Optional[float]
     lambda_lb: float
     certified_infeasible: bool
-    theta: float
     pricing_calls: int
     seconds_bound: float
     seconds_plan: float
@@ -92,7 +92,7 @@ def run_bounds_kernel(
     iterations: int = 3,
     window_margin: int = 10,
 ) -> List[BoundsKernelResult]:
-    """Bound one workload at each epsilon against a single RABID plan.
+    """Bound one workload at each epsilon against a single ``full_plan``.
 
     The plan arm runs once (it does not depend on epsilon); its timed
     cost is recorded on every entry so gap-vs-epsilon rows stay
@@ -155,13 +155,11 @@ def run_bounds_kernel(
                     "iterations": iterations,
                 },
                 lower_bound=round(bound.lower_bound, 6),
-                unconstrained_bound=round(bound.unconstrained_bound, 6),
                 plan_cost=plan_cost,
                 plan_unassigned_nets=unassigned,
                 gap=gap,
                 lambda_lb=round(bound.lambda_lb, 6),
                 certified_infeasible=bound.certified_infeasible,
-                theta=bound.theta,
                 pricing_calls=bound.pricing_calls,
                 seconds_bound=round(seconds_bound, 4),
                 seconds_plan=round(seconds_plan, 4),
@@ -196,13 +194,11 @@ def append_bounds_entry(
         result.params,
         {
             "lower_bound": result.lower_bound,
-            "unconstrained_bound": result.unconstrained_bound,
             "plan_cost": result.plan_cost,
             "plan_unassigned_nets": result.plan_unassigned_nets,
             "gap": result.gap,
             "lambda_lb": result.lambda_lb,
             "certified_infeasible": result.certified_infeasible,
-            "theta": result.theta,
             "pricing_calls": result.pricing_calls,
             "seconds_bound": result.seconds_bound,
             "seconds_plan": result.seconds_plan,

@@ -1,14 +1,15 @@
 """Certified lower bounds for buffered global routing.
 
 RABID is fast but heuristic; this package answers "how far from
-optimal?" with an epsilon-approximate buffered multicommodity-flow
-oracle (:mod:`repro.bounds.oracle`): Garg-Konemann length updates over
-buffered candidate routes priced by a resource-constrained Dijkstra
-(:mod:`repro.bounds.pricing`), a serializable dual certificate anyone
-can re-verify (:mod:`repro.bounds.certificate`), seeded randomized
-rounding into a competing integral plan (:mod:`repro.bounds.rounding`),
-and per-scenario ``optimality_gap`` metrics for the explore subsystem
-(:mod:`repro.bounds.gap`).
+optimal?" with a buffered multicommodity-flow oracle
+(:mod:`repro.bounds.oracle`): per net, the larger of its cheapest
+buffered path, priced by a resource-constrained Dijkstra
+(:mod:`repro.bounds.pricing`), and its length-rule floor; Garg-Konemann
+length updates for the capacity certificate; a serializable dual
+certificate anyone can re-verify (:mod:`repro.bounds.certificate`),
+seeded randomized rounding into a competing integral plan
+(:mod:`repro.bounds.rounding`), and per-scenario ``optimality_gap``
+metrics for the explore subsystem (:mod:`repro.bounds.gap`).
 
 Entry points: ``repro bound`` on the CLI, ``RabidConfig(bound="gk")``
 for sweeps, :func:`bound_scenario` / :func:`compute_bound` in code. See

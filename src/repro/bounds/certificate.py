@@ -2,22 +2,26 @@
 
 A :class:`BoundCertificate` is the self-contained proof object behind a
 :class:`~repro.bounds.oracle.BoundResult`: the final dual lengths
-(sparse, finite entries only), the chosen ``theta``, the per-net dual
-values ``u_i``, and the claimed bound. Anyone holding the certificate
-and the workload can re-check the claim without trusting the oracle:
+(sparse, finite entries only), the per-net dual values ``u_i``, and the
+claimed bound. Anyone holding the certificate and the workload can
+re-check the claim without trusting the oracle:
 
-* *dual feasibility*: each stored ``u_i`` must not exceed the true
-  max-over-sinks cheapest buffered path price under the certificate's
-  lengths (re-priced independently by :class:`~repro.bounds.pricing.PathPricer`);
-* *arithmetic*: ``lower_bound <= sum_i u_i - theta * D`` with ``D``
-  recomputed from the lengths and the graph's capacities, and the
-  claimed ``dual_load`` equal to it;
+* *dual feasibility*: each stored ``u_i`` must not exceed the larger of
+  the max-over-sinks cheapest buffered path price at ``theta = 0``
+  (re-priced independently by :class:`~repro.bounds.pricing.PathPricer`)
+  and the length-rule floor on the net's pins
+  (:func:`~repro.core.length_rule.length_rule_floor`);
+* *arithmetic*: ``lower_bound <= sum_i u_i``, and the claimed
+  ``dual_load`` equal to ``D`` recomputed from the lengths and the
+  graph's capacities;
 * *infeasibility*: claimed structural nets must be unreachable when
   priced again, and a capacity claim needs ``lambda_lb`` derived again
   above 1.
 
 Certificates serialize to versioned JSON (:data:`BOUND_CERT_SCHEMA_VERSION`)
-following the same conventions as :mod:`repro.io.serialize`.
+following the same conventions as :mod:`repro.io.serialize`. Version 2
+dropped ``theta`` and ``unconstrained_bound`` and admits floor-raised
+duals, which a version-1 verifier rejects, so version 1 is refused.
 """
 
 from __future__ import annotations
@@ -27,11 +31,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bounds.pricing import INF, PathPricer
+from repro.core.length_rule import length_rule_floor
 from repro.errors import ConfigurationError
 
 Tile = Tuple[int, int]
 
-BOUND_CERT_SCHEMA_VERSION = 1
+BOUND_CERT_SCHEMA_VERSION = 2
 
 #: Numeric slack for the verifier's comparisons (re-pricing reproduces
 #: the oracle's floats, so only representation noise needs absorbing).
@@ -45,9 +50,7 @@ class BoundCertificate:
     mode: str
     epsilon: float
     iterations: int
-    theta: float
     lower_bound: Optional[float]
-    unconstrained_bound: Optional[float]
     lambda_lb: float
     certified_infeasible: bool
     infeasible_reason: str
@@ -67,9 +70,7 @@ class BoundCertificate:
             "mode": self.mode,
             "epsilon": self.epsilon,
             "iterations": self.iterations,
-            "theta": self.theta,
             "lower_bound": self.lower_bound,
-            "unconstrained_bound": self.unconstrained_bound,
             "lambda_lb": self.lambda_lb,
             "certified_infeasible": self.certified_infeasible,
             "infeasible_reason": self.infeasible_reason,
@@ -98,9 +99,7 @@ class BoundCertificate:
             mode=d["mode"],
             epsilon=d["epsilon"],
             iterations=d["iterations"],
-            theta=d["theta"],
             lower_bound=d["lower_bound"],
-            unconstrained_bound=d["unconstrained_bound"],
             lambda_lb=d["lambda_lb"],
             certified_infeasible=d["certified_infeasible"],
             infeasible_reason=d["infeasible_reason"],
@@ -142,8 +141,10 @@ def verify_certificate(
 
     Returns a report dict with ``ok`` (bool), the recomputed dual load,
     the worst per-net dual violation, and the re-derived bound; a
-    rejected claim adds an ``error`` line. Besides the per-net duals,
-    every claim the certificate makes is derived again:
+    rejected claim adds an ``error`` line. Each net's claimed dual may
+    reach the larger of its ``theta = 0`` path price and its length-rule
+    floor, both derived again here. Every other claim the certificate
+    makes is derived again too:
 
     * every edge with ``W(e) > 0`` and every tile with ``B(v) > 0``
       carries a finite length (a missing one would hide a resource from
@@ -209,20 +210,25 @@ def verify_certificate(
         if name not in nets:
             return {"ok": False, "error": f"unknown net {name!r}"}
         source, sinks = nets[name]
-        priced = pricer.price(
-            source, list(sinks), limits[name],
-            edge_lengths, site_lengths,
-            certificate.wire_cost, certificate.buffer_cost,
-            scale=certificate.theta,
+        true_value = max(
+            pricer.price(
+                source, list(sinks), limits[name],
+                edge_lengths, site_lengths,
+                certificate.wire_cost, certificate.buffer_cost,
+                scale=0.0,
+            ).dual_value(),
+            length_rule_floor(
+                [source, *sinks], limits[name],
+                certificate.wire_cost, certificate.buffer_cost,
+            ),
         )
-        true_value = priced.dual_value()
         # Dual feasibility: the claimed u_i may not exceed the true
-        # cheapest-path bound (claiming less only weakens the bound).
+        # bound (claiming less only weakens the bound).
         worst_violation = max(worst_violation, claimed - true_value)
         total_duals += claimed
         checked += 1
 
-    derived_bound = total_duals - certificate.theta * dual_load
+    derived_bound = total_duals
     ok = worst_violation <= tolerance
     if certificate.lower_bound is not None:
         ok = ok and certificate.lower_bound <= derived_bound + tolerance

@@ -7,8 +7,10 @@ keys into the scenario's metrics dict, so frontier reports and
 
 * ``lower_bound`` — the certified bound on ``wirelength_tiles +
   buffers`` (the linear surrogate both sides share);
-* ``optimality_gap`` — ``(plan - bound) / bound``, i.e. "the RABID plan
-  is within X of optimal"; ``None`` when no bound exists;
+* ``optimality_gap`` — ``(plan - bound) / bound``, i.e. "the plan is
+  within X of optimal"; ``None`` when no bound exists. The plan is the
+  one the sweep evaluated: :func:`repro.service.engine.full_plan`, a
+  maze route plus the Stage-3 walk with no Stage 2 or 4;
 * ``certified_infeasible`` + ``infeasible_reason`` — the dual proof
   that no fractional (hence no integral) plan fits the capacities, the
   triage signal for all-infeasible sweeps;

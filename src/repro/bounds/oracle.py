@@ -1,4 +1,4 @@
-"""The epsilon-approximate buffered-MCF lower-bound oracle.
+"""The buffered-MCF lower-bound oracle.
 
 RABID is a heuristic; this module bounds how far its plans can be from
 optimal. Following the multicommodity-flow formulation of buffered
@@ -9,25 +9,29 @@ trees* subject to wire capacities ``W(e)`` and buffer-site capacities
 ``buffer_cost`` per repeater — the linear surrogate of the explore
 metrics ``wirelength_tiles + buffers``).
 
-The oracle never solves the LP exactly. It runs Garg-Konemann /
-Fleischer multiplicative length updates — wire lengths ``l(e)`` and
-site lengths ``s(v)`` both start at ``1/capacity`` and are multiplied
-by ``1 + epsilon/capacity`` whenever an iteration's cheapest buffered
-route crosses them — and then certifies a bound from LP duality alone:
-for ANY nonnegative lengths and any ``theta >= 0``,
+The bound is the LP dual ``LB(theta) = sum_i u_i(theta) - theta * D``
+at ``theta = 0``: one pricing sweep, where net *i*'s dual ``u_i`` is the
+larger of
 
-    LB(theta) = sum_i u_i(theta) - theta * D(l, s)
+* the max-over-sinks cheapest buffered *path* price under the base
+  costs (:mod:`repro.bounds.pricing` — a path projection of any tree
+  that meets the length rule), and
+* the length-rule floor on the net's pins
+  (:func:`repro.core.length_rule.length_rule_floor`).
 
-is a valid lower bound on every capacity-feasible fractional (hence
-integral) solution, where ``u_i(theta)`` is the max-over-sinks cheapest
-buffered *path* price under costs ``base + theta * length``
-(:mod:`repro.bounds.pricing` — a path projection of any feasible tree)
-and ``D = sum_e W(e) l(e) + sum_v B(v) s(v)``. ``LB(theta)`` is concave
-in ``theta``, so a small deterministic grid search recovers nearly the
-best certificate the final lengths support; ``theta = 0`` is always in
-the grid and bounds even capacity-violating plans.
+Both bound the cost of every tree of the net that meets the rule,
+whatever the other nets do, so ``sum_i u_i`` bounds every plan whose
+nets all meet it, capacity-feasible or not. ``LB(theta)`` rises from
+``theta = 0`` only when the chosen paths' dual lengths sum above ``D``;
+on every instance measured that happened only where ``lambda_lb > 1``
+already proves infeasibility (``docs/ALGORITHMS.md`` §17a), so no theta
+is searched.
 
-Two infeasibility certificates fall out of the same machinery:
+The dual lengths come from Garg-Konemann / Fleischer multiplicative
+updates — wire lengths ``l(e)`` and site lengths ``s(v)`` both start at
+``1/capacity`` and are multiplied by ``1 + epsilon/capacity`` whenever
+an iteration's cheapest buffered route crosses them. They do not enter
+the bound; they feed ``D`` and two infeasibility certificates:
 
 * *structural*: a net whose pricing is infinite even over the whole
   grid has no buffered path satisfying the spacing rule at all — no
@@ -38,7 +42,9 @@ Two infeasibility certificates fall out of the same machinery:
 
 The per-iteration cheapest routes double as candidate columns for
 seeded randomized rounding (:mod:`repro.bounds.rounding`), making the
-oracle a competing integral arm as well as a certificate.
+oracle a competing integral arm as well as a certificate. A bound makes
+``(iterations + 2) * nets`` pricing calls: the length rounds, the
+``theta = 0`` sweep and the ``lambda_lb`` sweep.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bounds.pricing import INF, PathPricer
+from repro.core.length_rule import length_rule_floor
 from repro.errors import ConfigurationError
 from repro.obs import NULL_TRACER
 
@@ -57,10 +64,6 @@ Tile = Tuple[int, int]
 #: ``""`` for disabled).
 BOUND_MODES = ("gk",)
 
-#: Deterministic theta grid for the dual line search. Geometric spread
-#: including 0 (the congestion-free bound, valid for any plan).
-DEFAULT_THETA_GRID = (0.0, 0.015625, 0.0625, 0.25, 1.0, 4.0)
-
 
 @dataclass
 class BoundOptions:
@@ -68,21 +71,15 @@ class BoundOptions:
 
     Attributes:
         mode: which oracle; only ``"gk"`` exists today.
-        epsilon: Garg-Konemann length-update aggressiveness (0, 1].
-            Smaller epsilon, finer length evolution, tighter bound,
-            more work.
+        epsilon: Garg-Konemann length-update step (0, 1]. It moves the
+            dual lengths, hence ``lambda_lb`` and the rounding columns;
+            the bound prices at ``theta = 0`` and depends on neither
+            epsilon nor ``iterations``.
         iterations: full pricing rounds of length updates.
         window_margin: pricing Dijkstra window margin (tiles).
         wire_cost: cost per tile edge in the LP objective.
         buffer_cost: cost per inserted repeater.
         seed: randomized-rounding seed.
-        theta_grid: dual line-search grid; must contain 0.0.
-        refine_iters: golden-section evaluations refining theta inside
-            the bracket around the best grid point (``LB(theta)`` is
-            concave, so the bracket contains the true peak). 0 keeps
-            the plain grid search. The refined bound can only improve
-            on the grid bound: the grid winner stays the incumbent
-            until a refined theta beats it.
         triage: run the millisecond routability triage first and skip
             pricing entirely when it *certifies* infeasibility
             (counter ``triage.skips``).
@@ -95,8 +92,6 @@ class BoundOptions:
     wire_cost: float = 1.0
     buffer_cost: float = 1.0
     seed: int = 0
-    theta_grid: Tuple[float, ...] = DEFAULT_THETA_GRID
-    refine_iters: int = 4
     triage: bool = False
 
     def __post_init__(self) -> None:
@@ -111,12 +106,6 @@ class BoundOptions:
             raise ConfigurationError("bound needs at least one iteration")
         if self.wire_cost < 0 or self.buffer_cost < 0:
             raise ConfigurationError("costs must be >= 0")
-        if 0.0 not in self.theta_grid:
-            raise ConfigurationError("theta_grid must contain 0.0")
-        if any(t < 0 for t in self.theta_grid):
-            raise ConfigurationError("theta values must be >= 0")
-        if self.refine_iters < 0:
-            raise ConfigurationError("refine_iters must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -140,9 +129,7 @@ class BoundResult:
     mode: str
     epsilon: float
     iterations: int
-    theta: float
     lower_bound: Optional[float]
-    unconstrained_bound: Optional[float]
     lambda_lb: float
     certified_infeasible: bool
     infeasible_reason: str  # "" | "structural" | "capacity" | "triage-*"
@@ -157,6 +144,16 @@ class BoundResult:
     pricing_calls: int = 0
     seconds: float = 0.0
 
+    @property
+    def theta(self) -> float:
+        """The dual's theta: the bound is priced at 0."""
+        return 0.0
+
+    @property
+    def unconstrained_bound(self) -> Optional[float]:
+        """The capacity-blind bound, which is the bound itself."""
+        return self.lower_bound
+
     def certificate(self) -> "Any":
         """The serializable dual certificate for this result."""
         from repro.bounds.certificate import BoundCertificate
@@ -165,9 +162,7 @@ class BoundResult:
             mode=self.mode,
             epsilon=self.epsilon,
             iterations=self.iterations,
-            theta=self.theta,
             lower_bound=self.lower_bound,
-            unconstrained_bound=self.unconstrained_bound,
             lambda_lb=self.lambda_lb,
             certified_infeasible=self.certified_infeasible,
             infeasible_reason=self.infeasible_reason,
@@ -194,9 +189,7 @@ class BoundResult:
             "mode": self.mode,
             "epsilon": self.epsilon,
             "iterations": self.iterations,
-            "theta": self.theta,
             "lower_bound": _round6(self.lower_bound),
-            "unconstrained_bound": _round6(self.unconstrained_bound),
             "lambda_lb": _round6(self.lambda_lb),
             "certified_infeasible": self.certified_infeasible,
             "infeasible_reason": self.infeasible_reason,
@@ -294,95 +287,38 @@ def compute_bound(
         if length < INF
     )
 
-    # Phase 2: concave line search over theta for the best certificate.
-    best_lb = -INF
-    best_theta = 0.0
-    best_duals: Dict[str, float] = {}
-    unconstrained: Optional[float] = None
+    # Phase 2: price each net once at theta = 0 (base costs only; the
+    # length-rule floor on its pins can only raise that dual) and once at
+    # the dual lengths alone, for the concurrent-flow bound lambda_lb.
+    net_duals: Dict[str, float] = {}
     lambda_numerator = 0.0
-
-    def _price_theta(theta: float) -> "Tuple[float, Dict[str, float]]":
-        """``(LB(theta), duals)`` from one pricing sweep over the nets."""
-        nonlocal pricing_calls
-        total = 0.0
-        duals: Dict[str, float] = {}
+    with tracer.span("bound.duals", nets=len(names)):
         for name in names:
             if name in structural:
                 continue
             source, sinks = nets[name]
-            priced = pricer.price(
+            value = pricer.price(
                 source, list(sinks), limits[name],
                 edge_lengths, site_lengths,
                 options.wire_cost, options.buffer_cost,
-                scale=theta,
-            )
+                scale=0.0,
+            ).dual_value()
             pricing_calls += 1
-            value = priced.dual_value()
             if value >= INF:
                 structural.add(name)
                 continue
-            duals[name] = value
-            total += value
-        return total - theta * dual_load, duals
-
-    with tracer.span("bound.linesearch", thetas=len(options.theta_grid)):
-        for theta in sorted(set(options.theta_grid)):
-            lb, duals = _price_theta(theta)
-            if theta == 0.0:
-                # total - 0.0 * D is total exactly: the capacity-blind floor.
-                unconstrained = lb if duals or not names else None
-            if duals and lb > best_lb:
-                best_lb, best_theta, best_duals = lb, theta, duals
-
-        # Golden-section refinement inside the bracket around the best
-        # grid theta. LB(theta) is concave, so the peak lies between the
-        # grid neighbours of the winner; the grid winner stays incumbent
-        # unless a refined theta strictly beats it (refined LB >= grid
-        # LB by construction, and the theta = 0 floor above is kept).
-        if options.refine_iters >= 2 and best_duals:
-            thetas = sorted(set(options.theta_grid))
-            pos = thetas.index(best_theta)
-            lo = thetas[pos - 1] if pos > 0 else best_theta
-            hi = thetas[pos + 1] if pos + 1 < len(thetas) else best_theta
-            if hi > lo:
-                invphi = 0.6180339887498949
-                a, b = lo, hi
-                c = b - invphi * (b - a)
-                d = a + invphi * (b - a)
-                fc, dc = _price_theta(c)
-                fd, dd = _price_theta(d)
-                for probe, value, duals in ((c, fc, dc), (d, fd, dd)):
-                    if duals and value > best_lb:
-                        best_lb, best_theta, best_duals = value, probe, duals
-                for _ in range(options.refine_iters - 2):
-                    if fc >= fd:
-                        b, d, fd, dd = d, c, fc, dc
-                        c = b - invphi * (b - a)
-                        fc, dc = _price_theta(c)
-                        probe, value, duals = c, fc, dc
-                    else:
-                        a, c, fc, dc = c, d, fd, dd
-                        d = a + invphi * (b - a)
-                        fd, dd = _price_theta(d)
-                        probe, value, duals = d, fd, dd
-                    if duals and value > best_lb:
-                        best_lb, best_theta, best_duals = value, probe, duals
-                if tracer.enabled:
-                    tracer.count("bound.refine_evals", options.refine_iters)
-        # Concurrent-flow congestion bound: lengths only, no base costs.
-        for name in names:
-            if name in structural:
-                continue
-            source, sinks = nets[name]
-            priced = pricer.price(
+            net_duals[name] = max(value, length_rule_floor(
+                [source, *sinks], limits[name],
+                options.wire_cost, options.buffer_cost,
+            ))
+            # Finite: reachability depends only on which lengths are
+            # finite, and the search above reached every sink.
+            lambda_numerator += pricer.price(
                 source, list(sinks), limits[name],
                 edge_lengths, site_lengths,
                 wire_cost=0.0, buffer_cost=0.0,
-            )
+            ).dual_value()
             pricing_calls += 1
-            value = priced.dual_value()
-            if value < INF:
-                lambda_numerator += value
     lambda_lb = lambda_numerator / dual_load if dual_load > 0 else 0.0
 
     infeasible_reason = ""
@@ -391,21 +327,19 @@ def compute_bound(
     elif lambda_lb > 1.0 + 1e-9:
         infeasible_reason = "capacity"
 
-    lower_bound = best_lb if best_lb > -INF else None
+    lower_bound = sum(net_duals.values()) if net_duals else None
     result = BoundResult(
         mode=options.mode,
         epsilon=epsilon,
         iterations=options.iterations,
-        theta=best_theta,
         lower_bound=lower_bound,
-        unconstrained_bound=unconstrained,
         lambda_lb=lambda_lb,
         certified_infeasible=bool(infeasible_reason),
         infeasible_reason=infeasible_reason,
         wire_cost=options.wire_cost,
         buffer_cost=options.buffer_cost,
         dual_load=dual_load,
-        net_duals=best_duals,
+        net_duals=net_duals,
         structural_nets=sorted(structural),
         edge_lengths=edge_lengths,
         site_lengths=site_lengths,
@@ -460,9 +394,7 @@ def bound_scenario(
                 mode=options.mode,
                 epsilon=options.epsilon,
                 iterations=0,
-                theta=0.0,
                 lower_bound=None,
-                unconstrained_bound=None,
                 lambda_lb=0.0,
                 certified_infeasible=True,
                 infeasible_reason=f"triage-{verdict.infeasible_reason}",

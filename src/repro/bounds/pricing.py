@@ -144,9 +144,10 @@ class PathPricer:
     ) -> NetPricing:
         """Price every sink of one net under the given dual lengths.
 
-        ``scale`` multiplies the dual terms only (the theta of the
-        oracle's line search); base ``wire_cost``/``buffer_cost`` are
-        charged per edge / per buffer regardless.
+        ``scale`` multiplies the dual terms only: the oracle prices its
+        bound at 0 and its length rounds at 1. Base
+        ``wire_cost``/``buffer_cost`` are charged per edge / per buffer
+        regardless.
         """
         if length_limit < 1:
             raise ConfigurationError("length_limit must be >= 1")

@@ -18,8 +18,9 @@ Commands:
   the Pareto frontier (see ``docs/EXPLORE.md``); ``--bound gk`` adds a
   certified ``optimality_gap`` per scenario.
 * ``bound`` — run the buffered-MCF lower-bound oracle on one scenario
-  and print the certified bound (``--compare`` for the gap vs the RABID
-  plan, ``--cert``/``--verify`` for the dual certificate).
+  and print the certified bound (``--compare`` for the gap of the plan
+  ``service.engine.full_plan`` builds, ``--cert``/``--verify`` for the
+  dual certificate).
 """
 
 from __future__ import annotations
@@ -320,19 +321,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="length-update rounds",
     )
     bound.add_argument(
-        "--refine-iters", type=int, default=4,
-        help="golden-section pricing evaluations refining theta around "
-        "the best grid point (0 disables refinement)",
-    )
-    bound.add_argument(
         "--triage", action="store_true",
         help="run the millisecond routability triage first; certified "
         "infeasible scenarios skip the pricing escalation entirely",
     )
     bound.add_argument(
         "--compare", action="store_true",
-        help="also plan the scenario with RABID and report the "
-        "optimality gap against the certified bound",
+        help="also plan the scenario with full_plan (a maze route plus "
+        "the Stage-3 walk, no Stage 2 or 4) and report its optimality "
+        "gap against the certified bound",
     )
     bound.add_argument(
         "--round", action="store_true", dest="round_plan",
@@ -668,7 +665,7 @@ def _cmd_bound(args) -> int:
     )
     options = BoundOptions(
         mode=args.mode, epsilon=args.epsilon, iterations=args.iterations,
-        seed=args.seed, refine_iters=args.refine_iters, triage=args.triage,
+        seed=args.seed, triage=args.triage,
     )
     result = bound_scenario(scenario, options)
     payload = result.summary()
@@ -717,7 +714,7 @@ def _cmd_bound(args) -> int:
             f"bound[{payload['mode']}] eps={payload['epsilon']} "
             f"iters={payload['iterations']}: "
             f"lower_bound={payload['lower_bound']} "
-            f"(theta={payload['theta']}, lambda={payload['lambda_lb']})"
+            f"(lambda={payload['lambda_lb']})"
         )
         if payload["certified_infeasible"]:
             print(

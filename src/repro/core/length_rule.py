@@ -3,13 +3,15 @@
 The paper (Fig. 3) requires the *total* downstream interconnect driven by
 any gate — the net's driver or any inserted buffer — to be at most ``L_i``
 tile units. Summing over all branches (not just the longest path) prevents
-the 7-sink star of Fig. 3 from passing with 11 driven units.
+the 7-sink star of Fig. 3 from passing with 11 driven units. The same rule
+puts a floor under every passing net's cost (:func:`length_rule_floor`);
+the lower-bound oracle uses it in its per-net duals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.routing.tree import RouteTree
 from repro.tilegraph.graph import Tile
@@ -107,3 +109,25 @@ def length_violations(tree: RouteTree, length_limit: int) -> int:
 def net_meets_length_rule(tree: RouteTree, length_limit: int) -> bool:
     """True when no gate of the net over-drives (the paper's per-net pass/fail)."""
     return length_violations(tree, length_limit) == 0
+
+
+def length_rule_floor(
+    pins: Sequence[Tile],
+    length_limit: int,
+    wire_cost: float = 1.0,
+    buffer_cost: float = 1.0,
+) -> float:
+    """A lower bound on ``wire_cost * edges + buffer_cost * buffers`` for
+    every tree on ``pins`` that meets the rule with ``L = length_limit``.
+
+    A tree that spans the pins crosses every column and row of their
+    bounding box, so it has at least ``hpwl`` edges. Each edge is driven
+    by exactly one gate and each gate drives at most ``L``, so the tree
+    has at least ``ceil(hpwl / L)`` gates: the driver and
+    ``ceil(hpwl / L) - 1`` buffers.
+    """
+    xs = [tile[0] for tile in pins]
+    ys = [tile[1] for tile in pins]
+    hpwl = max(xs) - min(xs) + max(ys) - min(ys)
+    buffers = max(0, -(-hpwl // length_limit) - 1)
+    return wire_cost * hpwl + buffer_cost * buffers

@@ -71,7 +71,8 @@ class RabidConfig:
             buffered-MCF bound per scenario and report ``lower_bound``,
             ``optimality_gap``, and ``certified_infeasible`` metrics.
         bound_epsilon: Garg-Konemann epsilon for the oracle's length
-            updates (smaller = tighter bound, more work).
+            updates. It moves ``lambda_lb`` and the rounding columns,
+            not the bound, which prices at ``theta = 0``.
     """
 
     length_limit: int = 5

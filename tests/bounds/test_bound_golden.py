@@ -1,9 +1,9 @@
 """Golden certificates: the lower-bound oracle's output, pinned to the byte.
 
 Each golden records one oracle run: the SHA-256 of the canonical
-certificate JSON, the headline numbers (bound, floor, theta, lambda,
-dual load, pricing calls) and a SHA-256 over every net's candidate
-columns with their pick counts. Any change to the pricing search that
+certificate JSON, the headline numbers (bound, lambda, dual load,
+pricing calls) and a SHA-256 over every net's candidate columns with
+their pick counts. Any change to the pricing search that
 moves a single dual length, a tie-broken path or a column shows here.
 
 * ``bound_scenario12_seed0.json``: the 12x12 / 40-net ``SCENARIO`` of
@@ -12,8 +12,14 @@ moves a single dual length, a tie-broken path or a column shows here.
   the options ``rabidbench``'s ``bound-ladder32`` workload uses
   (epsilon 0.5, one iteration; slow).
 
-Both were recorded before the pricing search settled sinks at their
-first pop. To record them again from a checkout's own sources::
+Both were first recorded before the pricing search settled sinks at
+their first pop. They were recorded again when the bound became one
+``theta = 0`` sweep with the length-rule floor under every net's dual,
+in certificate version 2 (no ``theta`` or ``unconstrained_bound``).
+The bound rose from 374 to 527 (scenario12) and from 6,146 to 8,722
+(ladder-32); the pricing calls fell from 520 to 160 and from 6,000 to
+1,500. Lambda, the dual load and the columns did not move. To record
+them again from a checkout's own sources::
 
     PYTHONPATH=src python tests/bounds/test_bound_golden.py
 """
@@ -55,8 +61,6 @@ def golden_payload(result) -> dict:
     return {
         "certificate_sha256": _sha256(result.certificate().to_dict()),
         "lower_bound": result.lower_bound,
-        "unconstrained_bound": result.unconstrained_bound,
-        "theta": result.theta,
         "lambda_lb": result.lambda_lb,
         "dual_load": result.dual_load,
         "pricing_calls": result.pricing_calls,

@@ -48,6 +48,14 @@ class TestRoundTrip:
         with pytest.raises(ConfigurationError):
             type(cert).from_dict(d)
 
+    def test_version1_refused(self, cert):
+        """Version 1 carried ``theta`` and ``unconstrained_bound``, and its
+        verifier rejects floor-raised duals."""
+        d = cert.to_dict()
+        d.update(version=1, theta=0.0, unconstrained_bound=d["lower_bound"])
+        with pytest.raises(ConfigurationError, match="version 1"):
+            type(cert).from_dict(d)
+
     def test_dict_round_trip_preserves_int_keys(self, cert):
         loaded = type(cert).from_dict(cert.to_dict())
         assert loaded.edge_lengths == cert.edge_lengths
@@ -193,3 +201,40 @@ class TestForgedInfeasibility:
         )
         assert verdict["ok"]
         assert verdict["nets_checked"] == 0
+
+
+class TestLengthRuleFloor:
+    """A net's dual may reach the length-rule floor on its pins, no more."""
+
+    # The two sinks sit on two sides of the source: each sink's cheapest
+    # path has 3 edges, but a tree reaching both has at least hpwl = 6
+    # edges and, with L = 4, ceil(6 / 4) - 1 = 1 buffer.
+    NETS = {"n0": ((0, 0), [(3, 0), (0, 3)])}
+    LIMITS = {"n0": 4}
+
+    @pytest.fixture
+    def floored(self):
+        graph = TileGraph(
+            Rect(0, 0, 4.0, 4.0), 4, 4, CapacityModel.uniform(2)
+        )
+        result = compute_bound(
+            graph, self.NETS, self.LIMITS, BoundOptions(iterations=1)
+        )
+        return graph, result.certificate()
+
+    def test_floor_raised_dual_verifies(self, floored):
+        graph, cert = floored
+        assert cert.net_duals == {"n0": 7.0}
+        assert cert.lower_bound == 7.0
+        verdict = verify_certificate(cert, graph, self.NETS, self.LIMITS)
+        assert verdict["ok"], verdict
+        assert verdict["derived_bound"] == 7.0
+
+    def test_dual_above_floor_rejected(self, floored):
+        graph, cert = floored
+        forged = dataclasses.replace(
+            cert, net_duals={"n0": 7.5}, lower_bound=7.5
+        )
+        verdict = verify_certificate(forged, graph, self.NETS, self.LIMITS)
+        assert not verdict["ok"]
+        assert verdict["worst_dual_violation"] == pytest.approx(0.5)

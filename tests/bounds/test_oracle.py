@@ -11,6 +11,7 @@ from repro.bounds import (
     plan_surrogate_cost,
     verify_certificate,
 )
+from repro.core.length_rule import length_rule_floor
 from repro.core.rabid import RabidConfig
 from repro.errors import ConfigurationError
 from repro.explore.executor import metrics_from_state
@@ -40,23 +41,44 @@ class TestOptions:
         with pytest.raises(ConfigurationError):
             BoundOptions(iterations=0)
 
-    def test_theta_grid_needs_zero(self):
-        with pytest.raises(ConfigurationError):
-            BoundOptions(theta_grid=(0.5, 1.0))
-
 
 class TestLowerBound:
     def test_bound_below_plan_cost(self):
-        """The acceptance invariant: certified LB <= RABID plan cost."""
+        """The acceptance invariant: certified LB <= full_plan cost."""
         bound = bound_scenario(SCENARIO, BoundOptions(iterations=2))
         metrics = metrics_from_state(full_plan(SCENARIO, RabidConfig()))
         assert metrics["unassigned_nets"] == 0
         plan = plan_surrogate_cost(metrics)
         assert not bound.certified_infeasible
         assert 0.0 < bound.lower_bound <= plan
-        # theta=0 is always on the grid, so the constrained line search
-        # can never do worse than the unconstrained floor.
-        assert bound.lower_bound >= bound.unconstrained_bound
+
+    def test_duals_reach_the_length_rule_floor(self):
+        bound = bound_scenario(SCENARIO, BoundOptions(iterations=2))
+        nets = SCENARIO.nets()
+        limits = SCENARIO.limits(sorted(nets))
+        floors = {
+            name: length_rule_floor([source, *sinks], limits[name])
+            for name, (source, sinks) in nets.items()
+        }
+        assert all(
+            dual >= floors[name] for name, dual in bound.net_duals.items()
+        )
+        assert any(
+            dual == floors[name] for name, dual in bound.net_duals.items()
+        )
+
+    def test_bound_ignores_epsilon_and_iterations(self):
+        """The bound prices at theta = 0, so the length rounds do not
+        move it; they move lambda_lb and the columns."""
+        coarse = bound_scenario(
+            SCENARIO, BoundOptions(epsilon=1.0, iterations=1)
+        )
+        fine = bound_scenario(
+            SCENARIO, BoundOptions(epsilon=0.25, iterations=3)
+        )
+        assert coarse.net_duals == fine.net_duals
+        assert coarse.lower_bound == fine.lower_bound
+        assert coarse.lambda_lb != fine.lambda_lb
 
     def test_dual_feasibility(self):
         """The certificate re-verifies against an independent pricing pass."""
@@ -87,7 +109,8 @@ class TestLowerBound:
 
     def test_counters_populated(self):
         bound = bound_scenario(SCENARIO, BoundOptions(iterations=2))
-        assert bound.pricing_calls >= 2 * 40
+        # Two length rounds, the theta = 0 sweep and the lambda sweep.
+        assert bound.pricing_calls == (2 + 2) * 40
         assert bound.iterations == 2
         assert bound.seconds > 0
 
@@ -156,40 +179,6 @@ class TestInfeasibility:
         assert result.infeasible_reason == ""
 
 
-class TestGoldenSectionRefinement:
-    def test_refined_lb_never_below_grid_lb(self):
-        """Satellite contract: golden-section refinement only improves."""
-        grid_only = bound_scenario(
-            SCENARIO, BoundOptions(iterations=2, refine_iters=0)
-        )
-        refined = bound_scenario(
-            SCENARIO, BoundOptions(iterations=2, refine_iters=4)
-        )
-        assert refined.lower_bound >= grid_only.lower_bound
-        # theta=0 stays on the grid, so the unconstrained floor holds.
-        assert refined.lower_bound >= refined.unconstrained_bound
-
-    def test_refinement_deterministic(self):
-        options = BoundOptions(iterations=2, refine_iters=6)
-        a = bound_scenario(SCENARIO, options).summary()
-        b = bound_scenario(SCENARIO, options).summary()
-        a.pop("seconds"), b.pop("seconds")
-        assert a == b
-
-    def test_refinement_prices_extra_thetas(self):
-        grid_only = bound_scenario(
-            SCENARIO, BoundOptions(iterations=2, refine_iters=0)
-        )
-        refined = bound_scenario(
-            SCENARIO, BoundOptions(iterations=2, refine_iters=4)
-        )
-        assert refined.pricing_calls > grid_only.pricing_calls
-
-    def test_negative_refine_iters_rejected(self):
-        with pytest.raises(ConfigurationError):
-            BoundOptions(refine_iters=-1)
-
-
 class TestTriageShortCircuit:
     STARVED = ScenarioSpec(
         grid=12, num_nets=60, capacity=6, total_sites=5, length_limit=2
@@ -209,10 +198,8 @@ class TestTriageShortCircuit:
         assert tracer.metrics.counter("triage.skips").value == 1
 
     def test_feasible_scenario_falls_through(self):
-        gated = bound_scenario(
-            SCENARIO, BoundOptions(triage=True, refine_iters=0)
-        )
-        plain = bound_scenario(SCENARIO, BoundOptions(refine_iters=0))
+        gated = bound_scenario(SCENARIO, BoundOptions(triage=True))
+        plain = bound_scenario(SCENARIO)
         assert not gated.certified_infeasible
         assert gated.lower_bound == plain.lower_bound
 

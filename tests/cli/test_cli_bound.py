@@ -45,7 +45,7 @@ class TestBoundCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verify"]["ok"] is True
         saved = json.loads(open(cert).read())
-        assert saved["version"] == 1
+        assert saved["version"] == 2
 
     def test_epsilon_flag_validated(self):
         with pytest.raises(SystemExit):

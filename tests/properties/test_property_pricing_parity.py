@@ -8,7 +8,7 @@ cheapest; it is kept here verbatim (and only here), as a function of the
 pricer instead of a method. Random cases cover small grids with
 infinite edge lengths, zero-site tiles (sink tiles included), every
 length limit from 1 to 5, duplicate sinks and sinks on the source tile,
-the oracle's theta values, zero and unit base costs, and window margins
+dual scales from 0 to 4, zero and unit base costs, and window margins
 up to the whole grid. Costs must always agree; paths must agree
 whenever every step costs more than 0.
 """
@@ -150,7 +150,8 @@ def reference_search(
 # Random cases                                                          #
 # --------------------------------------------------------------------- #
 
-#: Theta values of the oracle's line search (0 prices base costs only).
+#: Scales of the dual terms: the oracle prices at 0 (base costs only,
+#: the bound) and 1 (the length rounds); the others cover the range.
 SCALES = [0.0, 0.015625, 0.25, 1.0, 4.0]
 
 
