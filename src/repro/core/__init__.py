@@ -10,7 +10,8 @@ Modules:
 * :mod:`repro.core.multi_sink` — the multi-sink DP of Fig. 9.
 * :mod:`repro.core.fallback` — greedy best-effort buffering when the DP is
   infeasible (e.g., routes crossing the zero-site blocked region).
-* :mod:`repro.core.assignment` — Stage 3 over a whole design.
+* :mod:`repro.core.assignment` — Stage 3 over a whole design (the one
+  buffer walk RABID and the service share).
 * :mod:`repro.core.two_path` — Stage 4 two-path rip-up-and-reroute.
 * :mod:`repro.core.rabid` — the four-stage planner and its metrics.
 """
@@ -21,7 +22,7 @@ from repro.core.length_rule import driven_lengths, length_violations, net_meets_
 from repro.core.single_sink import insert_buffers_single_sink
 from repro.core.multi_sink import insert_buffers_multi_sink, DPResult
 from repro.core.fallback import greedy_buffering
-from repro.core.assignment import assign_buffers_stage3, AssignmentResult
+from repro.core.assignment import NetOutcome, run_buffer_walk
 from repro.core.two_path import optimize_two_paths
 from repro.core.rescue import rescue_failing_nets, rescue_net
 from repro.core.rabid import RabidConfig, RabidPlanner, RabidResult, StageMetrics
@@ -46,8 +47,8 @@ __all__ = [
     "insert_buffers_multi_sink",
     "DPResult",
     "greedy_buffering",
-    "assign_buffers_stage3",
-    "AssignmentResult",
+    "run_buffer_walk",
+    "NetOutcome",
     "optimize_two_paths",
     "rescue_net",
     "rescue_failing_nets",

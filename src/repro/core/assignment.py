@@ -13,15 +13,24 @@ The per-net pipeline is *solve then commit*:
   in its place; exceptions anywhere inside a net's scope unwind its site
   bookings automatically.
 
-Nets are walked strictly in order: each net's solve sees the bookings of
-every net committed before it, which is what the paper's
-descending-delay order relies on.
+:func:`run_buffer_walk` is the one Stage-3 walk. Nets are visited
+strictly in order: each net's solve sees the bookings of every net
+committed before it. RABID walks in descending delay, as the paper
+does; the service's ``full_plan`` and incremental replay walk in name
+order and replay cached :class:`NetOutcome` records where they can.
+
+The plan signature (:func:`buffering_signature`, a SHA-256 over every
+net's buffer specs, the ``b(v)`` grid and the failed-net list) pins
+"identical Stage-3 output": moving even one buffer of one net changes
+it. The buffering goldens and the service's plan identity both use it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+import hashlib
+import json
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.candidates import INF, oversubscribes
 from repro.core.fallback import greedy_buffering
@@ -33,10 +42,15 @@ from repro.core.solver import (
     SolveOutcome,
     SolveRequest,
     Stage3CostField,
+    make_solver_lookup,
 )
+from repro.errors import PreemptedError
 from repro.obs import NULL_TRACER
-from repro.routing.tree import RouteTree
+from repro.routing.tree import BufferSpec, RouteTree
 from repro.tilegraph.graph import TileGraph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.rabid import RabidConfig
 
 #: The oversubscription test, shared engine-wide (see
 #: :func:`repro.core.candidates.oversubscribes`). Kept under its
@@ -45,18 +59,50 @@ from repro.tilegraph.graph import TileGraph
 _oversubscribes = oversubscribes
 
 
-@dataclass
-class AssignmentResult:
-    """Summary of a Stage-3 run."""
+@dataclass(frozen=True)
+class NetOutcome:
+    """One net's committed Stage-3 result (replayable)."""
 
-    buffers_inserted: int = 0
-    failed_nets: List[str] = field(default_factory=list)
-    dp_infeasible_nets: List[str] = field(default_factory=list)
-    total_cost: float = 0.0
+    specs: Tuple[BufferSpec, ...]
+    meets: bool
+    dp_ok: bool
+    cost: float
 
-    @property
-    def num_fails(self) -> int:
-        return len(self.failed_nets)
+
+def buffers_as_json(
+    routes: Dict[str, RouteTree]
+) -> Dict[str, List[List[Optional[List[int]]]]]:
+    """Canonical JSON-able buffer specs per net (for golden files).
+
+    Default-kind buffers stay two-element ``[tile, child]`` entries, so
+    every pre-library golden (and the signature over this payload) is
+    byte-identical; a non-default kind appends its name as a third
+    element.
+    """
+    return {
+        name: [
+            [list(s.tile), list(s.drives_child) if s.drives_child else None]
+            + ([s.kind] if s.kind else [])
+            for s in routes[name].buffer_specs()
+        ]
+        for name in sorted(routes)
+    }
+
+
+def buffering_signature(
+    routes: Dict[str, RouteTree], graph, failed: List[str]
+) -> str:
+    """SHA-256 over buffer specs, the ``b(v)`` grid, and the failed nets."""
+    payload = json.dumps(
+        {
+            "buffers": buffers_as_json(routes),
+            "used_sites": graph.used_sites.tolist(),
+            "failed": sorted(failed),
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def _solve_net(
@@ -169,80 +215,104 @@ def assign_buffers_to_net(
         return _commit_outcome(graph, tree, length_limit, outcome, tracer=tracer)
 
 
-def assign_buffers_stage3(
+def run_buffer_walk(
     graph: TileGraph,
     routes: Dict[str, RouteTree],
-    length_limits: Dict[str, int],
+    limits: Dict[str, int],
     order: Sequence[str],
-    use_probability: bool = True,
+    config: "RabidConfig",
     tracer=None,
-    solver_for: "Callable[[str], BufferingSolver] | None" = None,
-) -> AssignmentResult:
-    """Assign buffer sites to every net, highest-delay nets first.
+    replay: "Callable[[str], Optional[NetOutcome]] | None" = None,
+    on_solved: "Callable[[str, NetOutcome], None] | None" = None,
+    abort_check: "Callable[[], bool] | None" = None,
+) -> Dict[str, NetOutcome]:
+    """Buffer every net of ``order``, one after another (Stage 3).
 
-    Args:
-        graph: tile graph with wire usage already recorded (Stage 2 done)
-            and ``b(v)`` counters at their pre-Stage-3 state.
-        routes: net name -> route tree (annotations are overwritten).
-        length_limits: per-net ``L_i``.
-        order: processing order (paper: descending delay).
-        use_probability: include the ``p(v)`` term of Eq. (2).
-        tracer: optional :class:`repro.obs.Tracer`; per-net ``buffered`` /
-            ``failed`` events and the ``buffer_sites_used`` counter, plus
-            ``stage3.ledger_rollbacks``.
-        solver_for: net name -> strategy (see
-            :func:`repro.core.solver.make_solver_lookup`); default is the
-            Fig. 9 multi-sink DP for every net.
+    ``p(v)`` is seeded from every net in ``order`` when
+    ``config.use_probability`` is set, and each net's own contribution
+    is removed just before its turn; the net is then solved with the
+    strategy ``config`` names for it and committed under ``B(v)``.
+
+    When ``replay`` returns a cached :class:`NetOutcome` for a net, its
+    specs are *booked* (use-site + annotations) without re-running the
+    solver; because the walk reconstructs the same prefix ``b(v)``/
+    ``p(v)`` state the original run saw, replayed and re-solved nets
+    compose into a plan identical to a from-scratch walk. ``on_solved``
+    is called after each solved (not replayed) net.
+
+    The whole walk runs inside one :class:`SiteLedger` transaction, so
+    an exception anywhere unwinds every site booking made so far.
+    ``abort_check`` is the fleet's cooperative-preemption hook: polled
+    between nets, a True return raises
+    :class:`repro.errors.PreemptedError` and the graph is left
+    untouched.
+
+    Traced, each solved net emits a ``buffered`` or ``failed`` event
+    (``stage="3"``), adds its buffers to ``buffer_sites_used`` and
+    ``stage3.nets_solved``, and runs the ``stage3 net {name}`` site
+    check; each replayed net counts ``stage3.nets_replayed``.
 
     Returns:
-        An :class:`AssignmentResult`; the trees and graph are updated in
-        place.
+        net name -> committed outcome, in walk order; the trees and
+        graph are updated in place.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     probability = None
-    if use_probability:
+    if config.use_probability:
         probability = UsageProbability(graph)
         for name in order:
-            probability.add_net(routes[name], length_limits[name])
+            probability.add_net(routes[name], limits[name])
     cost_field = Stage3CostField(graph, probability)
-    if solver_for is None:
-        default_solver = MultiSinkDPSolver()
-
-        def solver_for(name: str) -> BufferingSolver:
-            return default_solver
-
-    out = AssignmentResult()
-    for name in order:
-        tree = routes[name]
-        if probability is not None:
-            probability.remove_net(tree)
-        outcome = _solve_net(
-            graph,
-            tree,
-            length_limits[name],
-            cost_field,
-            solver_for(name),
-            tracer=tracer,
-        )
-        meets, dp_ok, cost = _commit_outcome(
-            graph, tree, length_limits[name], outcome, tracer=tracer
-        )
-        buffers = tree.buffer_count()
-        out.buffers_inserted += buffers
-        if cost != INF:
-            out.total_cost += cost
-        if not dp_ok:
-            out.dp_infeasible_nets.append(name)
-        if not meets:
-            out.failed_nets.append(name)
-        if tracer.enabled:
-            tracer.count("buffer_sites_used", buffers)
-            tracer.event(
-                "buffered" if meets else "failed",
-                name,
-                stage="3",
-                buffers=buffers,
-                dp_feasible=dp_ok,
+    solver_for = make_solver_lookup(config)
+    outcomes: Dict[str, NetOutcome] = {}
+    ledger = graph.ledger()
+    with ledger.transaction():
+        for name in order:
+            if abort_check is not None and abort_check():
+                raise PreemptedError(
+                    f"buffer walk preempted before net {name!r}"
+                )
+            tree = routes[name]
+            if probability is not None:
+                probability.remove_net(tree)
+            cached = replay(name) if replay is not None else None
+            if cached is not None:
+                for spec in cached.specs:
+                    graph.use_site(spec.tile, 1, spec.kind)
+                tree.apply_buffers(list(cached.specs))
+                outcomes[name] = cached
+                if tracer.enabled:
+                    tracer.count("stage3.nets_replayed")
+                continue
+            outcome = _solve_net(
+                graph,
+                tree,
+                limits[name],
+                cost_field,
+                solver_for(name),
+                tracer=tracer,
             )
-            tracer.check_site_invariants(graph, f"stage3 net {name}")
-    return out
+            meets, dp_ok, cost = _commit_outcome(
+                graph, tree, limits[name], outcome, tracer=tracer
+            )
+            outcomes[name] = NetOutcome(
+                specs=tuple(tree.buffer_specs()),
+                meets=meets,
+                dp_ok=dp_ok,
+                cost=cost,
+            )
+            if on_solved is not None:
+                on_solved(name, outcomes[name])
+            if tracer.enabled:
+                buffers = len(outcomes[name].specs)
+                tracer.count("stage3.nets_solved")
+                tracer.count("buffer_sites_used", buffers)
+                tracer.event(
+                    "buffered" if meets else "failed",
+                    name,
+                    stage="3",
+                    buffers=buffers,
+                    dp_feasible=dp_ok,
+                )
+                tracer.check_site_invariants(graph, f"stage3 net {name}")
+    return outcomes

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.core.assignment import AssignmentResult, assign_buffers_stage3, assign_buffers_to_net
+from repro.core.assignment import assign_buffers_to_net, run_buffer_walk
 from repro.core.length_rule import net_meets_length_rule
 from repro.core.solver import SOLVER_NAMES, make_solver_lookup
 from repro.core.two_path import optimize_two_paths
@@ -221,7 +221,6 @@ class RabidResult:
     routes: Dict[str, RouteTree]
     stage_metrics: List[StageMetrics]
     failed_nets: List[str]
-    assignment: Optional[AssignmentResult] = None
 
     @property
     def final_metrics(self) -> StageMetrics:
@@ -249,7 +248,6 @@ class RabidPlanner:
         self.routes: Dict[str, RouteTree] = {}
         self.stage_metrics: List[StageMetrics] = []
         self.failed_nets: List[str] = []
-        self.assignment: Optional[AssignmentResult] = None
 
     # ------------------------------------------------------------------ #
     # Stages                                                             #
@@ -311,16 +309,11 @@ class RabidPlanner:
             delays = self._net_delays()
             order = reroute_order_by_delay(delays, ascending=False)
             limits = {name: self.config.limit_for(name) for name in self.routes}
-            self.assignment = assign_buffers_stage3(
-                self.graph,
-                self.routes,
-                limits,
-                order,
-                use_probability=self.config.use_probability,
+            outcomes = run_buffer_walk(
+                self.graph, self.routes, limits, order, self.config,
                 tracer=self.tracer,
-                solver_for=make_solver_lookup(self.config),
             )
-            self.failed_nets = list(self.assignment.failed_nets)
+            self.failed_nets = [n for n, o in outcomes.items() if not o.meets]
             self._snapshot(3, time.perf_counter() - start)
 
     def stage4(self) -> None:
@@ -414,7 +407,6 @@ class RabidPlanner:
             routes=self.routes,
             stage_metrics=self.stage_metrics,
             failed_nets=self.failed_nets,
-            assignment=self.assignment,
         )
 
     # ------------------------------------------------------------------ #

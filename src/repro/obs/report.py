@@ -18,6 +18,8 @@ BUFFERING_COUNTERS = (
     "dp.candidates_pruned",
     "buffer_sites_used",
     "stage3.ledger_rollbacks",
+    "stage3.nets_solved",
+    "stage3.nets_replayed",
 )
 
 #: Design-space-exploration counters (``repro explore``), sectioned like

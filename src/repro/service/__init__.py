@@ -15,7 +15,8 @@ workflow — perturb the floorplan, re-evaluate, repeat — built from:
 * :mod:`repro.service.protocol` — the ``repro serve`` JSON-lines API.
 """
 
-from repro.service.engine import NetOutcome, PlanState, full_plan
+from repro.core.assignment import NetOutcome
+from repro.service.engine import PlanState, full_plan
 from repro.service.incremental import IncrementalStats, incremental_replan
 from repro.service.jobs import (
     DeltaOp,

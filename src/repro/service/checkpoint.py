@@ -17,11 +17,11 @@ import json
 from pathlib import Path
 from typing import Any, Dict
 
-from repro.benchmarks.buffering_kernel import buffering_signature
+from repro.core.assignment import NetOutcome, buffering_signature
 from repro.core.candidates import INF
 from repro.errors import CheckpointError
 from repro.io.serialize import PLAN_SCHEMA_VERSION, plan_from_dict, plan_to_dict
-from repro.service.engine import NetOutcome, PlanState
+from repro.service.engine import PlanState
 from repro.service.jobs import ScenarioSpec
 
 CHECKPOINT_SCHEMA = 1

@@ -1,13 +1,13 @@
 """The planning engine behind the service: full plans and cached state.
 
-The service pipeline is the buffering kernel's recipe made stateful:
-route every net once (congestion-aware maze search, sorted name order),
-then run the Stage-3 solve/commit walk net by net. Unlike the batch
-``Rabid`` driver, the engine keeps *per-net* outcomes — the exact buffer
-specs, length-rule verdict, DP feasibility, and Eq. (2) cost each net
-committed — because the incremental engine (:mod:`repro.service.incremental`)
-replays those cached outcomes verbatim for nets a delta cannot have
-touched.
+The service pipeline routes every net once (congestion-aware maze
+search, sorted name order), then runs the Stage-3 walk in the same
+order: :func:`repro.core.assignment.run_buffer_walk`, the walk RABID's
+Stage 3 runs in descending-delay order. The engine keeps the walk's
+*per-net* outcomes — the exact buffer specs, length-rule verdict, DP
+feasibility, and Eq. (2) cost each net committed — because the
+incremental engine (:mod:`repro.service.incremental`) replays those
+cached outcomes verbatim for nets a delta cannot have touched.
 
 Determinism is the load-bearing property: a :class:`ScenarioSpec` fully
 determines the plan, so ``full_plan(scenario)`` is the reference the
@@ -17,35 +17,22 @@ incremental path must (and is sample-verified to) reproduce.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from repro.benchmarks.buffering_kernel import buffering_signature
-from repro.core.assignment import _commit_outcome, _solve_net
+from repro.core.assignment import NetOutcome, buffering_signature, run_buffer_walk
 from repro.core.candidates import INF
-from repro.core.probability import UsageProbability
 from repro.core.rabid import RabidConfig
-from repro.core.solver import Stage3CostField, make_solver_lookup
 from repro.geometry import Rect
 from repro.obs import NULL_TRACER
 from repro.routing.maze import route_net_on_tiles
-from repro.routing.tree import BufferSpec, RouteTree
+from repro.routing.tree import RouteTree
 from repro.service.jobs import ScenarioSpec
 from repro.tilegraph import CapacityModel, TileGraph
 
 Tile = Tuple[int, int]
-
-
-@dataclass(frozen=True)
-class NetOutcome:
-    """One net's committed Stage-3 result (replayable)."""
-
-    specs: Tuple[BufferSpec, ...]
-    meets: bool
-    dp_ok: bool
-    cost: float
 
 
 @dataclass
@@ -172,92 +159,6 @@ def route_one(
         window_margin=config.window_margin,
         tracer=tracer,
     )
-
-
-def run_buffer_walk(
-    graph: TileGraph,
-    routes: Dict[str, RouteTree],
-    limits: Dict[str, int],
-    order,
-    config: RabidConfig,
-    tracer=None,
-    replay: "Callable[[str], Optional[NetOutcome]] | None" = None,
-    on_solved: "Callable[[str, NetOutcome], None] | None" = None,
-    abort_check: "Callable[[], bool] | None" = None,
-) -> Dict[str, NetOutcome]:
-    """The sequential Stage-3 walk with an optional replay fast path.
-
-    Mirrors :func:`repro.core.assignment.assign_buffers_stage3`'s
-    sequential semantics exactly — ``p(v)`` seeded from every net in
-    order, each net's contribution removed just before its turn, solve
-    then ledger-transactional commit. When ``replay`` returns a cached
-    :class:`NetOutcome` for a net, its specs are *booked* (use-site +
-    annotations) without re-running the solver; because the walk
-    reconstructs the same prefix ``b(v)``/``p(v)`` state the original
-    run saw, replayed and re-solved nets compose into a plan identical
-    to a from-scratch walk.
-
-    The whole walk runs inside one :class:`SiteLedger` transaction, so
-    an exception anywhere unwinds every site booking made so far.
-
-    ``abort_check`` is the fleet's cooperative-preemption hook: polled
-    between nets, a True return raises
-    :class:`repro.errors.PreemptedError` (the ledger transaction unwinds
-    every booking, so the graph is untouched).
-    """
-    tracer = tracer if tracer is not None else NULL_TRACER
-    probability = None
-    if config.use_probability:
-        probability = UsageProbability(graph)
-        for name in order:
-            probability.add_net(routes[name], limits[name])
-    cost_field = Stage3CostField(graph, probability)
-    solver_for = make_solver_lookup(config)
-    outcomes: Dict[str, NetOutcome] = {}
-    ledger = graph.ledger()
-    with ledger.transaction():
-        for name in order:
-            if abort_check is not None and abort_check():
-                from repro.errors import PreemptedError
-
-                raise PreemptedError(
-                    f"buffer walk preempted before net {name!r}"
-                )
-            tree = routes[name]
-            if probability is not None:
-                probability.remove_net(tree)
-            cached = replay(name) if replay is not None else None
-            if cached is not None:
-                for spec in cached.specs:
-                    graph.use_site(spec.tile, 1, spec.kind)
-                tree.apply_buffers(list(cached.specs))
-                outcomes[name] = cached
-                if tracer.enabled:
-                    tracer.count("service.nets_replayed")
-                continue
-            outcome = _solve_net(
-                graph,
-                tree,
-                limits[name],
-                cost_field,
-                solver_for(name),
-                tracer=tracer,
-            )
-            meets, dp_ok, cost = _commit_outcome(
-                graph, tree, limits[name], outcome, tracer=tracer
-            )
-            outcomes[name] = NetOutcome(
-                specs=tuple(tree.buffer_specs()),
-                meets=meets,
-                dp_ok=dp_ok,
-                cost=cost,
-            )
-            if on_solved is not None:
-                on_solved(name, outcomes[name])
-            if tracer.enabled:
-                tracer.count("service.nets_solved")
-                tracer.check_site_invariants(graph, f"service net {name}")
-    return outcomes
 
 
 def full_plan(

@@ -51,16 +51,11 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from repro.benchmarks.buffering_kernel import buffering_signature
+from repro.core.assignment import NetOutcome, buffering_signature, run_buffer_walk
 from repro.obs import NULL_TRACER
 from repro.routing.ripup import net_window_box
 from repro.routing.tree import RouteTree
-from repro.service.engine import (
-    NetOutcome,
-    PlanState,
-    route_one,
-    run_buffer_walk,
-)
+from repro.service.engine import PlanState, route_one
 from repro.service.jobs import DeltaSpec, ScenarioSpec, apply_delta
 
 Tile = Tuple[int, int]

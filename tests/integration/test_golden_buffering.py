@@ -7,10 +7,10 @@ import os
 import pytest
 
 from repro.benchmarks.buffering_kernel import (
-    buffers_as_json,
     make_buffering_scenario,
     run_buffering_kernel,
 )
+from repro.core.assignment import buffers_as_json
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "golden")
 GOLDEN = os.path.join(GOLDEN_DIR, "buffering_kernel_32x32_seed0.json")
@@ -58,4 +58,4 @@ class TestGoldenBuffering64:
         assert result.buffers_inserted == golden["buffers_inserted"]
         assert result.num_fails == golden["num_fails"]
         assert result.dp_infeasible == golden["dp_infeasible"]
-        assert sorted(result.assignment.failed_nets) == golden["failed_nets"]
+        assert sorted(result.failed_nets) == golden["failed_nets"]

@@ -14,10 +14,11 @@ import json
 import os
 
 from repro.benchmarks.buffering_kernel import (
-    buffers_as_json,
     make_buffering_scenario,
     run_buffering_kernel,
 )
+from repro.core.assignment import buffers_as_json
+from repro.obs import Tracer
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "golden")
 
@@ -27,7 +28,7 @@ def load_golden(name):
         return json.load(fh)
 
 
-def run_golden(golden, solver="multi_type", library="single"):
+def run_golden(golden, solver="multi_type", library="single", tracer=None):
     spec = golden["scenario"]
     instance = make_buffering_scenario(
         grid=spec["grid"],
@@ -38,7 +39,9 @@ def run_golden(golden, solver="multi_type", library="single"):
         total_sites=spec["total_sites"],
         site_seed=spec["site_seed"],
     )
-    result = run_buffering_kernel(instance, solver=solver, library=library)
+    result = run_buffering_kernel(
+        instance, tracer=tracer, solver=solver, library=library
+    )
     return instance, result
 
 
@@ -69,7 +72,7 @@ class TestTechLibraryGolden:
         assert result.signature == golden["signature"]
         assert result.buffers_inserted == golden["buffers_inserted"]
         assert result.num_fails == golden["num_fails"]
-        assert sorted(result.assignment.failed_nets) == golden["failed_nets"]
+        assert sorted(result.failed_nets) == golden["failed_nets"]
         assert instance.graph.used_sites.tolist() == golden["used_sites"]
 
     def test_per_net_kinded_specs_match(self):
@@ -97,3 +100,17 @@ class TestTechLibraryGolden:
             if len(s) == 3
         )
         assert sum(instance.graph.kind_used.values()) == kinded
+
+    def test_kind_list_witness_within_library_size(self):
+        """The Li-Shi O(bn^2) witness on the traced walk.
+
+        ``dp.kind_list_max`` is a last-write gauge: it holds the largest
+        surviving candidate list of the last net the multi-type DP sized.
+        """
+        golden = load_golden(self.GOLDEN)
+        tracer = Tracer()
+        _, result = run_golden(golden, library="tech", tracer=tracer)
+        assert result.signature == golden["signature"]
+        kinds = tracer.metrics.value("dp.kinds")
+        assert kinds == 3
+        assert 1 <= tracer.metrics.value("dp.kind_list_max") <= kinds

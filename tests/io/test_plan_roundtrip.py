@@ -136,7 +136,7 @@ class TestPlanRoundTrip:
         assert np.array_equal(graph.sites, planned.graph.sites)
 
         # Equality in the strongest available sense: identical signature.
-        from repro.benchmarks.buffering_kernel import buffering_signature
+        from repro.core.assignment import buffering_signature
 
         assert (buffering_signature(routes, graph, planned.failed_nets)
                 == planned.signature)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs import Tracer
 from repro.service import (
     DeltaSpec,
     MacroSpec,
@@ -105,6 +106,20 @@ def test_outcomes_track_trees(baseline):
     incremental_replan(baseline, DELTAS["move_macro"])
     for name, tree in baseline.routes.items():
         assert tuple(tree.buffer_specs()) == baseline.outcomes[name].specs
+
+
+def test_traced_replan_counts_the_stage3_walk(baseline):
+    """The service walk is RABID's Stage-3 walk, under the same names:
+    each replayed net counts ``stage3.nets_replayed`` and each re-solved
+    net emits one stage-3 event."""
+    tracer = Tracer()
+    stats = incremental_replan(baseline, DELTAS["move_macro"], tracer=tracer)
+    assert stats.nets_replayed > 0 and stats.nets_resolved > 0
+    assert tracer.metrics.value("stage3.nets_replayed") == stats.nets_replayed
+    assert tracer.metrics.value("stage3.nets_solved") == stats.nets_resolved
+    stage3 = [e for e in tracer.events if e.stage == "3"]
+    assert len(stage3) == stats.nets_resolved
+    assert [e.net for e in stage3] == stats.resolved_nets
 
 
 def test_failed_replan_rolls_back(baseline):
