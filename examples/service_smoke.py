@@ -1,10 +1,15 @@
-"""End-to-end service smoke: serve, submit, verify exactness. CI runs this.
+"""End-to-end service smoke: serve, submit, restart, verify exactness.
 
-Starts a real ``repro serve`` subprocess, submits one baseline and two
-incremental deltas through the real ``repro submit`` CLI, then asserts
-the final incrementally-maintained plan's buffering signature equals an
-in-process from-scratch full plan of the twice-evolved scenario. Exits
-non-zero on any mismatch — this is the service's acceptance gate in CI.
+Runs one scenario twice: against ``repro serve`` (the single-process
+scheduler) and against ``repro serve --fleet-workers 2`` (the process
+fleet). Each run starts a real server with ``--checkpoint-dir``, submits
+one baseline and two incremental deltas through the real ``repro
+submit`` CLI, and shuts the server down, which checkpoints the baseline.
+It then serves again from the same directory, checks that the
+``baselines`` op lists ``b0`` with its pre-shutdown signature, submits a
+third delta, and asserts that the final signature equals an in-process
+from-scratch full plan of the thrice-evolved scenario. Exits non-zero
+on any mismatch; CI runs this as the service's acceptance gate.
 
 Usage::
 
@@ -31,10 +36,10 @@ from repro.service import (
 from repro.service.protocol import request_over_stream
 
 
-def start_server(env):
+def start_server(serve_args, env):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--verify-fraction", "0"],
+         "--verify-fraction", "0", *serve_args],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -73,6 +78,71 @@ def submit(port, job, env):
         os.unlink(path)
 
 
+def submit_delta(port, job_id, delta, env):
+    resp = submit(
+        port,
+        {"job_id": job_id, "kind": "delta", "baseline_id": "b0",
+         "delta": delta.to_dict()},
+        env,
+    )
+    assert resp["status"] == "done", resp
+    print(
+        f"delta {job_id}: resolved {resp['result']['nets_resolved']}, "
+        f"replayed {resp['result']['nets_replayed']}, "
+        f"speedup {resp['result'].get('speedup_vs_full', '-')}x"
+    )
+    return resp["result"]["signature"]
+
+
+def shutdown(proc, port, requests=()):
+    """Send ``requests`` then ``shutdown``; returns the responses."""
+    responses = asyncio.run(
+        request_over_stream(
+            "127.0.0.1", port, [*requests, {"op": "shutdown"}]
+        )
+    )
+    proc.wait(timeout=120)
+    return responses
+
+
+def run_scheduler(label, serve_args, spec, deltas, env):
+    """Plan, checkpoint, restart, replay; returns the final signature."""
+    print(f"== {label} ==")
+    with tempfile.TemporaryDirectory() as checkpoint_dir:
+        serve_args = [*serve_args, "--checkpoint-dir", checkpoint_dir]
+        proc, port = start_server(serve_args, env)
+        try:
+            base = submit(port, {"job_id": "b0", "kind": "baseline",
+                                 "scenario": spec.to_dict()}, env)
+            assert base["status"] == "done", base
+            print(f"baseline planned: {base['result']['nets']} nets")
+            for i, delta in enumerate(deltas[:-1]):
+                signature = submit_delta(port, f"d{i}", delta, env)
+            [stats, _] = shutdown(proc, port, [{"op": "stats"}])
+            print(f"[stats] {json.dumps(stats)}")
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+
+        proc, port = start_server(serve_args, env)
+        try:
+            listing = asyncio.run(
+                request_over_stream("127.0.0.1", port, [{"op": "baselines"}])
+            )[0]
+            assert listing["baselines"] == {"b0": signature}, (
+                f"restart lost the checkpoint: {listing}"
+            )
+            print(f"restored b0 at {signature[:16]}...")
+            signature = submit_delta(
+                port, f"d{len(deltas) - 1}", deltas[-1], env
+            )
+            shutdown(proc, port)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+    return signature
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--grid", type=int, default=16)
@@ -86,60 +156,38 @@ def main() -> int:
         total_sites=args.sites,
         macros=(MacroSpec(2, 2, 4, 4),),
     )
-    d1 = DeltaSpec((move_macro(0, args.grid // 2, args.grid // 2),))
-    d2 = DeltaSpec(
-        (move_macro(0, 1, args.grid // 2), set_length_limit("net007", 3))
+    deltas = (
+        DeltaSpec((move_macro(0, args.grid // 2, args.grid // 2),)),
+        DeltaSpec(
+            (move_macro(0, 1, args.grid // 2), set_length_limit("net007", 3))
+        ),
+        DeltaSpec((move_macro(0, args.grid // 2, 1),)),
     )
+    evolved = spec
+    for delta in deltas:
+        evolved = apply_delta(evolved, delta)
+    reference = full_plan(evolved).signature
 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in ["src", env.get("PYTHONPATH", "")] if p
     )
-    proc, port = start_server(env)
-    try:
-        base = submit(port, {"job_id": "b0", "kind": "baseline",
-                             "scenario": spec.to_dict()}, env)
-        assert base["status"] == "done", base
-        print(f"baseline planned: {base['result']['nets']} nets")
-
-        for i, delta in enumerate((d1, d2)):
-            resp = submit(
-                port,
-                {"job_id": f"d{i}", "kind": "delta", "baseline_id": "b0",
-                 "delta": delta.to_dict()},
-                env,
-            )
-            assert resp["status"] == "done", resp
+    failed = False
+    for label, serve_args in (
+        ("repro serve", []),
+        ("repro serve --fleet-workers 2", ["--fleet-workers", "2"]),
+    ):
+        signature = run_scheduler(label, serve_args, spec, deltas, env)
+        if signature != reference:
             print(
-                f"delta d{i}: resolved {resp['result']['nets_resolved']}, "
-                f"replayed {resp['result']['nets_replayed']}, "
-                f"speedup {resp['result'].get('speedup_vs_full', '-')}x"
+                f"MISMATCH ({label}): incremental {signature[:16]}... != "
+                f"full {reference[:16]}...",
+                file=sys.stderr,
             )
-        incremental_signature = resp["result"]["signature"]
-
-        responses = asyncio.run(
-            request_over_stream(
-                "127.0.0.1", port,
-                [{"op": "stats"}, {"op": "shutdown"}],
-            )
-        )
-        print(f"[stats] {json.dumps(responses[0])}")
-        proc.wait(timeout=30)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-
-    reference = full_plan(apply_delta(apply_delta(spec, d1), d2))
-    if incremental_signature != reference.signature:
-        print(
-            "MISMATCH: incremental "
-            f"{incremental_signature[:16]}... != full "
-            f"{reference.signature[:16]}...",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"signatures match: {incremental_signature[:16]}... == full re-plan")
-    return 0
+            failed = True
+        else:
+            print(f"signatures match: {signature[:16]}... == full re-plan")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -839,7 +839,13 @@ def _cmd_workload(args) -> int:
             f"divergences: {report.divergences}, "
             f"signature digest {report.signature_digest()[:16]}…"
         )
-        print(f"  events by kind: {payload['events_by_kind']}")
+        for kind, row in payload["by_kind"].items():
+            searched = row["nets_searched"]
+            print(
+                f"  {kind}: {row['events']} events, "
+                f"p50={row['latency_p50']:.3f}s p95={row['latency_p95']:.3f}s, "
+                f"{searched if searched is not None else 'n/a'} nets searched/event"
+            )
         if args.out:
             print(f"  report -> {args.out}")
     return 0 if report.divergences == 0 else 1
@@ -880,11 +886,7 @@ def _cmd_serve(args) -> int:
         )
 
     async def _serve() -> None:
-        if (
-            not args.fleet_workers
-            and args.checkpoint_dir
-            and os.path.isdir(args.checkpoint_dir)
-        ):
+        if args.checkpoint_dir and os.path.isdir(args.checkpoint_dir):
             from repro.service.checkpoint import load_service_checkpoints
 
             loaded = load_service_checkpoints(args.checkpoint_dir, service)

@@ -41,12 +41,10 @@ WORKLOAD_COUNTERS = (
     "triage.skips",
 )
 
-#: Shared-memory worker-pool counters (:mod:`repro.parallel`).
+#: Worker-pool counters (:mod:`repro.parallel`).
 POOL_COUNTERS = (
     "pool.dispatches",
     "pool.respawns",
-    "pool.attaches",
-    "pool.attach_reuse",
 )
 
 #: Planning-service scheduler counters (single-process and fleet).

@@ -1,30 +1,18 @@
-"""Shared-memory worker pool: the process substrate of the planning
-fleet (:mod:`repro.service.fleet`) and the sweep executor
+"""Worker pool: the process substrate of the planning fleet
+(:mod:`repro.service.fleet`) and the sweep executor
 (:mod:`repro.explore.executor`).
 
-Layers:
-
-* :mod:`repro.parallel.shm` — named shared-memory arrays with
-  generation/version stamps (publish parent-side, view worker-side).
-* :mod:`repro.parallel.pool` — a persistent forked worker pool with
-  crash detection, respawn, retries and per-task timeouts.
+:mod:`repro.parallel.pool` holds a persistent forked worker pool with
+crash detection, respawn, retries and per-task timeouts, built from
+:class:`PoolWorker` processes that the fleet also drives directly.
+Workers share nothing with the parent but what they inherit at fork
+and the frames on their pipe.
 """
 
-from repro.parallel.pool import PoolError, PoolWorker, TaskResult, WorkerPool
-from repro.parallel.shm import (
-    AttachmentCache,
-    SharedArrayRegistry,
-    SharedArraySpec,
-    attach_segment,
-)
+from repro.parallel.pool import PoolWorker, TaskResult, WorkerPool
 
 __all__ = [
-    "AttachmentCache",
-    "PoolError",
     "PoolWorker",
-    "SharedArrayRegistry",
-    "SharedArraySpec",
     "TaskResult",
     "WorkerPool",
-    "attach_segment",
 ]

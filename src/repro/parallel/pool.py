@@ -1,28 +1,28 @@
-"""Persistent worker pool over pipes + shared-memory state.
+"""Persistent worker pool over pipes.
 
-One pool outlives many batches: workers are forked once, handlers are
-resolved once per worker, and big read-only state travels through the
-:mod:`repro.parallel.shm` registry instead of per-batch pickling.
+One pool outlives many batches: workers are forked once and handlers
+are resolved once per worker. Under the Linux ``fork`` start method a
+worker inherits everything the parent built before the fork, so task
+payloads carry only what changed.
 
-Protocol (all frames are ``pickle`` bytes over a duplex pipe):
+Protocol (all frames are ``pickle`` bytes over a duplex pipe, encoded
+and decoded by :meth:`PoolWorker.send` and :meth:`PoolWorker.recv`):
 
 * parent -> worker: ``(seq, handler, payload)`` where ``handler`` is a
   ``"module:function"`` import string resolved (and cached) worker-side.
-* worker -> parent: ``(seq, status, value, stats)`` with ``status`` of
-  ``"ok"`` or ``"error"`` (the handler raised; ``value`` is the message),
-  and ``stats`` the worker's drained attach counters.
+* worker -> parent: ``(seq, status, value)`` with ``status`` of
+  ``"ok"`` or ``"error"`` (the handler raised; ``value`` is the message).
 
 Crash containment: a worker that dies mid-task (SIGKILL, segfault,
 ``os._exit``) surfaces as EOF on its pipe; a reply that fails to
-unpickle or exceeds ``max_reply_bytes`` is treated the same way. In
-every case the worker is killed and respawned (``pool.respawns``), and
-the task is retried up to ``retries`` extra times before its
-:class:`TaskResult` reports the failure. The sequence number guards
-against a stale reply from a worker that was about to be killed.
+unpickle, exceeds ``max_reply_bytes`` or carries a sequence number
+other than the last frame's is treated the same way. In every case the
+worker is killed and respawned (``pool.respawns``), and the task is
+retried up to ``retries`` extra times before its :class:`TaskResult`
+reports the failure.
 
 Counters (also mirrored into the tracer when one is supplied):
-``pool.dispatches``, ``pool.respawns``, ``pool.attaches``,
-``pool.attach_reuse``.
+``pool.dispatches``, ``pool.respawns``.
 """
 
 from __future__ import annotations
@@ -31,19 +31,14 @@ import multiprocessing
 import pickle
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import import_module
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError, ReproError
-from repro.parallel.shm import AttachmentCache
+from repro.errors import ConfigurationError
 
 #: Replies larger than this are treated as poisoned (worker respawned).
 DEFAULT_MAX_REPLY_BYTES = 64 * 1024 * 1024
-
-
-class PoolError(ReproError):
-    """A pool task failed past its retry budget (raising callers only)."""
 
 
 @dataclass
@@ -72,8 +67,6 @@ class WorkerContext:
     def __init__(self, payload: Any) -> None:
         #: The pool's ``context`` argument, as seen after the fork.
         self.context = payload
-        #: Shared-memory attachments (cached across batches).
-        self.attachments = AttachmentCache()
         #: Free-form handler scratch space (graphs, caches, solvers...).
         self.scratch: Dict[str, Any] = {}
 
@@ -89,12 +82,16 @@ def _resolve_handler(spec: str, cache: Dict[str, Callable]) -> Callable:
     return fn
 
 
-def _worker_main(conn, context_payload) -> None:
+def _worker_main(conn, parent_conn, context_payload) -> None:
     """Worker loop: run handlers until the parent sends ``None``."""
+    # The fork copied the parent's end of this pipe too; close it so the
+    # parent's death reads as EOF here.
+    parent_conn.close()
     # The parent owns this process's lifecycle through the pipe (a
-    # ``None`` sentinel) and SIGKILL. Group-delivered SIGTERM/SIGINT —
-    # systemd's control-group kill, a terminal Ctrl-C — must not take
-    # workers down mid-drain while the parent is still checkpointing.
+    # ``None`` sentinel, or EOF when the parent dies) and SIGKILL.
+    # Group-delivered SIGTERM/SIGINT — systemd's control-group kill, a
+    # terminal Ctrl-C — must not take workers down mid-drain while the
+    # parent is still checkpointing.
     for _sig in (signal.SIGINT, signal.SIGTERM):
         try:
             signal.signal(_sig, signal.SIG_IGN)
@@ -102,61 +99,55 @@ def _worker_main(conn, context_payload) -> None:
             pass
     ctx = WorkerContext(context_payload)
     handlers: Dict[str, Callable] = {}
-    try:
-        while True:
-            try:
-                frame = conn.recv_bytes()
-            except (EOFError, OSError):
-                return
-            if frame == b"":
-                return
-            message = pickle.loads(frame)
-            if message is None:
-                return
-            seq, handler_spec, payload = message
-            try:
-                value = _resolve_handler(handler_spec, handlers)(payload, ctx)
-                reply = (seq, "ok", value, ctx.attachments.take_stats())
-            except BaseException as exc:  # noqa: BLE001 - report, stay alive
-                reply = (
-                    seq,
-                    "error",
-                    f"{type(exc).__name__}: {exc}",
-                    ctx.attachments.take_stats(),
-                )
-            try:
-                frame = pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception as exc:  # unpicklable handler return
-                frame = pickle.dumps(
-                    (
-                        reply[0],
-                        "error",
-                        f"unpicklable reply: {type(exc).__name__}: {exc}",
-                        ctx.attachments.take_stats(),
-                    ),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            try:
-                conn.send_bytes(frame)
-            except (OSError, BrokenPipeError):
-                return
-    finally:
-        ctx.attachments.close()
+    while True:
+        try:
+            frame = conn.recv_bytes()
+        except (EOFError, OSError):
+            return
+        if frame == b"":
+            return
+        message = pickle.loads(frame)
+        if message is None:
+            return
+        seq, handler_spec, payload = message
+        try:
+            value = _resolve_handler(handler_spec, handlers)(payload, ctx)
+            reply = (seq, "ok", value)
+        except BaseException as exc:  # noqa: BLE001 - report, stay alive
+            reply = (seq, "error", f"{type(exc).__name__}: {exc}")
+        try:
+            frame = pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # unpicklable handler return
+            frame = pickle.dumps(
+                (seq, "error", f"unpicklable reply: {type(exc).__name__}: {exc}"),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+        try:
+            conn.send_bytes(frame)
+        except (OSError, BrokenPipeError):
+            return
 
 
-class _Worker:
-    """One pool process plus its parent-side pipe, task slot, deadline."""
+class PoolWorker:
+    """One pool process plus its parent-side pipe, task slot, deadline.
+
+    :class:`WorkerPool` drives a list of these; the service fleet owns
+    one per shard and drives it directly — same fork/pipe/kill
+    containment, different scheduling policy.
+    """
 
     __slots__ = ("conn", "proc", "seq", "task", "deadline", "started")
 
     def __init__(self, ctx, context_payload) -> None:
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
-            target=_worker_main, args=(child_conn, context_payload), daemon=True
+            target=_worker_main,
+            args=(child_conn, self.conn, context_payload),
+            daemon=True,
         )
         self.proc.start()
         child_conn.close()
-        self.seq: Optional[int] = None
+        self.seq = 0  # sequence number of the last frame sent
         self.task = None  # (index, handler, payload, attempt)
         self.deadline: Optional[float] = None
         self.started: float = 0.0
@@ -167,6 +158,26 @@ class _Worker:
 
     def expired(self, now: float) -> bool:
         return self.deadline is not None and now > self.deadline
+
+    def send(self, handler: str, payload: Any) -> None:
+        """Ship one ``(seq, handler, payload)`` frame to the worker."""
+        self.seq += 1
+        self.conn.send_bytes(
+            pickle.dumps((self.seq, handler, payload), protocol=pickle.HIGHEST_PROTOCOL)
+        )
+
+    def recv(self, max_bytes: int = DEFAULT_MAX_REPLY_BYTES) -> Tuple[str, Any]:
+        """Read the reply to the last :meth:`send`: ``(status, value)``.
+
+        Raises when the pipe is dead, the frame exceeds ``max_bytes``,
+        or the reply does not unpickle into the protocol tuple (a
+        poisoned reply may raise anything at load time) answering that
+        send: the worker's state is suspect and the caller respawns it.
+        """
+        seq, status, value = pickle.loads(self.conn.recv_bytes(max_bytes))
+        if seq != self.seq:
+            raise ValueError(f"reply to frame {seq}, expected {self.seq}")
+        return status, value
 
     def kill(self) -> None:
         try:
@@ -192,12 +203,6 @@ class _Worker:
             self.proc.join(timeout=5.0)
 
 
-#: Public alias for builders of custom dispatch loops (the service
-#: fleet owns one persistent worker per shard and drives it directly —
-#: same fork/pipe/kill containment, different scheduling policy).
-PoolWorker = _Worker
-
-
 class WorkerPool:
     """A persistent pool of forked workers executing named handlers.
 
@@ -221,15 +226,12 @@ class WorkerPool:
         self.max_reply_bytes = max_reply_bytes
         self._context_payload = context
         self._ctx = multiprocessing.get_context("fork")
-        self._pool: List[_Worker] = []
-        self._seq = 0
+        self._pool: List[PoolWorker] = []
         self._closed = False
         #: Lifetime counters (also mirrored into the tracer).
         self.counters: Dict[str, int] = {
             "pool.dispatches": 0,
             "pool.respawns": 0,
-            "pool.attaches": 0,
-            "pool.attach_reuse": 0,
         }
 
     # -- lifecycle ------------------------------------------------------ #
@@ -241,8 +243,8 @@ class WorkerPool:
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.count(name, value)
 
-    def _spawn(self) -> _Worker:
-        return _Worker(self._ctx, self._context_payload)
+    def _spawn(self) -> PoolWorker:
+        return PoolWorker(self._ctx, self._context_payload)
 
     def _ensure_started(self, needed: int) -> None:
         if self._closed:
@@ -285,8 +287,8 @@ class WorkerPool:
         Tasks are dispatched in submission order to idle workers. A
         crashed/timed-out/raising task is retried ``retries`` extra
         times (``on_retry`` fires per retry); the final failure is
-        *recorded*, never raised — callers that want exceptions use
-        :meth:`map`. ``on_result`` streams results in completion order.
+        *recorded* in its :class:`TaskResult`, never raised.
+        ``on_result`` streams results in completion order.
         """
         if not tasks:
             return []
@@ -306,29 +308,23 @@ class WorkerPool:
             if on_result is not None:
                 on_result(index, result)
 
-        def assign(worker: _Worker, task) -> None:
+        def assign(worker: PoolWorker, task) -> None:
             nonlocal in_flight
-            self._seq += 1
-            worker.seq = self._seq
             worker.task = task
             worker.started = time.perf_counter()
             worker.deadline = (
                 time.monotonic() + timeout_s if timeout_s is not None else None
             )
-            frame = pickle.dumps(
-                (worker.seq, task[1], task[2]),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            worker.conn.send_bytes(frame)
+            worker.send(task[1], task[2])
             self._count("pool.dispatches")
             in_flight += 1
 
-        def settle(worker: _Worker, status: str, value, error) -> None:
+        def settle(worker: PoolWorker, status: str, value, error) -> None:
             """Release the worker's slot; retry or record its task."""
             nonlocal in_flight
             index, _handler, _payload, attempt = worker.task
             elapsed = time.perf_counter() - worker.started
-            worker.task, worker.deadline, worker.seq = None, None, None
+            worker.task, worker.deadline = None, None
             in_flight -= 1
             if status == "ok":
                 finish(
@@ -346,7 +342,7 @@ class WorkerPool:
                 TaskResult(status, error=error, seconds=elapsed, attempts=attempt),
             )
 
-        def respawn(worker: _Worker) -> None:
+        def respawn(worker: PoolWorker) -> None:
             worker.kill()
             self._pool[self._pool.index(worker)] = self._spawn()
             self._count("pool.respawns")
@@ -360,31 +356,15 @@ class WorkerPool:
             now = time.monotonic()
             for worker in busy:
                 if worker.conn in ready:
-                    reply = None
                     try:
-                        frame = worker.conn.recv_bytes(self.max_reply_bytes)
-                        reply = pickle.loads(frame)
-                        seq, status, value, stats = reply
+                        status, value = worker.recv(self.max_reply_bytes)
                     except Exception:
-                        # Dead worker, oversized frame, or a reply that
-                        # does not unpickle into the protocol tuple (a
-                        # poisoned reply may raise anything at load
-                        # time): the worker's state is suspect either
-                        # way.
                         settle(
                             worker, "crashed",
                             None, "worker process died or replied garbage",
                         )
                         respawn(worker)
                         continue
-                    if seq != worker.seq:
-                        # Stale reply from before a respawn cycle.
-                        continue
-                    if isinstance(stats, dict):
-                        self._count("pool.attaches", int(stats.get("attaches", 0)))
-                        self._count(
-                            "pool.attach_reuse", int(stats.get("attach_reuse", 0))
-                        )
                     if status == "ok":
                         settle(worker, "ok", value, None)
                     else:
@@ -402,30 +382,3 @@ class WorkerPool:
                     )
                     respawn(worker)
         return [r for r in results if r is not None]
-
-    def map(
-        self,
-        handler: str,
-        payloads: List[Any],
-        timeout_s: Optional[float] = None,
-        retries: int = 1,
-    ) -> List[Any]:
-        """Run one handler over many payloads; raise on any failure.
-
-        The strict front end: a task that still fails after retries
-        raises :class:`PoolError`, and the caller decides how to recover.
-        """
-        results = self.run_tasks(
-            [(handler, p) for p in payloads],
-            timeout_s=timeout_s,
-            retries=retries,
-        )
-        values = []
-        for i, result in enumerate(results):
-            if not result.ok:
-                raise PoolError(
-                    f"pool task {i} {result.status} after "
-                    f"{result.attempts} attempt(s): {result.error}"
-                )
-            values.append(result.value)
-        return values

@@ -75,8 +75,3 @@ def poison_reply(payload, ctx):
     """Return an object whose unpickling fails parent-side."""
     return _Poison()
 
-
-def read_shared(payload, ctx):
-    """Attach ``payload['spec']`` and return its bytes (shm round-trip)."""
-    view = ctx.attachments.view(payload["spec"])
-    return view.tobytes()

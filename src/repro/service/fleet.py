@@ -2,29 +2,24 @@
 
 ``FleetPlanningService`` fans planning out over N forked worker
 processes (:class:`repro.parallel.pool.PoolWorker` — the same
-pipe/kill/respawn containment the Stage-2/3 pool uses), each owning a
-*shard* of baselines. The parent process is authoritative only for
-cheap, replayable metadata per baseline — the chain-root
+pipe/kill/respawn containment the sweep executor's pool uses), each
+owning a *shard* of baselines. The parent process is authoritative only
+for cheap, replayable metadata per baseline — the chain-root
 :class:`~repro.service.jobs.ScenarioSpec`, the incremental deltas
 committed since that root, and the committed signature — while the
 materialized :class:`~repro.service.engine.PlanState` lives in the
 shard worker's memory. A worker that loses its state (fresh fork after
 a respawn, a preempted rebuild) re-materializes it deterministically:
 full-plan the root, replay the chain, verify the committed signature.
-
-Shared-memory role (:class:`repro.parallel.shm.SharedArrayRegistry`,
-owned by the long-lived parent): per baseline, the flat plan vectors —
-``edge_usage``, ``edge_capacity``, ``sites``, ``used_sites`` — are
-published once and *written back by the shard worker* after every
-commit, so the parent answers usage/congestion queries from live views
-without a single plan pickle crossing the pipe; job replies carry only
-signatures and small stat dicts.
+Job replies carry only signatures and small stat dicts; no plan crosses
+the pipe.
 
 Scheduling (:class:`repro.service.tenant.TenantQueues`): per-tenant
 bounded queues, stride-weighted fair selection, starvation aging, and
 cooperative preemption — when the next eligible item for a shard is a
 cheap incremental delta and the shard is mid-way through a long full
-plan, the parent raises the shard's control byte; the engine's
+plan, the parent raises the shard's byte in a control array every
+shard inherits at fork (respawns included); the engine's
 ``abort_check`` notices between nets, the attempt unwinds (nothing was
 committed), and the job is requeued at the head of its tenant queue.
 
@@ -42,13 +37,10 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
-import pickle
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core.rabid import RabidConfig
 from repro.errors import (
@@ -59,8 +51,7 @@ from repro.errors import (
     UnknownJobError,
 )
 from repro.obs import NULL_TRACER
-from repro.parallel.pool import DEFAULT_MAX_REPLY_BYTES, PoolWorker
-from repro.parallel.shm import SharedArrayRegistry, SharedArraySpec
+from repro.parallel.pool import PoolWorker
 from repro.service.engine import full_plan
 from repro.service.incremental import incremental_replan
 from repro.service.jobs import (
@@ -77,20 +68,6 @@ _TERMINAL = (JobStatus.DONE, JobStatus.FAILED, JobStatus.TIMEOUT, JobStatus.SHED
 
 #: Handler spec resolved inside shard workers (pool protocol).
 FLEET_HANDLER = "repro.service.fleet:fleet_handler"
-
-#: Names of the per-baseline flat vectors exported through shared memory.
-SHARED_ARRAY_FIELDS = ("edge_usage", "edge_capacity", "sites", "used_sites")
-
-
-def _shared_shapes(grid: int) -> Dict[str, Tuple[int, ...]]:
-    """Shapes of the per-baseline shared vectors for a ``grid``-side die."""
-    edges = 2 * grid * (grid - 1)
-    return {
-        "edge_usage": (edges,),
-        "edge_capacity": (edges,),
-        "sites": (grid, grid),
-        "used_sites": (grid, grid),
-    }
 
 
 @dataclass
@@ -208,27 +185,15 @@ def _fold_scenario(root: ScenarioSpec, chain) -> ScenarioSpec:
 
 
 def _abort_check_from(payload: Dict[str, Any], ctx) -> "Callable[[], bool] | None":
-    spec = payload.get("ctl")
-    if spec is None or not payload.get("preemptible"):
+    if not payload.get("preemptible"):
         return None
-    ctl = ctx.attachments.view(SharedArraySpec(**spec))
-    shard = payload["shard"]
+    ctl = ctx.context["ctl"]
+    shard = ctx.context["shard"]
 
     def check() -> bool:
         return bool(ctl[shard])
 
     return check
-
-
-def _export_arrays(state, payload: Dict[str, Any], ctx) -> None:
-    """Write the committed flat vectors into the baseline's segments."""
-    specs = payload.get("arrays")
-    if not specs:
-        return
-    graph = state.graph
-    for name in SHARED_ARRAY_FIELDS:
-        view = ctx.attachments.view(SharedArraySpec(**specs[name]))
-        view[...] = getattr(graph, name)
 
 
 def _materialize(payload: Dict[str, Any], ctx, abort_check):
@@ -298,7 +263,6 @@ def fleet_handler(payload: Dict[str, Any], ctx) -> Dict[str, Any]:
             scenario = ScenarioSpec.from_dict(payload["root"])
             state = full_plan(scenario, config, abort_check=abort_check)
             plans[baseline_id] = state
-            _export_arrays(state, payload, ctx)
             return {
                 "status": "ok",
                 "signature": state.signature,
@@ -314,7 +278,6 @@ def fleet_handler(payload: Dict[str, Any], ctx) -> Dict[str, Any]:
             )
             state = full_plan(evolved, config, abort_check=abort_check)
             plans[baseline_id] = state
-            _export_arrays(state, payload, ctx)
             return {
                 "status": "ok",
                 "signature": state.signature,
@@ -328,7 +291,6 @@ def fleet_handler(payload: Dict[str, Any], ctx) -> Dict[str, Any]:
             }
         state, rebuilt = _materialize(payload, ctx, abort_check)
         stats = incremental_replan(state, delta)
-        _export_arrays(state, payload, ctx)
         return {
             "status": "ok",
             "signature": stats.signature,
@@ -363,11 +325,10 @@ class _ShardRunner:
     def __init__(self, service: "FleetPlanningService", index: int) -> None:
         self.service = service
         self.index = index
-        self.worker = PoolWorker(service._mp_ctx, {"shard": index})
+        self.worker = self._spawn()
         self.thread = threading.Thread(
             target=self._loop, name=f"fleet-shard-{index}", daemon=True
         )
-        self._seq = 0
         # Running-job state, guarded by the service condition.
         self.running: Optional[FleetJobRecord] = None
         self.running_since = 0.0
@@ -377,9 +338,13 @@ class _ShardRunner:
     def start(self) -> None:
         self.thread.start()
 
+    def _spawn(self) -> PoolWorker:
+        svc = self.service
+        return PoolWorker(svc._mp_ctx, {"shard": self.index, "ctl": svc._ctl})
+
     def respawn(self) -> None:
         self.worker.kill()
-        self.worker = PoolWorker(self.service._mp_ctx, {"shard": self.index})
+        self.worker = self._spawn()
         self.service._count("fleet.respawns")
 
     # -- dispatcher loop ------------------------------------------------- #
@@ -480,14 +445,9 @@ class _ShardRunner:
     def _dispatch(self, job_payload, timeout_s: float):
         """Ship one attempt; returns ``(status, value)`` pool-style."""
         svc = self.service
-        self._seq += 1
-        seq = self._seq
-        frame = pickle.dumps(
-            (seq, FLEET_HANDLER, job_payload), protocol=pickle.HIGHEST_PROTOCOL
-        )
         try:
-            self.worker.conn.send_bytes(frame)
-        except (OSError, ValueError, BrokenPipeError):
+            self.worker.send(FLEET_HANDLER, job_payload)
+        except (OSError, ValueError):
             return ("crashed", "worker pipe closed")
         svc._count("fleet.dispatches")
         deadline = time.monotonic() + timeout_s
@@ -498,18 +458,9 @@ class _ShardRunner:
                 return ("crashed", "worker pipe closed")
             if ready:
                 try:
-                    reply = self.worker.conn.recv_bytes(DEFAULT_MAX_REPLY_BYTES)
-                    rseq, status, value, stats = pickle.loads(reply)
+                    return self.worker.recv()
                 except Exception:
                     return ("crashed", "worker died or replied garbage")
-                if rseq != seq:
-                    continue  # stale reply from before a respawn
-                if isinstance(stats, dict):
-                    svc._count("fleet.attaches", int(stats.get("attaches", 0)))
-                    svc._count(
-                        "fleet.attach_reuse", int(stats.get("attach_reuse", 0))
-                    )
-                return (status, value)
             now = time.monotonic()
             if now > deadline:
                 return ("timeout", f"attempt exceeded {timeout_s}s")
@@ -569,10 +520,11 @@ class FleetPlanningService:
         )
         self._records: Dict[str, FleetJobRecord] = {}
         self._baselines: Dict[str, FleetBaseline] = {}
-        self._registry = SharedArrayRegistry(prefix="fleet")
         self._mp_ctx = multiprocessing.get_context("fork")
         self._shards: List[_ShardRunner] = []
-        self._ctl: Optional[np.ndarray] = None
+        # Per-shard preemption bytes, created before the first fork so
+        # every shard worker (respawns included) inherits the mapping.
+        self._ctl = None
         self._next_shard = 0
         self._started = False
         self._stopping = False
@@ -623,9 +575,7 @@ class FleetPlanningService:
         if self._started:
             return
         self._started = True
-        ctl = np.zeros(self.options.workers, dtype=np.int8)
-        self._registry.publish("fleet.ctl", ctl)
-        self._ctl = self._registry.view("fleet.ctl")
+        self._ctl = self._mp_ctx.RawArray("b", self.options.workers)
         self._shards = [
             _ShardRunner(self, i) for i in range(self.options.workers)
         ]
@@ -646,7 +596,6 @@ class FleetPlanningService:
         for shard in self._shards:
             shard.worker.shutdown()
         self._shards = []
-        self._registry.close()
         self._started = False
         self._stopping = False
 
@@ -712,9 +661,8 @@ class FleetPlanningService:
             item.payload = {"type": "job", "record": record}
             item.cost_class = "cheap" if cheap else "heavy"
             if job.kind == "baseline":
-                # Reserve the shard and the shared segments up front so
-                # delta jobs submitted behind this one resolve and the
-                # worker can export into live views on first commit.
+                # Reserve the shard up front so delta jobs submitted
+                # behind this one resolve.
                 self._next_shard += 1
                 config = dict(self._config_dict)
                 if job.config:
@@ -726,10 +674,6 @@ class FleetPlanningService:
                     scenario=job.scenario,
                     config=config,
                 )
-                for name, shape in _shared_shapes(job.scenario.grid).items():
-                    self._registry.publish(
-                        f"{job.job_id}:{name}", np.zeros(shape, dtype=np.int64)
-                    )
             self._records[job.job_id] = record
             if self.tracer.enabled:
                 self.tracer.count("service.jobs_submitted")
@@ -749,6 +693,30 @@ class FleetPlanningService:
         except KeyError:
             raise UnknownJobError(f"unknown baseline {baseline_id!r}") from None
 
+    def install_baseline(self, baseline_id: str, state) -> None:
+        """Adopt a restored plan (checkpoint restore / warm restart).
+
+        The parent keeps only the replayable metadata, with the restored
+        scenario as the chain root. The shard worker rebuilds the plan
+        on first use and refuses it unless it reproduces
+        ``state.signature``. Works before :meth:`start`.
+        """
+        with self._cond:
+            if baseline_id in self._baselines:
+                raise ServiceError(f"baseline {baseline_id!r} already exists")
+            shard = self._next_shard % self.options.workers
+            self._next_shard += 1
+            self._baselines[baseline_id] = FleetBaseline(
+                baseline_id=baseline_id,
+                shard=shard,
+                root=state.scenario,
+                scenario=state.scenario,
+                signature=state.signature,
+                config=state.config.as_dict(),
+                version=1,
+                summary=state.summary(),
+            )
+
     @property
     def baseline_ids(self) -> List[str]:
         return sorted(self._baselines)
@@ -759,21 +727,6 @@ class FleetPlanningService:
             return sorted(
                 bid for bid, b in self._baselines.items() if b.dirty
             )
-
-    def shared_usage(self, baseline_id: str) -> Dict[str, Any]:
-        """Usage stats read straight from the baseline's shared views."""
-        self.baseline(baseline_id)
-        usage = self._registry.view(f"{baseline_id}:edge_usage")
-        capacity = self._registry.view(f"{baseline_id}:edge_capacity")
-        sites = self._registry.view(f"{baseline_id}:sites")
-        used = self._registry.view(f"{baseline_id}:used_sites")
-        return {
-            "baseline_id": baseline_id,
-            "wire_usage_total": int(usage.sum()),
-            "overflowed_edges": int((usage > capacity).sum()),
-            "sites_total": int(sites.sum()),
-            "sites_used": int(used.sum()),
-        }
 
     def stats(self) -> Dict[str, Any]:
         with self._cond:
@@ -854,17 +807,9 @@ class FleetPlanningService:
                 mode=job.mode,
                 delta=job.delta.to_dict(),
             )
-        payload["shard"] = record.shard
         payload["preemptible"] = (
             job.kind == "baseline" or job.mode == "full"
         ) and record.preemptions < self.options.max_preemptions
-        payload["ctl"] = self._registry.spec("fleet.ctl").__dict__
-        bid = payload["baseline_id"]
-        if f"{bid}:edge_usage" in self._registry:
-            payload["arrays"] = {
-                name: self._registry.spec(f"{bid}:{name}").__dict__
-                for name in SHARED_ARRAY_FIELDS
-            }
         return payload
 
     def _rebuild_payload(self, baseline_id: str) -> Dict[str, Any]:
@@ -943,8 +888,7 @@ class FleetPlanningService:
 
         The from-scratch plan of the evolved scenario is the engine's
         reference result; it becomes the new chain root (so the next
-        worker rebuild reproduces it exactly) and its flat vectors are
-        written into the shared segments parent-side.
+        worker rebuild reproduces it exactly).
         """
         job = record.job
         try:
@@ -973,10 +917,6 @@ class FleetPlanningService:
                 self._cond.notify_all()
             return
         bid = baseline.baseline_id
-        for name in SHARED_ARRAY_FIELDS:
-            seg = f"{bid}:{name}"
-            if seg in self._registry:
-                self._registry.view(seg)[...] = getattr(state.graph, name)
         with self._cond:
             baseline.root = scenario
             baseline.chain = ()

@@ -63,12 +63,17 @@ Tile = Tuple[int, int]
 
 @dataclass
 class IncrementalStats:
-    """What one incremental re-plan actually did."""
+    """What one incremental re-plan actually did.
+
+    ``nets_searched`` counts the maze searches the route phase ran;
+    ``nets_rerouted`` counts only those whose route edges changed.
+    """
 
     signature: str
     seconds: float
     nets_total: int
     nets_rerouted: int
+    nets_searched: int
     nets_resolved: int
     nets_replayed: int
     dirty_tiles: int
@@ -81,6 +86,7 @@ class IncrementalStats:
             "seconds": round(self.seconds, 6),
             "nets_total": self.nets_total,
             "nets_rerouted": self.nets_rerouted,
+            "nets_searched": self.nets_searched,
             "nets_resolved": self.nets_resolved,
             "nets_replayed": self.nets_replayed,
             "dirty_tiles": self.dirty_tiles,
@@ -180,6 +186,7 @@ def _replay(
     margin = 4 * config.window_margin
     routes: Dict[str, RouteTree] = {}
     rerouted: List[str] = []
+    searched = 0
     for name in order:
         cached = old_routes.get(name)
         needs_reroute = (
@@ -196,6 +203,7 @@ def _replay(
             routes[name] = cached
             continue
         source, sinks = new_nets[name]
+        searched += 1
         tree = route_one(graph, name, source, list(sinks), config, tracer=tracer)
         tree.add_usage(graph)
         routes[name] = tree
@@ -264,6 +272,7 @@ def _replay(
         seconds=time.perf_counter() - start,
         nets_total=len(order),
         nets_rerouted=len(rerouted),
+        nets_searched=searched,
         nets_resolved=len(resolved),
         nets_replayed=len(order) - len(resolved),
         dirty_tiles=len(buffer_dirty | route_dirty),

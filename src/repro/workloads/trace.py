@@ -108,6 +108,7 @@ class EventRecord:
     signature: str
     speedup_vs_full: Optional[float] = None
     nets_rerouted: Optional[int] = None
+    nets_searched: Optional[int] = None  # maze searches the replay ran
 
 
 @dataclass(frozen=True)
@@ -343,13 +344,32 @@ class TraceReport:
                 for c in self.checkpoints
             ],
             "events_by_kind": self.events_by_kind(),
+            "by_kind": self.by_kind(),
         }
 
     def events_by_kind(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
+        return {kind: row["events"] for kind, row in self.by_kind().items()}
+
+    def by_kind(self) -> Dict[str, Dict[str, Any]]:
+        """Per event kind: ``events``, ``latency_p50``/``latency_p95``
+        and ``nets_searched``, the mean maze searches per event (``None``
+        when the service reported none)."""
+        groups: Dict[str, List[EventRecord]] = {}
         for record in self.event_records:
-            out[record.kind] = out.get(record.kind, 0) + 1
-        return dict(sorted(out.items()))
+            groups.setdefault(record.kind, []).append(record)
+        out: Dict[str, Dict[str, Any]] = {}
+        for kind, records in sorted(groups.items()):
+            latencies = [r.latency for r in records]
+            searched = [r.nets_searched for r in records if r.nets_searched is not None]
+            out[kind] = {
+                "events": len(records),
+                "latency_p50": round(_percentile(latencies, 0.50), 6),
+                "latency_p95": round(_percentile(latencies, 0.95), 6),
+                "nets_searched": (
+                    round(sum(searched) / len(searched), 2) if searched else None
+                ),
+            }
+        return out
 
 
 def _baseline_cost(service, baseline_id: str) -> Optional[int]:
@@ -455,6 +475,7 @@ async def _replay_async(
                     signature=signature,
                     speedup_vs_full=result.get("speedup_vs_full"),
                     nets_rerouted=result.get("nets_rerouted"),
+                    nets_searched=result.get("nets_searched"),
                 )
             )
             if tracer.enabled:

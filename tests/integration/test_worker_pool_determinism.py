@@ -77,7 +77,9 @@ def run_in_pool(handler, golden_name, workers):
     """Run ``handler`` once per worker; every reply comes from a fork."""
     spec = f"{__name__}:{handler.__name__}"
     with WorkerPool(workers) as pool:
-        return pool.map(spec, [golden_name] * workers)
+        results = pool.run_tasks([(spec, golden_name)] * workers)
+    assert [r.status for r in results] == ["ok"] * workers
+    return [r.value for r in results]
 
 
 class TestRouting32:

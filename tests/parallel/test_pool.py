@@ -1,10 +1,19 @@
 """Worker-pool protocol: dispatch, retries, and every injected fault."""
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+
 import pytest
+
+import repro
 
 from repro.errors import ConfigurationError
 from repro.obs import Tracer
-from repro.parallel import PoolError, WorkerPool
+from repro.parallel import PoolWorker, WorkerPool
 
 ECHO = "repro.parallel.testing:echo"
 SLEEP = "repro.parallel.testing:sleep_then_echo"
@@ -15,11 +24,18 @@ RAISE = "repro.parallel.testing:raise_error"
 POISON = "repro.parallel.testing:poison_reply"
 
 
+def values(pool, handler, payloads, **kwargs):
+    """Run one handler over ``payloads``; every task must succeed."""
+    results = pool.run_tasks([(handler, p) for p in payloads], **kwargs)
+    assert [r.status for r in results] == ["ok"] * len(payloads)
+    return [r.value for r in results]
+
+
 class TestBasics:
     def test_map_preserves_submission_order(self):
+        """One handler mapped over 20 payloads replies in task order."""
         with WorkerPool(2) as pool:
-            values = pool.map(ECHO, list(range(20)))
-            assert values == list(range(20))
+            assert values(pool, ECHO, list(range(20))) == list(range(20))
 
     def test_results_carry_timing_and_attempts(self):
         with WorkerPool(1) as pool:
@@ -31,15 +47,15 @@ class TestBasics:
 
     def test_context_reaches_handlers(self):
         with WorkerPool(1, context={"base": 7}) as pool:
-            [value] = pool.map(
-                "repro.parallel.testing:read_context", [None]
+            [value] = values(
+                pool, "repro.parallel.testing:read_context", [None]
             )
             assert value == {"base": 7}
 
     def test_dispatch_counter(self):
         tracer = Tracer()
         with WorkerPool(2, tracer=tracer) as pool:
-            pool.map(ECHO, list(range(6)))
+            values(pool, ECHO, list(range(6)))
             assert pool.counters["pool.dispatches"] == 6
             assert tracer.metrics.value("pool.dispatches") == 6
 
@@ -51,7 +67,7 @@ class TestBasics:
         pool = WorkerPool(1)
         pool.close()
         with pytest.raises(ConfigurationError):
-            pool.map(ECHO, [1])
+            pool.run_tasks([(ECHO, 1)])
 
     def test_bad_handler_spec_is_error_status(self):
         with WorkerPool(1) as pool:
@@ -74,12 +90,7 @@ class TestHandlerErrors:
             assert "boom" in result.error
             # The worker survived: no respawn, still serving.
             assert pool.counters["pool.respawns"] == 0
-            assert pool.map(ECHO, ["alive"]) == ["alive"]
-
-    def test_map_raises_pool_error(self):
-        with WorkerPool(1) as pool:
-            with pytest.raises(PoolError):
-                pool.map(RAISE, [{}], retries=0)
+            assert values(pool, ECHO, ["alive"]) == ["alive"]
 
 
 class TestSignals:
@@ -96,14 +107,60 @@ class TestSignals:
         import time as _time
 
         with WorkerPool(2) as pool:
-            assert pool.map(ECHO, [1, 2]) == [1, 2]  # fork the workers
+            assert values(pool, ECHO, [1, 2]) == [1, 2]  # fork the workers
             for worker in pool._pool:
                 os.kill(worker.proc.pid, _signal.SIGTERM)
                 os.kill(worker.proc.pid, _signal.SIGINT)
             _time.sleep(0.2)
             assert all(w.proc.is_alive() for w in pool._pool)
-            assert pool.map(ECHO, list(range(4))) == list(range(4))
+            assert values(pool, ECHO, list(range(4))) == list(range(4))
             assert pool.counters["pool.respawns"] == 0
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestParentDeath:
+    def test_workers_exit_when_the_parent_is_killed(self):
+        """Workers ignore SIGTERM, so EOF on their pipe is the only way
+        a SIGKILLed parent's workers end; none may outlive it."""
+        script = (
+            "import time\n"
+            "from repro.parallel import WorkerPool\n"
+            "pool = WorkerPool(2)\n"
+            f"pool.run_tasks([({ECHO!r}, i) for i in range(2)])\n"
+            "print(*(w.proc.pid for w in pool._pool), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+            env=env,
+        )
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+            parent.stdout.close()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10.0
+        while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if _running(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors
 
 
 class TestCrashes:
@@ -111,8 +168,8 @@ class TestCrashes:
         tracer = Tracer()
         with WorkerPool(1, tracer=tracer) as pool:
             flag = tmp_path / "crashed"
-            [value] = pool.map(
-                KILL_ONCE, [{"flag": str(flag), "value": 42}], retries=1
+            [value] = values(
+                pool, KILL_ONCE, [{"flag": str(flag), "value": 42}], retries=1
             )
             assert value == 42
             assert pool.counters["pool.respawns"] == 1
@@ -141,7 +198,21 @@ class TestCrashes:
             [result] = pool.run_tasks([(POISON, None)], retries=0)
             assert result.status == "crashed"
             assert pool.counters["pool.respawns"] == 1
-            assert pool.map(ECHO, ["alive"]) == ["alive"]
+            assert values(pool, ECHO, ["alive"]) == ["alive"]
+
+    def test_reply_to_another_frame_is_refused(self):
+        """``recv`` only accepts the reply to the last ``send``."""
+        worker = PoolWorker(multiprocessing.get_context("fork"), None)
+        try:
+            worker.send(ECHO, "first")
+            assert worker.recv() == ("ok", "first")
+            worker.send(ECHO, "second")
+            worker.seq += 1  # as if a later frame had gone out unanswered
+            with pytest.raises(ValueError):
+                worker.recv()
+        finally:
+            worker.kill()
+        assert not worker.proc.is_alive()
 
     def test_oversized_reply_is_contained(self):
         with WorkerPool(1, max_reply_bytes=1024) as pool:
@@ -151,7 +222,7 @@ class TestCrashes:
             assert result.status == "crashed"
             assert pool.counters["pool.respawns"] == 1
             # A small reply still fits afterwards.
-            assert pool.map(ECHO, ["small"]) == ["small"]
+            assert values(pool, ECHO, ["small"]) == ["small"]
 
 
 class TestTimeouts:

@@ -33,6 +33,7 @@ from repro.service import (
     incremental_replan,
     move_macro,
 )
+from repro.service.checkpoint import load_checkpoint, load_service_checkpoints
 
 SPEC = ScenarioSpec(
     grid=8, num_nets=24, total_sites=160, macros=(MacroSpec(1, 1, 2, 2),)
@@ -195,45 +196,6 @@ class TestSubmission:
         run(body())
 
 
-class TestSharedMemory:
-    def test_shared_usage_matches_engine_state(self):
-        async def body():
-            with fleet(workers=1) as svc:
-                await plan_baseline(svc)
-                usage = svc.shared_usage("b0")
-                state = full_plan(SPEC)
-                g = state.graph
-                assert usage["wire_usage_total"] == int(g.edge_usage.sum())
-                assert usage["sites_total"] == int(g.sites.sum())
-                assert usage["sites_used"] == int(g.used_sites.sum())
-                assert usage["overflowed_edges"] == int(
-                    (g.edge_usage > g.edge_capacity).sum()
-                )
-
-        run(body())
-
-    def test_shared_usage_tracks_deltas(self):
-        async def body():
-            with fleet(workers=1) as svc:
-                await plan_baseline(svc)
-                svc.submit(Job("d0", "delta", baseline_id="b0", delta=DELTA))
-                record = await svc.wait("d0")
-                assert record.status is JobStatus.DONE, record.error
-                after = svc.shared_usage("b0")
-                state = full_plan(SPEC)
-                incremental_replan(state, DELTA)
-                # The views track the *replanned* arrays, not the
-                # baseline ones the previous test checked.
-                assert after["wire_usage_total"] == int(
-                    state.graph.edge_usage.sum()
-                )
-                assert after["sites_used"] == int(
-                    state.graph.used_sites.sum()
-                )
-
-        run(body())
-
-
 class TestContainment:
     def test_worker_crash_respawns_and_retries(self):
         async def body():
@@ -325,65 +287,123 @@ class TestContainment:
         run(body())
 
 
+HEAVY_SPEC = ScenarioSpec(
+    grid=24, num_nets=260, total_sites=1400, macros=(MacroSpec(3, 3, 6, 6),)
+)
+HEAVY_DELTA = DeltaSpec((move_macro(0, 14, 14),))
+
+
+async def cheap_delta_preempts_full_plan(svc, fast_reference):
+    """Start a full plan of ``heavy``, then queue a cheap delta on
+    ``light`` behind it; the full plan must be preempted, and both jobs
+    must still land on their reference signatures."""
+    svc.submit(
+        Job(
+            "slow",
+            "delta",
+            baseline_id="heavy",
+            delta=HEAVY_DELTA,
+            mode="full",
+            tenant="batch",
+        )
+    )
+    # Wait for the full plan to actually be on the worker.
+    deadline = time.monotonic() + 30.0
+    while svc.record("slow").status is JobStatus.QUEUED:
+        assert time.monotonic() < deadline
+        await asyncio.sleep(0.005)
+    svc.submit(
+        Job(
+            "fast",
+            "delta",
+            baseline_id="light",
+            delta=DELTA,
+            tenant="interactive",
+        )
+    )
+    fast = await svc.wait("fast")
+    slow = await svc.wait("slow")
+    assert fast.status is JobStatus.DONE, fast.error
+    assert slow.status is JobStatus.DONE, slow.error
+
+    # Preemption happened, was bounded, and did not change either
+    # signature.
+    assert slow.preemptions >= 1
+    assert slow.preemptions <= 2
+    assert svc.stats()["preemptions"] >= 1
+    assert fast.result["signature"] == fast_reference
+    evolved = apply_delta(HEAVY_SPEC, HEAVY_DELTA)
+    assert slow.result["signature"] == full_plan(evolved).signature
+
+
 class TestPreemption:
     def test_cheap_delta_preempts_running_full_plan(self):
-        heavy_spec = ScenarioSpec(
-            grid=24,
-            num_nets=260,
-            total_sites=1400,
-            macros=(MacroSpec(3, 3, 6, 6),),
-        )
+        async def body():
+            with fleet(
+                workers=1, preempt_after=0.0, max_preemptions=2
+            ) as svc:
+                await plan_baseline(svc, "heavy", spec=HEAVY_SPEC)
+                await plan_baseline(svc, "light", spec=SPEC)
+                reference = incremental_replan(full_plan(SPEC), DELTA)
+                await cheap_delta_preempts_full_plan(svc, reference.signature)
+
+        run(body())
+
+    def test_respawned_worker_still_preempts(self):
+        """The control array reaches a worker forked after a crash."""
+        probe = DeltaSpec((move_macro(0, 2, 2),))
 
         async def body():
             with fleet(
                 workers=1, preempt_after=0.0, max_preemptions=2
             ) as svc:
-                await plan_baseline(svc, "heavy", spec=heavy_spec)
+                await plan_baseline(svc, "heavy", spec=HEAVY_SPEC)
                 await plan_baseline(svc, "light", spec=SPEC)
-
-                heavy_delta = DeltaSpec((move_macro(0, 14, 14),))
+                svc._shards[0].worker.proc.kill()
                 svc.submit(
-                    Job(
-                        "slow",
-                        "delta",
-                        baseline_id="heavy",
-                        delta=heavy_delta,
-                        mode="full",
-                        tenant="batch",
-                    )
+                    Job("probe", "delta", baseline_id="light", delta=probe)
                 )
-                # Wait for the full plan to actually be on the worker.
-                deadline = time.monotonic() + 30.0
-                while svc.record("slow").status is JobStatus.QUEUED:
-                    assert time.monotonic() < deadline
-                    await asyncio.sleep(0.005)
-                svc.submit(
-                    Job(
-                        "fast",
-                        "delta",
-                        baseline_id="light",
-                        delta=DELTA,
-                        tenant="interactive",
-                    )
-                )
-                fast = await svc.wait("fast")
-                slow = await svc.wait("slow")
-                assert fast.status is JobStatus.DONE, fast.error
-                assert slow.status is JobStatus.DONE, slow.error
+                record = await svc.wait("probe")
+                assert record.status is JobStatus.DONE, record.error
+                assert svc.stats()["respawns"] == 1
 
-                # Preemption happened, was bounded, and did not change
-                # either signature.
-                assert slow.preemptions >= 1
-                assert slow.preemptions <= 2
-                assert svc.stats()["preemptions"] >= 1
-                assert fast.result["signature"] == incremental_replan(
-                    full_plan(SPEC), DELTA
-                ).signature
-                evolved = apply_delta(heavy_spec, heavy_delta)
-                assert (
-                    slow.result["signature"]
-                    == full_plan(evolved).signature
-                )
+                reference = full_plan(SPEC)
+                incremental_replan(reference, probe)
+                incremental_replan(reference, DELTA)
+                await cheap_delta_preempts_full_plan(svc, reference.signature)
+
+        run(body())
+
+
+class TestCheckpointRestore:
+    def test_restored_baseline_keeps_replaying_its_chain(self, tmp_path):
+        """A fleet checkpoint loads into a fresh fleet, whose shard
+        rebuilds the plan and replays the next delta exactly."""
+        again = DeltaSpec((move_macro(0, 2, 2),))
+
+        async def body():
+            with fleet(workers=2) as svc:
+                await plan_baseline(svc)
+                svc.submit(Job("d0", "delta", baseline_id="b0", delta=DELTA))
+                record = await svc.wait("d0")
+                assert record.status is JobStatus.DONE, record.error
+                svc.checkpoint_to(tmp_path)
+
+            restored = fleet(workers=2)
+            assert load_service_checkpoints(tmp_path, restored) == ["b0"]
+            _, state = load_checkpoint(tmp_path / "b0.ckpt.json")
+            with pytest.raises(ServiceError):
+                restored.install_baseline("b0", state)
+            with restored as svc:
+                assert svc.baseline("b0").signature == state.signature
+                svc.submit(Job("d1", "delta", baseline_id="b0", delta=again))
+                record = await svc.wait("d1")
+            assert record.status is JobStatus.DONE, record.error
+            assert record.rebuilt
+            reference = full_plan(SPEC)
+            incremental_replan(reference, DELTA)
+            incremental_replan(reference, again)
+            assert record.result["signature"] == reference.signature
 
         run(body())
 

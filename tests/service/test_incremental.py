@@ -122,6 +122,25 @@ def test_traced_replan_counts_the_stage3_walk(baseline):
     assert [e.net for e in stage3] == stats.resolved_nets
 
 
+@pytest.mark.parametrize("kind", ["remove_net", "set_capacity"])
+def test_nets_searched_counts_route_one_calls(baseline, kind, monkeypatch):
+    from repro.service import incremental
+
+    calls = []
+    real_route_one = incremental.route_one
+
+    def counting_route_one(*args, **kwargs):
+        calls.append(args[1])
+        return real_route_one(*args, **kwargs)
+
+    monkeypatch.setattr(incremental, "route_one", counting_route_one)
+    stats = incremental_replan(baseline, DELTAS[kind])
+    assert calls
+    assert stats.nets_searched == len(calls)
+    assert stats.as_dict()["nets_searched"] == len(calls)
+    assert stats.nets_rerouted <= stats.nets_searched
+
+
 def test_failed_replan_rolls_back(baseline):
     sig = baseline.signature
     usage_before = baseline.graph.snapshot_usage()

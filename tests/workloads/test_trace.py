@@ -87,6 +87,17 @@ class TestReplay:
         ):
             assert key in d
 
+    def test_by_kind_covers_every_event(self):
+        report = run_workload_trace(
+            "smoke-16", TraceOptions(events=12, seed=0, checkpoint_every=0)
+        )
+        by_kind = report.as_dict()["by_kind"]
+        assert sum(row["events"] for row in by_kind.values()) == report.events
+        assert set(by_kind) == set(report.events_by_kind())
+        for row in by_kind.values():
+            assert row["latency_p50"] <= row["latency_p95"]
+            assert row["nets_searched"] is not None
+
     def test_signature_map_deterministic(self):
         """Same seed + worker count => byte-identical signature map."""
         options = TraceOptions(events=12, seed=4, checkpoint_every=0)
