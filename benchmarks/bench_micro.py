@@ -8,13 +8,7 @@ the paper (single-sink O(nL); multi-sink O(mL^2 + nL)) are sanity-checked
 by comparing two sizes.
 """
 
-import os
-
 import numpy as np
-import pytest
-
-from conftest import SEED
-from repro.benchmarks.routing_kernel import append_entry, run_best_of
 from repro.core.single_sink import insert_buffers_single_sink
 from repro.core.multi_sink import insert_buffers_multi_sink
 from repro.core.two_path import best_buffered_path
@@ -129,26 +123,6 @@ def test_two_path_label_search(benchmark):
 
     path = benchmark(body)
     assert path is not None
-
-
-def test_routing_kernel_micro(benchmark):
-    """Small (16x16 / 120 nets) end-to-end kernel run; records its own
-    labeled entry in ``BENCH_routing.json`` so even smoke runs leave a
-    trace of the kernel's wall-clock."""
-    holder = {}
-
-    def body():
-        holder["scenario"], holder["result"] = run_best_of(
-            2, grid=16, num_nets=120, seed=SEED
-        )
-        return holder["result"]
-
-    result = benchmark.pedantic(body, rounds=1, iterations=1)
-    assert result.overflow == 0
-    trajectory = os.path.join(os.path.dirname(__file__), "BENCH_routing.json")
-    append_entry(
-        trajectory, "flat-kernel-micro-16x16", result, holder["scenario"]
-    )
 
 
 def test_dp_scaling_is_linear_in_tiles(benchmark):

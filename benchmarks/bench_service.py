@@ -1,19 +1,11 @@
-"""Planning-service benchmark feeding ``BENCH_service.json``.
+"""Planning-fleet benchmark feeding ``BENCH_service.json``.
 
-Two tiers:
-
-* **Incremental kernel** — the acceptance workload: a single-macro-move
-  delta on the 32x32 / 500-net kernel scenario (16x16 / 120 under
-  ``REPRO_BENCH_FAST=1``). Records the incremental-vs-full-replan
-  speedup (exactness included: the two plans' buffering signatures must
-  match), plus sustained service throughput over a warmed
-  fixed-duration window (jobs, wall seconds, jobs/sec, p50/p95/p99).
-* **Fleet kernel** — one seeded load trace driven through the
-  single-process scheduler (the ``workers=1`` arm) and through
-  ``FleetPlanningService`` at 2 and 4 workers. Every arm must finish
-  with byte-identical baseline signatures; the 4-worker arm carries the
-  ``min_speedup_vs_workers1`` gate (armed only on machines with enough
-  cores — the entry records ``cores`` either way).
+One seeded load trace is driven through the single-process scheduler
+(the ``workers=1`` arm) and through ``FleetPlanningService`` at 2 and 4
+workers (2 only under ``REPRO_BENCH_FAST=1``). Every arm must finish
+with byte-identical baseline signatures; the 4-worker arm carries the
+``min_speedup_vs_workers1`` gate (armed only on machines with enough
+cores — the entry records ``cores`` either way).
 """
 
 import os
@@ -24,74 +16,13 @@ from repro.benchmarks.service_fleet_kernel import (
     fleet_params,
     run_fleet_kernel,
 )
-from repro.benchmarks.service_kernel import (
-    append_service_entry,
-    run_service_kernel,
-)
 from repro.experiments.formatting import render_table
 
 TRAJECTORY = os.path.join(os.path.dirname(__file__), "BENCH_service.json")
 
-#: The acceptance floor for the incremental engine on the full workload.
-MIN_SPEEDUP = 3.0
-
 #: The acceptance floor for the 4-worker fleet vs the single-process
 #: scheduler (only armed when the machine has >= 4 cores).
 MIN_FLEET_SPEEDUP = 3.0
-
-
-def _kernel_kwargs():
-    kwargs = dict(seed=SEED, site_seed=SEED)
-    if FAST:
-        kwargs.update(grid=16, num_nets=120, total_sites=600,
-                      repetitions=1, duration_s=0.5, warmup=1)
-    return kwargs
-
-
-def _record(entry):
-    record_table(
-        "Planning service (BENCH_service.json)",
-        render_table(
-            ["label", "grid", "nets", "incr s", "full s", "speedup",
-             "match", "jobs", "wall s", "jobs/s", "p50 ms", "p95 ms",
-             "p99 ms"],
-            [[
-                entry["label"],
-                str(entry["params"]["grid"]),
-                str(entry["params"]["num_nets"]),
-                f"{entry['seconds_incremental']:.4f}",
-                f"{entry['seconds_full_replan']:.4f}",
-                f"{entry['incremental_speedup']:.2f}x",
-                str(entry["signature_match"]),
-                str(entry["jobs"]),
-                f"{entry['wall_seconds']:.2f}",
-                f"{entry['jobs_per_sec']:.2f}",
-                f"{entry['latency_p50'] * 1000:.1f}",
-                f"{entry['latency_p95'] * 1000:.1f}",
-                f"{entry['latency_p99'] * 1000:.1f}",
-            ]],
-        ),
-    )
-
-
-def test_service_kernel(benchmark):
-    """Record the incremental-service arm; enforce exactness + speedup."""
-    holder = {}
-
-    def body():
-        holder["result"] = run_service_kernel(**_kernel_kwargs())
-        return holder["result"]
-
-    result = benchmark.pedantic(body, rounds=1, iterations=1)
-    label = "incremental-service-smoke" if FAST else "incremental-service"
-    entry = append_service_entry(TRAJECTORY, label, result)
-    _record(entry)
-    assert result.signature_match
-    assert result.jobs > 0
-    assert result.wall_seconds > 0
-    assert result.jobs_per_sec > 0
-    if not FAST:
-        assert result.incremental_speedup >= MIN_SPEEDUP
 
 
 def test_fleet_kernel(benchmark):

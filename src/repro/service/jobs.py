@@ -1,7 +1,7 @@
 """Typed job model for the planning service.
 
 A *scenario* describes a complete, reproducible planning instance: the
-tile grid, a generated netlist (the routing kernel's recipe), a buffer
+tile grid, a generated netlist (:func:`generate_nets`), a buffer
 site scatter, and a set of *macros* — rectangular blocked regions that
 host no buffer sites (the paper's 9x9 cache stand-in). A *delta* is a
 list of typed operations perturbing a scenario: move a macro, override
@@ -32,27 +32,64 @@ JOB_SCHEMA_VERSION = 1
 Tile = Tuple[int, int]
 
 
+#: Each generated net has 1 to ``MAX_SINKS`` sinks.
+MAX_SINKS = 4
+
+#: A local net's sinks lie within ``SPAN`` tiles of its source.
+SPAN = 8
+
+
+def generate_nets(
+    grid: int, num_nets: int, seed: int
+) -> "Dict[str, Tuple[Tile, List[Tile]]]":
+    """The seeded netlist recipe behind every generated scenario.
+
+    Nets are local: each net's sinks lie within :data:`SPAN` tiles of its
+    source, except every 25th net, whose sinks may land anywhere on the
+    die. That matches placed-netlist locality and keeps maze windows
+    meaningful. One ``np.random.default_rng(seed)`` stream draws every
+    pin, so the netlist is deterministic in ``(grid, num_nets, seed)``.
+    Net names are ``net<i>``, zero-padded to a common width.
+    """
+    rng = np.random.default_rng(seed)
+    nets: Dict[str, Tuple[Tile, List[Tile]]] = {}
+    width = len(str(num_nets - 1))
+    for i in range(num_nets):
+        sx, sy = (int(v) for v in rng.integers(0, grid, size=2))
+        k = int(rng.integers(1, MAX_SINKS + 1))
+        if i % 25 == 0:
+            # A chip-crossing net: sinks anywhere on the die.
+            offsets = rng.integers(0, grid, size=(k, 2))
+            sinks = [(int(x), int(y)) for x, y in offsets]
+        else:
+            offsets = rng.integers(-SPAN, SPAN + 1, size=(k, 2))
+            sinks = [
+                (
+                    min(grid - 1, max(0, sx + int(dx))),
+                    min(grid - 1, max(0, sy + int(dy))),
+                )
+                for dx, dy in offsets
+            ]
+        nets[f"net{i:0{width}d}"] = ((sx, sy), sinks)
+    return nets
+
+
 @lru_cache(maxsize=64)
 def _generated_nets(
-    grid: int, num_nets: int, capacity: int, seed: int
+    grid: int, num_nets: int, seed: int
 ) -> "Dict[str, Tuple[Tile, Tuple[Tile, ...]]]":
-    """The generated netlist for a scenario's identity fields, memoized.
+    """:func:`generate_nets` for a scenario's identity fields, memoized.
 
-    Regenerating the kernel netlist costs tens of milliseconds at the
-    500-net scale and every plan/replay/sweep evaluation needs it, so
-    scenarios sharing (grid, num_nets, capacity, seed) — e.g. every
-    point of a budget sweep — generate once per process. Values are
-    stored as immutable tuples; :meth:`ScenarioSpec.nets` hands out
-    fresh sink lists so callers can't corrupt the cache.
+    Regenerating the netlist costs tens of milliseconds at the 500-net
+    scale and every plan/replay/sweep evaluation needs it, so scenarios
+    sharing (grid, num_nets, seed) — e.g. every point of a budget sweep
+    — generate once per process. Values are stored as immutable tuples;
+    :meth:`ScenarioSpec.nets` hands out fresh sink lists so callers
+    can't corrupt the cache.
     """
-    from repro.benchmarks.routing_kernel import make_routing_scenario
-
-    generated = make_routing_scenario(
-        grid=grid, num_nets=num_nets, capacity=capacity, seed=seed
-    ).nets
     return {
-        name: (tuple(source), tuple(tuple(s) for s in sinks))
-        for name, (source, sinks) in generated.items()
+        name: (source, tuple(sinks))
+        for name, (source, sinks) in generate_nets(grid, num_nets, seed).items()
     }
 
 
@@ -94,8 +131,8 @@ class ScenarioSpec:
 
     Attributes:
         grid: the die is ``grid`` x ``grid`` tiles (1mm tiles).
-        num_nets: generated net count (the routing kernel's recipe,
-            deterministic in ``seed``).
+        num_nets: generated net count (:func:`generate_nets`,
+            deterministic in ``grid`` and ``seed``).
         capacity: uniform wire capacity ``W(e)``.
         seed: net-generation seed.
         length_limit: default ``L`` for every net.
@@ -181,9 +218,7 @@ class ScenarioSpec:
 
     def nets(self) -> "Dict[str, Tuple[Tile, List[Tile]]]":
         """Net name -> (source, sinks), after adds and removals."""
-        generated = _generated_nets(
-            self.grid, self.num_nets, self.capacity, self.seed
-        )
+        generated = _generated_nets(self.grid, self.num_nets, self.seed)
         out: Dict[str, Tuple[Tile, List[Tile]]] = {
             name: (source, list(sinks))
             for name, (source, sinks) in generated.items()

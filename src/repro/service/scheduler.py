@@ -234,6 +234,10 @@ class PlanningService:
         existing = self._records.get(job.job_id)
         if existing is not None and existing.status is not JobStatus.SHED:
             raise ServiceError(f"duplicate job id {job.job_id!r}")
+        if job.kind == "baseline" and job.job_id in self._baselines:
+            # A restored baseline has no job record; replanning over it
+            # would silently discard the restored plan.
+            raise ServiceError(f"baseline {job.job_id!r} already exists")
         record = JobRecord(job=job, submitted_at=time.monotonic())
         self._stats["submitted"] += 1
         try:
@@ -270,9 +274,9 @@ class PlanningService:
     def locked_baseline(self, baseline_id: str) -> Iterator[PlanState]:
         """The baseline under its job lock — a quiescent plan.
 
-        Checkpointing reads routes and live graph arrays; without the
-        lock a worker (or a timed-out job's zombie thread) could mutate
-        them mid-serialization. Re-reads the dict entry after acquiring
+        Delta jobs and checkpointing both read the plan through here;
+        without the lock a worker (or a timed-out job's zombie thread)
+        could mutate it mid-read. Re-reads the dict entry after acquiring
         the lock so a concurrent full-mode rebind yields the new plan,
         not the orphaned one.
         """
@@ -285,6 +289,8 @@ class PlanningService:
 
     def install_baseline(self, baseline_id: str, state: PlanState) -> None:
         """Adopt a pre-built plan (checkpoint restore / warm restart)."""
+        if baseline_id in self._baselines:
+            raise ServiceError(f"baseline {baseline_id!r} already exists")
         self._baselines[baseline_id] = state
         self._baseline_locks[baseline_id] = threading.Lock()
 
@@ -421,9 +427,9 @@ class PlanningService:
         return {"baseline_id": job.job_id, **state.summary()}
 
     def _run_delta(self, job: Job, fate: _JobFate) -> Dict[str, Any]:
-        state = self.baseline(job.baseline_id)
-        lock = self._baseline_locks[job.baseline_id]
-        with lock:
+        # The plan is read under the lock: a full-mode delta or a verify
+        # escalation that commits while this job waits rebinds the entry.
+        with self.locked_baseline(job.baseline_id) as state:
             backup = state.backup()
             try:
                 result, new_state = self._apply_delta_locked(job, state)

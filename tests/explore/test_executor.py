@@ -256,6 +256,12 @@ class TestPool:
         assert set(inline) == set(pooled)
         for key in inline:
             assert inline[key].metrics == pooled[key].metrics
+        # Every scenario is a delta of the base: the pool must take the
+        # incremental path for each, and still match a from-scratch plan.
+        for scenario in scenarios:
+            record = pooled[key_of(scenario)]
+            assert record.via == "incremental"
+            assert record.metrics == metrics_from_state(full_plan(scenario))
 
     def test_pool_timeout_degrades(self, monkeypatch):
         base = small_base()

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.benchmarks.explore_kernel import make_explore_space
 from repro.core.rabid import RabidConfig
 from repro.errors import ConfigurationError
 from repro.explore import (
+    Dimension,
     EvalRecord,
+    ParameterSpace,
     ResultStore,
     SweepOptions,
     frontier_report,
@@ -22,6 +23,32 @@ FEASIBLE = ScenarioSpec(grid=12, num_nets=40, capacity=8, total_sites=600)
 STARVED = ScenarioSpec(
     grid=12, num_nets=60, capacity=6, total_sites=5, length_limit=2
 )
+
+
+def acceptance_space() -> ParameterSpace:
+    """The 64-scenario budget sweep: two 4x4 site regions x 8 values.
+
+    Each dimension overrides ``B(v)`` on a 4x4 tile region of the
+    32x32 / 500-net scenario with 0..7 buffer sites per tile, so every
+    scenario is a ``set_sites`` delta of the base.
+    """
+    base = ScenarioSpec(grid=32, num_nets=500, total_sites=2500)
+    values = tuple(range(8))
+    return ParameterSpace(
+        base,
+        tuple(
+            Dimension(
+                "region_sites",
+                values,
+                tiles=tuple(
+                    (x, y)
+                    for x in range(lo, lo + 4)
+                    for y in range(lo, lo + 4)
+                ),
+            )
+            for lo in (8, 20)
+        ),
+    )
 
 
 class TestOptions:
@@ -110,7 +137,7 @@ class TestAcceptanceSweep:
         estimate-mode gate prunes >= 25% of the 64-scenario budget
         sweep, and every pruned scenario independently verifies as
         infeasible when actually planned."""
-        space = make_explore_space()
+        space = acceptance_space()
         config = RabidConfig()
         scenarios = [p.scenario for p in space.grid()]
         assert len(scenarios) == 64

@@ -15,13 +15,17 @@ import pytest
 from repro.errors import ConfigurationError, QueueFullError, ServiceError
 from repro.service import (
     DeltaSpec,
+    FleetOptions,
+    FleetPlanningService,
     Job,
     JobStatus,
     PlanningService,
     ScenarioSpec,
     SchedulerOptions,
+    apply_delta,
     full_plan,
     move_macro,
+    remove_net,
 )
 from repro.service.jobs import MacroSpec
 
@@ -187,6 +191,84 @@ class TestEndToEnd:
                 await service.stop()
 
         run(scenario())
+
+
+class TestBaselineIds:
+    @pytest.mark.parametrize("scheduler", ["single", "fleet"])
+    def test_baseline_job_cannot_replace_restored_baseline(self, scheduler):
+        # A restored baseline has no job record, so only the baseline id
+        # check stands between a new baseline job and the restored plan.
+        restored = full_plan(SPEC)
+
+        async def scenario():
+            if scheduler == "fleet":
+                service = FleetPlanningService(options=FleetOptions(workers=1))
+            else:
+                service = PlanningService(options=SchedulerOptions(workers=1))
+            service.install_baseline("b0", restored)
+            await service.start()
+            try:
+                evolved = apply_delta(SPEC, DELTA)
+                with pytest.raises(ServiceError, match="already exists"):
+                    service.submit(Job("b0", "baseline", scenario=evolved))
+                with pytest.raises(ServiceError, match="already exists"):
+                    service.install_baseline("b0", full_plan(evolved))
+                await service.drain()
+                assert service.baseline("b0").signature == restored.signature
+            finally:
+                await service.stop()
+
+        run(scenario())
+
+
+class TestBaselineRebind:
+    def test_delta_queued_behind_full_mode_applies_to_new_plan(self):
+        # A full-mode delta rebinds the baseline to a new plan. An
+        # incremental delta already waiting on the baseline lock must
+        # apply to that plan, not the one the full-mode job replaced.
+        entered = threading.Event()
+        release = threading.Event()
+
+        def blocking_full_plan(scenario, config=None, tracer=None):
+            entered.set()
+            release.wait(5.0)
+            return full_plan(scenario, config)
+
+        removal = DeltaSpec((remove_net("net03"),))
+
+        async def scenario():
+            service = PlanningService(
+                options=SchedulerOptions(workers=2),
+                full_plan_fn=blocking_full_plan,
+            )
+            service.install_baseline("b0", full_plan(SPEC))
+            await service.start()
+            try:
+                service.submit(
+                    Job("d0", "delta", baseline_id="b0", delta=DELTA,
+                        mode="full")
+                )
+                # d0 holds the baseline lock until released.
+                while not entered.is_set():
+                    await asyncio.sleep(0.01)
+                service.submit(
+                    Job("d1", "delta", baseline_id="b0", delta=removal)
+                )
+                while service.record("d1").status is JobStatus.QUEUED:
+                    await asyncio.sleep(0.01)
+                # Let d1's thread reach the lock before d0 commits.
+                await asyncio.sleep(0.2)
+                release.set()
+                for job_id in ("d0", "d1"):
+                    record = await service.wait(job_id)
+                    assert record.status is JobStatus.DONE, record.error
+                return service.baseline("b0").signature
+            finally:
+                release.set()
+                await service.stop()
+
+        evolved = apply_delta(apply_delta(SPEC, DELTA), removal)
+        assert run(scenario()) == full_plan(evolved).signature
 
 
 class TestRetries:
