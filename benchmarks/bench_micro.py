@@ -118,7 +118,8 @@ def test_two_path_label_search(benchmark):
 
     def body():
         return best_buffered_path(
-            graph, (0, 0), (25, 20), lambda t: 1.0, 5, set(), window
+            graph, (0, 0), (25, 20), 5, set(), window,
+            graph.cost_cache().strict_costs(),
         )
 
     path = benchmark(body)

@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.bounds.pricing import INF, PathPricer
+from repro.bounds.pricing import INF, PathPricer, reachability
 from repro.core.length_rule import length_rule_floor
 from repro.errors import ConfigurationError
 
@@ -206,6 +206,8 @@ def verify_certificate(
     worst_violation = 0.0
     total_duals = 0.0
     checked = 0
+    reach_edges = reachability(edge_lengths)
+    reach_sites = reachability(site_lengths)
     for name, claimed in sorted(certificate.net_duals.items()):
         if name not in nets:
             return {"ok": False, "error": f"unknown net {name!r}"}
@@ -213,9 +215,8 @@ def verify_certificate(
         true_value = max(
             pricer.price(
                 source, list(sinks), limits[name],
-                edge_lengths, site_lengths,
+                reach_edges, reach_sites,
                 certificate.wire_cost, certificate.buffer_cost,
-                scale=0.0,
             ).dual_value(),
             length_rule_floor(
                 [source, *sinks], limits[name],

@@ -53,7 +53,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.bounds.pricing import INF, PathPricer
+from repro.bounds.pricing import INF, PathPricer, reachability
 from repro.core.length_rule import length_rule_floor
 from repro.errors import ConfigurationError
 from repro.obs import NULL_TRACER
@@ -293,15 +293,16 @@ def compute_bound(
     net_duals: Dict[str, float] = {}
     lambda_numerator = 0.0
     with tracer.span("bound.duals", nets=len(names)):
+        reach_edges = reachability(edge_lengths)
+        reach_sites = reachability(site_lengths)
         for name in names:
             if name in structural:
                 continue
             source, sinks = nets[name]
             value = pricer.price(
                 source, list(sinks), limits[name],
-                edge_lengths, site_lengths,
+                reach_edges, reach_sites,
                 options.wire_cost, options.buffer_cost,
-                scale=0.0,
             ).dual_value()
             pricing_calls += 1
             if value >= INF:

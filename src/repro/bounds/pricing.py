@@ -11,17 +11,18 @@ gate's *total* driven length, so every source-sink path inside a
 feasible tree is itself a feasible buffered path; pricing over paths
 therefore under-approximates trees, exactly what a lower bound needs).
 
-The search runs Dijkstra over layered states ``(tile, d)`` where ``d``
-is the tile distance since the last gate:
+The search is Stage 4's layered Dijkstra,
+:func:`repro.core.two_path._layered_search`, over states ``(tile, d)``
+where ``d`` is the tile distance since the last gate:
 
-* a wire step to a neighbor costs ``wire_cost + scale * l(e)`` and
-  advances ``d`` by one (blocked when ``d + 1 > L``);
-* inserting a buffer at the current tile costs
-  ``buffer_cost + scale * s(v)`` and resets ``d`` to zero — allowed
-  only on tiles with ``B(v) > 0`` sites;
-* zero-capacity edges and zero-site tiles are never used.
+* a wire step to a neighbor costs ``wire_cost + l(e)`` and advances
+  ``d`` by one (blocked when ``d + 1 > L``);
+* inserting a buffer at the current tile costs ``buffer_cost + s(v)``
+  and resets ``d`` to zero — allowed only on tiles with ``B(v) > 0``
+  sites;
+* edges and sites of infinite length (zero capacity) are never used.
 
-One Dijkstra per net prices every sink at once. The search is windowed
+One search per net prices every sink at once. The search is windowed
 like :mod:`repro.routing.maze` (bounding box of the pins plus a margin,
 escalating to the whole grid before declaring a sink unreachable), so
 an infinite price is a *structural* certificate: no buffered path obeys
@@ -30,17 +31,27 @@ the spacing rule given the site placement at any congestion level.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.two_path import _tile_masks
+from repro.core.two_path import _layered_search, _tile_masks
 from repro.errors import ConfigurationError
+from repro.routing.maze import _search_window
 from repro.tilegraph.graph import TileGraph
 
 Tile = Tuple[int, int]
 
 INF = float("inf")
+
+
+def reachability(lengths: Sequence[float]) -> List[float]:
+    """0.0 where a dual length is finite, INF where it is not.
+
+    These are the lengths scaled by ``theta = 0`` (``0.0 * l == 0.0``
+    for finite ``l``): priced with them, a path costs its base costs
+    alone and still avoids zero-capacity edges and sites.
+    """
+    return [0.0 if length < INF else INF for length in lengths]
 
 
 @dataclass(frozen=True)
@@ -78,46 +89,18 @@ class NetPricing:
 
 
 class PathPricer:
-    """Reusable layered-Dijkstra kernel over one graph.
+    """Prices nets on one graph with the layered search.
 
-    State ``(tile, d)`` is the integer ``tile_index * (L + 1) + d`` over
-    ``graph.flat().adj``. Each call allocates its own ``dist`` list (its
-    size depends on the net's length limit), a ``pred`` list only when
-    paths are collected (it keeps every relaxing state's integer alive),
-    a byte mask of the window's tiles with the sinks marked in a second
-    mask, and a byte mask of the tiles with sites; the flat adjacency is
-    built once.
-
-    Search rules:
-
-    * *First-pop settlement.* A sink tile is priced by the first of its
-      states the heap pops, and the search stops once every sink tile
-      has been popped. Dijkstra pops in nondecreasing cost, so that
-      state holds the tile's minimum cost. Heap keys are
-      ``(cost, state)`` and the state integer grows with ``d``, so among
-      equal-cost states of one tile the lowest ``d`` pops first: the
-      state is the one a ``min`` over the tile's settled layers returns.
-      This needs every step to cost more than 0, which holds wherever
-      paths are collected (base costs 1). With zero-cost steps the
-      costs still agree, but an equal-cost lower-``d`` state may arrive
-      after the first pop, so the path may differ.
-    * *Dominance skip.* A state ``(t, d)`` is dropped once some
-      ``(t, d')`` with ``d' < d`` has settled at a strictly smaller
-      cost: a relaxation into it is not pushed, and a pushed entry is
-      not expanded when popped. Any continuation of ``(t, d)`` replays
-      from ``(t, d')`` for no more cost: every wire step stays legal at
-      the lower depth, and a buffer costs the same or is left out when
-      the replay is already at ``d = 0``. Float addition is monotone,
-      so the replay is no dearer after rounding either, and no tile's
-      minimum cost changes. With every step > 0 the dropped states never
-      lie on a returned path (the argument of
-      :func:`repro.core.two_path.best_buffered_path`).
-
-    The step costs are evaluated as ``d + wire_cost + scale * l(e)`` and
-    ``d + buffer_cost + scale * s(v)``, left to right, on every call.
-    Tabulating ``wire_cost + scale * l(e)`` per arc would round
-    differently (``(d + w) + θl`` is not ``d + (w + θl)`` in floats) and
-    move the oracle's certificates.
+    Each call builds a byte mask of the window's tiles with the sinks
+    marked in a second mask and runs
+    :func:`repro.core.two_path._layered_search` from ``(source, 0)``
+    until every sink tile has settled. That docstring carries the search
+    rules: a sink tile settles at its first pop, dominated ``(tile, d)``
+    states are skipped, and a step costs ``(d + base) + length``, which
+    is the left-to-right sum this pricer has always charged, so the
+    oracle's certificates do not depend on the kernel being shared.
+    Returned paths need every step to cost more than 0, which holds
+    wherever paths are collected (base costs 1).
     """
 
     def __init__(self, graph: TileGraph, window_margin: int = 10) -> None:
@@ -126,7 +109,8 @@ class PathPricer:
         self.graph = graph
         self.flat = graph.flat()
         self.window_margin = window_margin
-        self._sites = graph.sites_flat
+        #: tile indices without buffer sites (never priced as a buffer).
+        self._siteless = (graph.sites_flat <= 0).nonzero()[0].tolist()
 
     # ------------------------------------------------------------------ #
 
@@ -139,18 +123,20 @@ class PathPricer:
         site_lengths: Sequence[float],
         wire_cost: float = 1.0,
         buffer_cost: float = 1.0,
-        scale: float = 1.0,
         collect_paths: bool = False,
     ) -> NetPricing:
         """Price every sink of one net under the given dual lengths.
 
-        ``scale`` multiplies the dual terms only: the oracle prices its
-        bound at 0 and its length rounds at 1. Base
-        ``wire_cost``/``buffer_cost`` are charged per edge / per buffer
-        regardless.
+        Base ``wire_cost``/``buffer_cost`` are charged per edge / per
+        buffer on top of the lengths. The oracle's bound sweep prices
+        with :func:`reachability` lists (the lengths at ``theta = 0``)
+        and its length rounds with the lengths themselves.
         """
         if length_limit < 1:
             raise ConfigurationError("length_limit must be >= 1")
+        site_costs = list(site_lengths)
+        for tile in self._siteless:
+            site_costs[tile] = INF
         flat = self.flat
         margins: List[int] = []
         whole = max(flat.nx, flat.ny)
@@ -160,8 +146,8 @@ class PathPricer:
         result: Optional[NetPricing] = None
         for margin in margins:
             result = self._search(
-                source, sinks, length_limit, edge_lengths, site_lengths,
-                wire_cost, buffer_cost, scale, margin, collect_paths,
+                source, sinks, length_limit, edge_lengths, site_costs,
+                wire_cost, buffer_cost, margin, collect_paths,
             )
             if result.reachable:
                 return result
@@ -175,88 +161,31 @@ class PathPricer:
         source: Tile,
         sinks: Sequence[Tile],
         length_limit: int,
-        edge_lengths: Sequence[float],
-        site_lengths: Sequence[float],
+        edge_costs: Sequence[float],
+        site_costs: Sequence[float],
         wire_cost: float,
         buffer_cost: float,
-        scale: float,
         margin: int,
         collect_paths: bool,
     ) -> NetPricing:
         flat = self.flat
         ny = flat.ny
         layers = length_limit + 1
-        last = length_limit
-
-        xs = [source[0], *(s[0] for s in sinks)]
-        ys = [source[1], *(s[1] for s in sinks)]
-        window = (min(xs) - margin, min(ys) - margin,
-                  max(xs) + margin, max(ys) + margin)
         targets = set(sinks)
+        window = _search_window(self.graph, [source, *sinks], margin)
         inside, sink_tiles = _tile_masks(flat, targets, set(), window)
-        has_sites = (self._sites > 0).tobytes()
-
-        dist = [INF] * (flat.num_tiles * layers)
-        pred = [-1] * len(dist) if collect_paths else None
-        # Lowest depth settled so far per tile (``layers`` = none yet).
-        low_d = [layers] * flat.num_tiles
-        # First-popped state per sink tile: the tile's cheapest state.
-        first: Dict[int, int] = {}
-        left = len(targets)  # sink tiles not popped yet
-
         start = (source[0] * ny + source[1]) * layers  # (source, d=0)
-        dist[start] = 0.0
-        heap: List[Tuple[float, int]] = [(0.0, start)]
-        pop = heapq.heappop
-        push = heapq.heappush
-        adj = flat.adj
-        while heap:
-            d_cur, state = pop(heap)
-            if d_cur > dist[state]:
-                continue  # stale entry; the state settled cheaper
-            tile = state // layers
-            depth = state - tile * layers
-            low = low_d[tile]
-            if low > depth:
-                if low == layers and sink_tiles[tile]:
-                    first[tile] = state
-                    left -= 1
-                    if not left:
-                        break
-                low_d[tile] = depth
-            elif dist[state - depth + low] < d_cur:
-                continue  # a lower depth of this tile settled cheaper
-            # Buffer insertion: reset the spacing counter on a site tile.
-            if depth and has_sites[tile]:
-                s_len = site_lengths[tile]
-                if s_len < INF:
-                    nd = d_cur + buffer_cost + scale * s_len
-                    nstate = state - depth
-                    if nd < dist[nstate]:
-                        dist[nstate] = nd
-                        if collect_paths:
-                            pred[nstate] = state
-                        push(heap, (nd, nstate))
-            # Wire step: advance one tile, spend one unit of drive length.
-            if depth < last:
-                nj = depth + 1
-                for nbr, eid in adj[tile]:
-                    if inside[nbr]:
-                        e_len = edge_lengths[eid]
-                        if e_len < INF:
-                            nd = d_cur + wire_cost + scale * e_len
-                            nstate = nbr * layers + nj
-                            if nd < dist[nstate]:
-                                low = low_d[nbr]
-                                if low < nj and dist[nstate - nj + low] < nd:
-                                    continue  # dominated on arrival
-                                dist[nstate] = nd
-                                if collect_paths:
-                                    pred[nstate] = state
-                                push(heap, (nd, nstate))
+        found, dist, pred, _ = _layered_search(
+            flat.adj, edge_costs, site_costs, inside, sink_tiles, start,
+            layers, goals=len(targets), wire_base=wire_cost,
+            site_base=buffer_cost,
+        )
+        # First-popped state per sink tile: the tile's cheapest state.
+        first = {state // layers: state for state in found}
 
         costs: Dict[Tile, float] = {}
         paths: Dict[Tile, PricedPath] = {}
+        adj = flat.adj
         for sink in sinks:
             best_state = first.get(sink[0] * ny + sink[1], -1)
             if best_state < 0:

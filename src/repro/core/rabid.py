@@ -319,13 +319,10 @@ class RabidPlanner:
     def stage4(self) -> None:
         """Two-path rip-up/reroute with buffer reinsertion."""
         start = time.perf_counter()
-        # Cached p=0 Eq. (2) costs (bit-identical to the scalar formula),
-        # invalidated per tile through the graph's site observers.
-        q_of = self.graph.site_cost_cache().cost_fn()
         with self.tracer.span("stage4"):
             for iteration in range(self.config.stage4_iterations):
                 with self.tracer.span("stage4.pass", **{"pass": iteration}):
-                    self._stage4_pass(q_of)
+                    self._stage4_pass()
             if self.config.rescue_failing and self.failed_nets:
                 from repro.core.rescue import rescue_failing_nets
 
@@ -338,13 +335,12 @@ class RabidPlanner:
                         self.routes,
                         self.failed_nets,
                         limits,
-                        q_of,
                         window_margin=self.config.window_margin,
                         tracer=self.tracer,
                     )
             self._snapshot(4, time.perf_counter() - start)
 
-    def _stage4_pass(self, q_of) -> None:
+    def _stage4_pass(self) -> None:
         """One full Stage-4 pass over every net."""
         tracer = self.tracer
         delays = self._net_delays()
@@ -368,7 +364,7 @@ class RabidPlanner:
                         "ripped_up", name, stage="4", buffers=tree.buffer_count()
                     )
                 changed = optimize_two_paths(
-                    self.graph, tree, q_of, limit, self.config.window_margin
+                    self.graph, tree, limit, self.config.window_margin
                 )
                 meets, _, _ = assign_buffers_to_net(
                     self.graph, tree, limit, None, tracer=tracer,

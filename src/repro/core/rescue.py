@@ -18,11 +18,12 @@ constraint"); it is switchable via ``RabidConfig.rescue_failing``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.assignment import assign_buffers_to_net
 from repro.core.length_rule import length_violations
 from repro.core.two_path import best_buffered_path
+from repro.routing.maze import _search_window
 from repro.routing.tree import RouteTree
 from repro.tilegraph.graph import Tile, TileGraph
 
@@ -31,7 +32,6 @@ def _bufferable_tree(
     graph: TileGraph,
     source: Tile,
     sinks: List[Tile],
-    q_of: Callable[[Tile], float],
     length_limit: int,
     window_margin: int,
     net_name: str,
@@ -47,18 +47,12 @@ def _bufferable_tree(
         if sink in tree_tiles:
             continue
         # The window covers the current tree extent and the sink.
-        xs = [t[0] for t in tree_tiles] + [sink[0]]
-        ys = [t[1] for t in tree_tiles] + [sink[1]]
-        margin = max(window_margin, 10)
-        window = (
-            max(0, min(xs) - margin),
-            max(0, min(ys) - margin),
-            min(graph.nx - 1, max(xs) + margin),
-            min(graph.ny - 1, max(ys) + margin),
+        window = _search_window(
+            graph, [*tree_tiles, sink], max(window_margin, 10)
         )
         path = best_buffered_path(
-            graph, sink, set(tree_tiles), q_of, length_limit,
-            forbidden=set(), window=window,
+            graph, sink, set(tree_tiles), length_limit, set(), window,
+            graph.cost_cache().strict_costs(),
         )
         if path is None:
             return None
@@ -71,7 +65,6 @@ def rescue_net(
     graph: TileGraph,
     tree: RouteTree,
     length_limit: int,
-    q_of: Callable[[Tile], float],
     window_margin: int = 10,
 ) -> Tuple[RouteTree, bool]:
     """Attempt a whole-net bufferable re-route.
@@ -96,7 +89,7 @@ def rescue_net(
     with ledger.transaction() as txn:
         tree.remove_usage(graph)
         candidate = _bufferable_tree(
-            graph, source, sinks, q_of, length_limit, window_margin, tree.net_name
+            graph, source, sinks, length_limit, window_margin, tree.net_name
         )
         if candidate is None:
             txn.rollback()  # re-adds the original tree's usage
@@ -115,7 +108,6 @@ def rescue_failing_nets(
     routes: Dict[str, RouteTree],
     failing: List[str],
     length_limits: Dict[str, int],
-    q_of: Callable[[Tile], float],
     window_margin: int = 10,
     tracer=None,
 ) -> List[str]:
@@ -129,9 +121,7 @@ def rescue_failing_nets(
     for name in sorted(failing):
         tree = routes[name]
         limit = length_limits[name]
-        new_tree, changed = rescue_net(
-            graph, tree, limit, q_of, window_margin
-        )
+        new_tree, changed = rescue_net(graph, tree, limit, window_margin)
         routes[name] = new_tree
         still_fails = length_violations(new_tree, limit) > 0
         if still_fails:

@@ -8,23 +8,20 @@ labels ``(tile, distance since the last buffer)`` — the buffer-aware maze
 labels of Hur/Lillis and Zhou et al. that the paper cites. Afterwards the
 caller rips out and reinserts the whole net's buffers via the Stage-3 DP.
 
-The wavefront runs on the graph's flat index (:meth:`TileGraph.flat`):
-integer states, per-search cost lists and byte masks, like the Stage-2
-maze kernel in :mod:`repro.routing.maze`, whose ``_dijkstra_flat`` also
-serves the wire-only fallback here.
+The wavefront, :func:`_layered_search`, runs on the graph's flat index
+(:meth:`TileGraph.flat`) with integer states, per-search cost lists and
+byte masks. It is the repo's one buffered-path search: the rescue pass
+and the lower-bound pricer (:mod:`repro.bounds.pricing`) run on it too.
+The Stage-2 maze kernel's ``_dijkstra_flat`` serves the wire-only
+fallback here.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.routing.maze import (
-    _dijkstra_flat,
-    congestion_cost,
-    soft_congestion_cost,
-    workspace_for,
-)
+from repro.routing.maze import _dijkstra_flat, _search_window, workspace_for
 from repro.routing.tree import RouteTree
 from repro.tilegraph.graph import FlatTileGraph, Tile, TileGraph
 
@@ -35,19 +32,21 @@ def best_buffered_path(
     graph: TileGraph,
     start: Tile,
     goal: "Tile | Set[Tile]",
-    q_of: Callable[[Tile], float],
     length_limit: int,
     forbidden: Set[Tile],
     window: Tuple[int, int, int, int],
-    wire_cost: Callable[[TileGraph, Tile, Tile], float] = congestion_cost,
+    edge_costs: Sequence[float],
 ) -> Optional[List[Tile]]:
     """Min-cost start-to-goal path under wire + buffer congestion costs.
 
     States are ``(tile, j)`` with ``j`` the tile distance since the last
     buffer (the start counts as buffered, ``j = 0``). Moving to a neighbor
-    costs Eq. (1) and increments ``j``; taking a buffer site costs Eq. (2)
-    and resets ``j``. Paths whose ``j`` would reach ``length_limit`` must
-    buffer first, so any returned path can be legally buffered.
+    costs ``edge_costs[edge id]`` (the Eq. (1) list of the graph's
+    congestion-cost cache, strict or soft) and increments ``j``; taking a
+    buffer site costs Eq. (2), read from the graph's
+    :class:`~repro.tilegraph.ledger.SiteCostCache`, and resets ``j``.
+    Paths whose ``j`` would reach ``length_limit`` must buffer first, so
+    any returned path can be legally buffered.
 
     ``goal`` may be a single tile or a set of tiles (the path ends at the
     cheapest reachable member — used by the Stage-4 rescue pass to attach
@@ -55,34 +54,8 @@ def best_buffered_path(
     ``forbidden`` (unless a goal) are never entered.
 
     Returns the tile path (start first) or ``None`` when no legal path
-    exists within the window.
-
-    Implementation. State ``(tile, j)`` is the integer
-    ``tile_index * (L + 1) + j`` over ``graph.flat().adj``. Costs are read
-    once per search: edge costs from the graph's congestion-cost cache
-    lists when ``wire_cost`` is one of the two built-ins, site costs from
-    the :class:`~repro.tilegraph.ledger.SiteCostCache` list when ``q_of``
-    is that cache's ``cost_fn()``; any other callable is tabulated once
-    over the window. Heap keys are ``(cost, state)``; the state integer is
-    monotone in ``(x, y, j)``, so ties break exactly as ``(cost, (x, y),
-    j)`` keys would and the returned path is the one the tuple-keyed
-    search returns.
-
-    Dominance skip. Call ``(t, j)`` dominated once some ``(t, j')`` with
-    ``j' < j`` has settled at a strictly smaller cost. A relaxation into a
-    dominated state is dropped, and a state that became dominated after
-    it was pushed is not expanded when popped. Precondition: every wire
-    and site cost is > 0, as Eq. (1) and Eq. (2) always are. Under it the
-    skip cannot change the returned path. Any continuation of ``(t, j)``
-    replays from ``(t, j')``: every wire step stays legal because the
-    replay's ``j`` is no larger, and every buffer costs the same or, when
-    the replay is already at ``j = 0``, is left out. So the replay
-    reaches the same tiles for no more cost, at a lower ``j`` until a
-    buffer joins the two walks. Were a state of the returned path
-    dominated, its replay would reach the goal tile cheaper, or at the
-    same cost with a lower ``j`` (which pops first), or would relax the
-    joining buffer state first; each contradicts how Dijkstra chose that
-    path.
+    exists within the window. The search is :func:`_layered_search` with
+    one goal; its docstring carries the tie-break and dominance arguments.
     """
     goals: Set[Tile] = {goal} if isinstance(goal, tuple) else set(goal)
     if start in goals:
@@ -91,19 +64,17 @@ def best_buffered_path(
         return None  # no wire step is legal
     flat = graph.flat()
     open_tiles, goal_tiles = _tile_masks(flat, goals, forbidden, window)
-    start_idx = start[0] * flat.ny + start[1]
-    adj, edge_costs = _edge_costs(graph, wire_cost, open_tiles, start_idx)
-    site_costs = _site_costs(graph, q_of, open_tiles)
     layers = length_limit + 1
-    goal_state, pred, _ = _layered_search(
-        adj, edge_costs, site_costs, open_tiles, goal_tiles,
-        start_idx * layers, layers,
+    found, _, pred, _ = _layered_search(
+        flat.adj, edge_costs, graph.site_cost_cache().costs(),
+        open_tiles, goal_tiles, (start[0] * flat.ny + start[1]) * layers,
+        layers,
     )
-    if goal_state < 0:
+    if not found:
         return None
     # Trace back, dropping the buffer self-transitions.
     path: List[int] = []
-    state = goal_state
+    state = found[0]
     while state >= 0:
         tile = state // layers
         if not path or path[-1] != tile:
@@ -148,64 +119,6 @@ def _tile_masks(
     return open_tiles, goal_tiles
 
 
-def _edge_costs(
-    graph: TileGraph,
-    wire_cost: Callable[[TileGraph, Tile, Tile], float],
-    open_tiles: bytearray,
-    start_idx: int,
-) -> Tuple[Sequence, Sequence[float]]:
-    """(adjacency, cost list) for one search.
-
-    The built-in costs read the cache's per-edge-id list with the graph's
-    own adjacency. Any other callable is evaluated once per directed arc
-    out of an expandable tile (the start or an enterable tile) into an
-    enterable one, keyed by the arc's CSR position, since a caller's
-    cost may depend on the direction of travel.
-    """
-    flat = graph.flat()
-    if wire_cost is congestion_cost:
-        return flat.adj, graph.cost_cache().strict_costs()
-    if wire_cost is soft_congestion_cost:
-        return flat.adj, graph.cost_cache().soft_costs()
-    tile_x, tile_y, indptr = flat.tile_x, flat.tile_y, flat.indptr
-    costs = [INF] * len(flat.neighbors)
-    arcs: List[Tuple[Tuple[int, int], ...]] = [()] * flat.num_tiles
-    for u in range(flat.num_tiles):
-        if not open_tiles[u] and u != start_idx:
-            continue
-        row = []
-        for k, (v, _eid) in enumerate(flat.adj[u]):
-            arc = indptr[u] + k
-            if open_tiles[v]:
-                costs[arc] = wire_cost(
-                    graph, (tile_x[u], tile_y[u]), (tile_x[v], tile_y[v])
-                )
-            row.append((v, arc))
-        arcs[u] = tuple(row)
-    return arcs, costs
-
-
-def _site_costs(
-    graph: TileGraph, q_of: Callable[[Tile], float], open_tiles: bytearray
-) -> Sequence[float]:
-    """Per-tile ``q(v)`` for one search.
-
-    A buffer is only ever bought on an enterable tile (``j > 0`` means
-    the tile was entered by a wire step), so a caller-supplied ``q_of``
-    is tabulated over those tiles alone.
-    """
-    cache = getattr(q_of, "site_cost_cache", None)
-    if cache is not None and cache.graph is graph:
-        return cache.costs()
-    flat = graph.flat()
-    tile_x, tile_y = flat.tile_x, flat.tile_y
-    costs = [INF] * flat.num_tiles
-    for t in range(flat.num_tiles):
-        if open_tiles[t]:
-            costs[t] = q_of((tile_x[t], tile_y[t]))
-    return costs
-
-
 def _layered_search(
     adj: Sequence,
     edge_costs: Sequence[float],
@@ -214,12 +127,66 @@ def _layered_search(
     goal_tiles: bytearray,
     start: int,
     layers: int,
-) -> Tuple[int, List[int], int]:
+    goals: int = 1,
+    wire_base: float = 0.0,
+    site_base: float = 0.0,
+) -> Tuple[List[int], List[float], List[int], int]:
     """Dijkstra over states ``tile * layers + j`` from state ``start``.
 
-    Returns ``(goal_state, pred, dominated)``: the first goal-tile state
-    popped (-1 when none is reachable), the predecessor list (-1 at the
-    start) and how many relaxations and pops the dominance skip dropped.
+    The one buffered-path search: Stage 4, the rescue pass and the
+    lower-bound pricer (:mod:`repro.bounds.pricing`) all run on it. ``j``
+    is the tile distance since the last gate; ``adj`` is the flat
+    adjacency (``(neighbor, edge id)`` rows). From a popped state of cost
+    ``d``, a wire step into an enterable neighbor costs
+    ``(d + wire_base) + edge_costs[eid]`` and increments ``j`` (a run of
+    exactly ``L = layers - 1`` tiles between gates is legal, since a gate
+    may drive ``L`` units); a buffer on a tile with ``j > 0`` costs
+    ``(d + site_base) + site_costs[tile]`` and resets ``j``. INF entries
+    are never used.
+
+    Returns ``(found, dist, pred, dominated)``: the settled goal-tile
+    states in pop order, the cost and predecessor lists (-1 at the start
+    and at unreached states) and how many relaxations and pops the
+    dominance skip dropped.
+
+    First-pop settlement. A goal tile settles at the first of its states
+    the heap pops, and the search stops once ``goals`` goal tiles have
+    settled. Dijkstra pops in nondecreasing cost, so that state holds
+    the tile's minimum cost. Heap keys are ``(cost, state)``; the state
+    integer is monotone in ``(x, y, j)``, so ties break exactly as
+    ``(cost, (x, y), j)`` keys would, and among equal-cost states of one
+    tile the lowest ``j`` pops first. With zero-cost steps the costs
+    still hold, but an equal-cost lower-``j`` state may arrive after the
+    first pop, so the traced path may differ from the one a ``min`` over
+    the tile's settled layers returns.
+
+    Dominance skip. Call ``(t, j)`` dominated once some ``(t, j')`` with
+    ``j' < j`` has settled at a strictly smaller cost. A relaxation into a
+    dominated state is dropped, and a state that became dominated after
+    it was pushed is not expanded when popped. Any continuation of
+    ``(t, j)`` replays from ``(t, j')``: every wire step stays legal
+    because the replay's ``j`` is no larger, and every buffer costs the
+    same or, when the replay is already at ``j = 0``, is left out. Float
+    addition is monotone, so the replay reaches the same tiles for no
+    more cost after rounding too, and no tile's minimum cost changes.
+    When every wire and site step costs more than 0 (Eq. (1) and Eq. (2)
+    always do; the pricer's unit base costs do) the skip cannot change a
+    returned path either: the replay stays at a lower ``j`` until a
+    buffer joins the two walks, so were a state of the returned path
+    dominated, its replay would reach the goal tile cheaper, or at the
+    same cost with a lower ``j`` (which pops first), or would relax the
+    joining buffer state first; each contradicts how Dijkstra chose
+    that path.
+
+    Rounding. The base costs are added once per popped state and the
+    list entry once per neighbor, so a step costs ``(d + base) + c``:
+    the float a caller summing ``d + base + c`` left to right gets.
+    Tabulating ``base + c`` per edge would round as ``d + (base + c)``,
+    which differs (a straight three-edge path of dual lengths 0.1, 0.1
+    and 1/3 at unit base costs sums to 3.5333333333333337 left to right
+    and to 3.533333333333333 tabulated) and would move the oracle's
+    certificates. Stage 4 passes zero bases; ``d + 0.0 == d``, so its
+    relaxations cost what they did before the bases existed.
     """
     num_states = len(open_tiles) * layers
     dist = [INF] * num_states
@@ -229,6 +196,7 @@ def _layered_search(
     # cost a higher-j state of the tile must beat to be worth expanding.
     low_j = [layers] * len(open_tiles)
     last = layers - 1  # = L
+    found: List[int] = []
     dist[start] = 0.0
     heap: List[Tuple[float, int]] = [(0.0, start)]
     pop = heapq.heappop
@@ -239,11 +207,13 @@ def _layered_search(
         if d > dist[state]:
             continue  # stale entry; the state settled cheaper
         tile = state // layers
-        if goal_tiles[tile]:
-            return state, pred, dominated
         j = state - tile * layers
         low = low_j[tile]
         if low > j:
+            if low == layers and goal_tiles[tile]:
+                found.append(state)  # the tile's first pop settles it
+                if len(found) == goals:
+                    break
             low_j[tile] = j
         elif dist[state - j + low] < d:
             dominated += 1  # the lower-j state settled after this push
@@ -252,21 +222,21 @@ def _layered_search(
         if j:
             q = site_costs[tile]
             if q != INF:
-                nd = d + q
+                nd = d + site_base + q
                 nstate = state - j
                 if nd < dist[nstate]:
                     dist[nstate] = nd
                     pred[nstate] = state
                     push(heap, (nd, nstate))
-        # Step to a neighbor. A run of exactly L between gates is legal
-        # (a gate may drive L units), so j may reach L.
+        # Step to a neighbor.
         if j < last:
             nj = j + 1
+            dw = d + wire_base
             for nbr, eid in adj[tile]:
                 if open_tiles[nbr]:
                     step = edge_costs[eid]
                     if step != INF:
-                        nd = d + step
+                        nd = dw + step
                         nstate = nbr * layers + nj
                         if nd < dist[nstate]:
                             low = low_j[nbr]
@@ -276,7 +246,7 @@ def _layered_search(
                             dist[nstate] = nd
                             pred[nstate] = state
                             push(heap, (nd, nstate))
-    return -1, pred, dominated
+    return found, dist, pred, dominated
 
 
 def _remove_loops(path: List[Tile]) -> List[Tile]:
@@ -333,7 +303,6 @@ def _wire_path(
 def optimize_two_paths(
     graph: TileGraph,
     tree: RouteTree,
-    q_of: Callable[[Tile], float],
     length_limit: int,
     window_margin: int = 6,
 ) -> int:
@@ -347,22 +316,23 @@ def optimize_two_paths(
         The number of two-paths whose route changed.
     """
     tree.clear_buffers()
+    cache = graph.cost_cache()
     changed = 0
     for old_path in tree.two_paths():
         head, tail = old_path[0], old_path[-1]
         for a, b in zip(old_path, old_path[1:]):
             graph.add_wire(a, b, -1)
         forbidden = (set(tree.nodes) - set(old_path[1:-1])) - {head, tail}
-        window = _window_for(graph, head, tail, window_margin)
+        window = _search_window(graph, (head, tail), window_margin)
         new_path = best_buffered_path(
-            graph, tail, head, q_of, length_limit, forbidden, window
+            graph, tail, head, length_limit, forbidden, window,
+            cache.strict_costs(),
         )
         if new_path is None:
             # No bufferable path within capacity; try any within-capacity
             # path (the net's buffering may still be fixed elsewhere).
             new_path = _wire_path(
-                graph, tail, head, forbidden, window,
-                graph.cost_cache().strict_costs(),
+                graph, tail, head, forbidden, window, cache.strict_costs()
             )
         if new_path is None and not _path_fits(graph, old_path):
             # Only when even the old route overflows do we accept paying
@@ -370,17 +340,10 @@ def optimize_two_paths(
             # otherwise keeping the old route preserves the Stage-2
             # capacity guarantee.
             new_path = best_buffered_path(
-                graph,
-                tail,
-                head,
-                q_of,
-                length_limit,
-                forbidden,
-                window,
-                wire_cost=soft_congestion_cost,
+                graph, tail, head, length_limit, forbidden, window,
+                cache.soft_costs(),
             ) or _wire_path(
-                graph, tail, head, forbidden, window,
-                graph.cost_cache().soft_costs(),
+                graph, tail, head, forbidden, window, cache.soft_costs()
             )
         if new_path is None:
             new_path = list(reversed(old_path))  # keep the old route
@@ -398,15 +361,4 @@ def _path_fits(graph: TileGraph, path: List[Tile]) -> bool:
     return all(
         graph.wire_usage(a, b) < graph.wire_capacity(a, b)
         for a, b in zip(path, path[1:])
-    )
-
-
-def _window_for(
-    graph: TileGraph, a: Tile, b: Tile, margin: int
-) -> Tuple[int, int, int, int]:
-    return (
-        max(0, min(a[0], b[0]) - margin),
-        max(0, min(a[1], b[1]) - margin),
-        min(graph.nx - 1, max(a[0], b[0]) + margin),
-        min(graph.ny - 1, max(a[1], b[1]) + margin),
     )

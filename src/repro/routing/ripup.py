@@ -15,7 +15,11 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs import NULL_TRACER
-from repro.routing.maze import congestion_cost, route_net_on_tiles
+from repro.routing.maze import (
+    _search_window,
+    congestion_cost,
+    route_net_on_tiles,
+)
 from repro.routing.tree import RouteTree
 from repro.tilegraph.congestion import wire_congestion_stats
 from repro.tilegraph.graph import TileGraph
@@ -134,14 +138,7 @@ def net_window_box(graph: TileGraph, tree: RouteTree, margin: int) -> Box:
     with ``margin = 4 * m`` — the router's largest windowed escalation;
     only the final full-grid retry can read outside that box.
     """
-    xs = [t[0] for t in tree.nodes]
-    ys = [t[1] for t in tree.nodes]
-    return (
-        max(0, min(xs) - margin),
-        max(0, min(ys) - margin),
-        min(graph.nx - 1, max(xs) + margin),
-        min(graph.ny - 1, max(ys) + margin),
-    )
+    return _search_window(graph, tree.nodes, margin)
 
 
 def nets_intersecting(

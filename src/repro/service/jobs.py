@@ -178,6 +178,21 @@ class ScenarioSpec:
             raise ConfigurationError("length_limit must be >= 1")
         if self.total_sites < 0:
             raise ConfigurationError("total_sites must be >= 0")
+        # Tiles arrive from outside (deltas, JSON, the protocol); numpy
+        # would read a negative index as a tile on the far side.
+        for tile, _count in self.site_overrides:
+            self._check_tile(tile, "site override")
+        for u, v, _cap in self.capacity_overrides:
+            self._check_tile(u, "capacity override")
+            self._check_tile(v, "capacity override")
+            if abs(u[0] - v[0]) + abs(u[1] - v[1]) != 1:
+                raise ConfigurationError(
+                    f"capacity override tiles {tuple(u)} and {tuple(v)} "
+                    "are not adjacent"
+                )
+        for name, source, sinks in self.added_nets:
+            for pin in (source, *sinks):
+                self._check_tile(pin, f"net {name!r} pin")
         if self.buffer_library:
             from repro.technology import LIBRARY_NAMES
 
@@ -186,6 +201,13 @@ class ScenarioSpec:
                     f"unknown buffer library {self.buffer_library!r}; "
                     f"expected one of {LIBRARY_NAMES}"
                 )
+
+    def _check_tile(self, tile: Tile, what: str) -> None:
+        if not (0 <= tile[0] < self.grid and 0 <= tile[1] < self.grid):
+            raise ConfigurationError(
+                f"{what} {tuple(tile)} is outside the "
+                f"{self.grid}x{self.grid} grid"
+            )
 
     # -- derived content ------------------------------------------------ #
 

@@ -409,6 +409,10 @@ class TileGraph:
         """
         if capacity < 0:
             raise ConfigurationError("wire capacity must be >= 0")
+        if not (self.in_bounds(u) and self.in_bounds(v)):
+            raise ConfigurationError(
+                f"edge {u}-{v} is outside the {self.nx}x{self.ny} grid"
+            )
         eid = self._checked_edge_id(u, v)
         self.edge_capacity[eid] = capacity
         if self._cost_caches:

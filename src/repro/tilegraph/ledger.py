@@ -314,11 +314,6 @@ class SiteCostCache:
     def dirty_count(self) -> int:
         return self._graph.num_tiles if self._all_dirty else len(self._dirty)
 
-    @property
-    def graph(self) -> "TileGraph":
-        """The graph whose ``B(v)``/``b(v)`` this cache prices."""
-        return self._graph
-
     # -- refresh -------------------------------------------------------- #
 
     @staticmethod
@@ -370,23 +365,3 @@ class SiteCostCache:
     def cost(self, tile: "Tile") -> float:
         """Scalar convenience lookup (tests/diagnostics)."""
         return self.costs()[self._graph.tile_index(tile)]
-
-    def cost_fn(self):
-        """A ``q(v)`` callable over tiles, reading the cached list.
-
-        Refreshes lazily on every call (the staleness probe is two
-        attribute reads), so the closure stays correct across the site
-        bookings interleaved with Stage-4 path searches. The closure's
-        ``site_cost_cache`` attribute names this cache, so flat-index
-        searches can read :meth:`costs` once instead of calling it per
-        tile.
-        """
-        ny = self._graph.ny
-
-        def q_of(tile: "Tile") -> float:
-            if self._all_dirty or self._dirty:
-                self.refresh()
-            return self._costs[tile[0] * ny + tile[1]]
-
-        q_of.site_cost_cache = self
-        return q_of

@@ -34,6 +34,13 @@ class TestBasics:
         path = priced.paths[(3, 0)]
         assert len(path.edges) == 3
         assert path.buffers == ()
+        # Dual lengths on the same path: each step costs (d + 1) + l(e),
+        # summed left to right. Tabulating 1 + l(e) per edge would sum to
+        # 3.533333333333333; every other way to the sink is dearer.
+        for eid, length in zip(path.edges, (0.1, 0.1, 1.0 / 3.0)):
+            edges[eid] = length
+        priced = PathPricer(graph).price((0, 0), [(3, 0)], 8, edges, sites)
+        assert priced.costs[(3, 0)] == 3.5333333333333337
 
     def test_dual_value_is_worst_sink(self):
         graph = _graph()

@@ -4,8 +4,6 @@ import pytest
 
 from repro.core.two_path import best_buffered_path
 
-INF = float("inf")
-
 
 class TestGoalSet:
     def test_reaches_cheapest_goal(self, graph10_sites):
@@ -13,7 +11,8 @@ class TestGoalSet:
         goals = {(6, 0), (2, 0)}
         path = best_buffered_path(
             graph10_sites, (0, 0), goals,
-            lambda t: 1.0, length_limit=4, forbidden=set(), window=window,
+            length_limit=4, forbidden=set(), window=window,
+            edge_costs=graph10_sites.cost_cache().strict_costs(),
         )
         assert path is not None
         assert path[-1] == (2, 0)  # the nearer goal
@@ -22,7 +21,8 @@ class TestGoalSet:
         window = (0, 0, 9, 9)
         path = best_buffered_path(
             graph10_sites, (3, 3), {(3, 3), (9, 9)},
-            lambda t: 1.0, length_limit=4, forbidden=set(), window=window,
+            length_limit=4, forbidden=set(), window=window,
+            edge_costs=graph10_sites.cost_cache().strict_costs(),
         )
         assert path == [(3, 3)]
 
@@ -30,7 +30,8 @@ class TestGoalSet:
         window = (0, 0, 9, 9)
         path = best_buffered_path(
             graph10_sites, (0, 0), (4, 0),
-            lambda t: 1.0, length_limit=4, forbidden=set(), window=window,
+            length_limit=4, forbidden=set(), window=window,
+            edge_costs=graph10_sites.cost_cache().strict_costs(),
         )
         assert path is not None and path[-1] == (4, 0)
 
@@ -40,7 +41,8 @@ class TestGoalSet:
         forbidden = {(2, 0), (1, 1)}
         path = best_buffered_path(
             graph10_sites, (0, 0), {(2, 0)},
-            lambda t: 1.0, length_limit=4, forbidden=forbidden, window=window,
+            length_limit=4, forbidden=forbidden, window=window,
+            edge_costs=graph10_sites.cost_cache().strict_costs(),
         )
         assert path is not None and path[-1] == (2, 0)
 
@@ -49,6 +51,7 @@ class TestGoalSet:
         window = (0, 0, 9, 9)
         path = best_buffered_path(
             graph10, (0, 0), {(9, 9)},
-            lambda t: INF, length_limit=3, forbidden=set(), window=window,
+            length_limit=3, forbidden=set(), window=window,
+            edge_costs=graph10.cost_cache().strict_costs(),
         )
         assert path is None

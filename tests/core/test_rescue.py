@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import RabidConfig, RabidPlanner
-from repro.core.costs import buffer_site_cost
 from repro.core.length_rule import length_violations
 from repro.core.rescue import rescue_failing_nets, rescue_net
 from repro.geometry import Point, Rect
@@ -43,9 +42,7 @@ class TestRescueNet:
 
         meets, _, _ = assign_buffers_to_net(g, tree, 3, None)
         assert not meets
-        new_tree, changed = rescue_net(
-            g, tree, 3, lambda t: buffer_site_cost(g, t), window_margin=12
-        )
+        new_tree, changed = rescue_net(g, tree, 3, window_margin=12)
         assert changed
         assert length_violations(new_tree, 3) == 0
         # The rescued route leaves the dead rows.
@@ -58,9 +55,7 @@ class TestRescueNet:
         from repro.core.assignment import assign_buffers_to_net
 
         assign_buffers_to_net(g, tree, 3, None)
-        new_tree, _ = rescue_net(
-            g, tree, 3, lambda t: buffer_site_cost(g, t), window_margin=12
-        )
+        new_tree, _ = rescue_net(g, tree, 3, window_margin=12)
         h, v = g.h_usage.copy(), g.v_usage.copy()
         used = g.used_sites.copy()
         g.h_usage[:] = 0
@@ -76,9 +71,7 @@ class TestRescueNet:
         parent = {b: a for a, b in zip(tiles, tiles[1:])}
         tree = RouteTree.from_parent_map((0, 0), parent, [(3, 0)], net_name="ok")
         tree.add_usage(graph10_sites)
-        new_tree, changed = rescue_net(
-            graph10_sites, tree, 5, lambda t: buffer_site_cost(graph10_sites, t)
-        )
+        new_tree, changed = rescue_net(graph10_sites, tree, 5)
         assert not changed
         assert new_tree is tree
 
@@ -88,9 +81,7 @@ class TestRescueNet:
         tree = _straight_net_tree(g)
         tree.add_usage(g)
         h_before = g.h_usage.copy()
-        new_tree, changed = rescue_net(
-            g, tree, 3, lambda t: buffer_site_cost(g, t)
-        )
+        new_tree, changed = rescue_net(g, tree, 3)
         assert not changed
         assert new_tree is tree
         assert (g.h_usage == h_before).all()
@@ -140,8 +131,5 @@ class TestPlannerIntegration:
         g = TileGraph(Rect(0, 0, 14, 14), 14, 14, CapacityModel.uniform(8))
         tree = _straight_net_tree(g)
         tree.add_usage(g)
-        residue = rescue_failing_nets(
-            g, {"n": tree}, ["n"], {"n": 3},
-            lambda t: buffer_site_cost(g, t),
-        )
+        residue = rescue_failing_nets(g, {"n": tree}, ["n"], {"n": 3})
         assert residue == ["n"]

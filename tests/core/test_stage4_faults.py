@@ -98,21 +98,3 @@ def test_stage4_mid_pass_fault_keeps_invariants(monkeypatch):
     assert (graph.used_sites >= 0).all()
     assert (graph.used_sites <= graph.sites).all()
 
-
-def test_stage4_q_of_is_shared_across_nets(monkeypatch):
-    """The site-cost closure is built once per stage4() call, not per net."""
-    graph, netlist = _design()
-    planner = _run_through_stage3(graph, netlist)
-
-    seen = []
-    real = rabid_module.optimize_two_paths
-
-    def spy(graph_arg, tree, q_of, *args, **kwargs):
-        seen.append(q_of)
-        return real(graph_arg, tree, q_of, *args, **kwargs)
-
-    monkeypatch.setattr(rabid_module, "optimize_two_paths", spy)
-    planner.stage4()
-
-    assert len(seen) >= len(netlist)
-    assert len(set(map(id, seen))) == 1

@@ -7,7 +7,6 @@ rather than a soft-cost overflowing detour.
 
 import pytest
 
-from repro.core.costs import buffer_site_cost
 from repro.core.two_path import _path_fits, optimize_two_paths
 from repro.routing.tree import RouteTree
 from repro.tilegraph import CapacityModel, TileGraph, wire_congestion_stats
@@ -46,9 +45,7 @@ class TestNoOverflowPreserved:
             g.add_wire((x, 0), (x + 1, 0), 2)
             g.add_wire((x, 2), (x + 1, 2), 2)
         assert wire_congestion_stats(g).overflow == 0
-        optimize_two_paths(
-            g, tree, lambda t: buffer_site_cost(g, t), length_limit=3
-        )
+        optimize_two_paths(g, tree, length_limit=3)
         tree.validate()
         assert wire_congestion_stats(g).overflow == 0
 

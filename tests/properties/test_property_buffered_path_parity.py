@@ -6,8 +6,11 @@ below is the dict-keyed ``(Tile, j)`` Dijkstra it replaced, kept here
 verbatim (and only here) together with the wire-only ``_plain_path``
 fallback. Random cases cover small grids with saturated edges and
 zero-site tiles, every length limit from 1 to 5, forbidden and goal
-sets, strict and soft costs, and callable ``q_of`` tables with infinite
-entries. Each case must return the identical path, or ``None`` from both.
+sets, and strict and soft costs. The kernel reads the graph's cost-cache
+lists; the reference calls the scalar cost functions, for site costs
+either the cache's lookup or the Eq. (2) formula, so the cases also
+check that the site-cost cache is bit-identical to Eq. (2). Each case
+must return the identical path, or ``None`` from both.
 """
 
 import heapq
@@ -138,14 +141,13 @@ def reference_plain_path(graph, start, goal, forbidden, window, wire_cost):
 # Random cases                                                          #
 # --------------------------------------------------------------------- #
 
-#: Positive site costs for callable q_of tables; INF marks an unusable tile.
-Q_VALUES = [INF, INF, 0.25, 1.0 / 3.0, 0.5, 1.0, 2.0]
 
-
-def _directional_cost(graph, u, v):
-    """A custom wire cost that depends on the direction of travel."""
-    base = congestion_cost(graph, u, v)
-    return base if v > u else base * 1.5 + 0.125
+def _cost_list(graph, wire_cost):
+    """The cache's per-edge list for the reference's wire cost."""
+    cache = graph.cost_cache()
+    if wire_cost is congestion_cost:
+        return cache.strict_costs()
+    return cache.soft_costs()
 
 
 def _graph(rng, nx, ny, capacity):
@@ -181,25 +183,18 @@ def search_cases(draw):
     ny = draw(st.integers(4, 10))
     capacity = draw(st.integers(1, 4))
     length_limit = draw(st.integers(1, 5))
-    wire = draw(st.sampled_from(["strict", "soft", "directional"]))
-    q_kind = draw(st.sampled_from(["cache", "eq2", "table"]))
+    wire = draw(st.sampled_from(["strict", "soft"]))
+    q_kind = draw(st.sampled_from(["cache", "eq2"]))
     goal_count = draw(st.integers(0, 3))  # 0 = a single goal tile
     forbidden_share = draw(st.sampled_from([0.0, 0.1, 0.3]))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
 
     graph = _graph(rng, nx, ny, capacity)
     if q_kind == "cache":
-        q_of = graph.site_cost_cache().cost_fn()
-    elif q_kind == "eq2":
-        q_of = lambda tile: buffer_site_cost(graph, tile)  # noqa: E731
+        q_of = graph.site_cost_cache().cost
     else:
-        table = {tile: rng.choice(Q_VALUES) for tile in graph.tiles()}
-        q_of = table.__getitem__
-    wire_cost = {
-        "strict": congestion_cost,
-        "soft": soft_congestion_cost,
-        "directional": _directional_cost,
-    }[wire]
+        q_of = lambda tile: buffer_site_cost(graph, tile)  # noqa: E731
+    wire_cost = {"strict": congestion_cost, "soft": soft_congestion_cost}[wire]
     start = _tile(rng, nx, ny)
     if goal_count == 0:
         goal = _tile(rng, nx, ny)
@@ -219,7 +214,8 @@ class TestBufferedPathParity:
             graph, start, goal, q_of, limit, forbidden, window, wire_cost
         )
         got = best_buffered_path(
-            graph, start, goal, q_of, limit, forbidden, window, wire_cost
+            graph, start, goal, limit, forbidden, window,
+            _cost_list(graph, wire_cost),
         )
         assert got == want
 
@@ -231,17 +227,10 @@ class TestBufferedPathParity:
         graph, start, goal, _q, _limit, forbidden, window, wire_cost = case
         if isinstance(goal, set):
             goal = min(goal, default=start)
-        if wire_cost is _directional_cost:
-            wire_cost = congestion_cost
-        cache = graph.cost_cache()
-        costs = (
-            cache.strict_costs()
-            if wire_cost is congestion_cost
-            else cache.soft_costs()
-        )
         want = reference_plain_path(
             graph, start, goal, forbidden, window, wire_cost
         )
+        costs = _cost_list(graph, wire_cost)
         assert _wire_path(graph, start, goal, forbidden, window, costs) == want
 
 
@@ -255,13 +244,17 @@ class TestDominanceSkip:
 
         def spy(*args):
             result = real(*args)
-            seen.append(result[2])
+            seen.append(result[3])
             return result
 
         monkeypatch.setattr(two_path, "_layered_search", spy)
-        q_of = graph10_sites.site_cost_cache().cost_fn()
-        args = (graph10_sites, (0, 0), (7, 5), q_of, 4, set(), (0, 0, 9, 9))
-        got = best_buffered_path(*args)
+        got = best_buffered_path(
+            graph10_sites, (0, 0), (7, 5), 4, set(), (0, 0, 9, 9),
+            graph10_sites.cost_cache().strict_costs(),
+        )
         assert seen and seen[0] > 0
-        assert got == reference_buffered_path(*args)
+        assert got == reference_buffered_path(
+            graph10_sites, (0, 0), (7, 5),
+            graph10_sites.site_cost_cache().cost, 4, set(), (0, 0, 9, 9),
+        )
         assert got[0] == (0, 0) and got[-1] == (7, 5)

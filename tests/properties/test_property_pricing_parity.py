@@ -1,11 +1,14 @@
 """Property-based parity: the pricing search vs the search it replaced.
 
-``PathPricer._search`` settles each sink tile at its first pop, reads
-the window from a byte mask and skips dominated ``(tile, d)`` states.
-The reference below is the search it replaced, which waited for all
-``L + 1`` layer states of every sink to settle and then took the
-cheapest; it is kept here verbatim (and only here), as a function of the
-pricer instead of a method. Random cases cover small grids with
+``PathPricer._search`` runs Stage 4's layered search
+(:func:`repro.core.two_path._layered_search`): each sink tile settles at
+its first pop, the window is a byte mask and dominated ``(tile, d)``
+states are skipped. The reference below is the search it replaced, which
+waited for all ``L + 1`` layer states of every sink to settle and then
+took the cheapest, charging ``d + base + scale * length`` left to right;
+it is kept here verbatim (and only here), as a function of the pricer
+instead of a method. The candidate side pre-scales the dual lengths into
+cost lists, as the oracle does. Random cases cover small grids with
 infinite edge lengths, zero-site tiles (sink tiles included), every
 length limit from 1 to 5, duplicate sinks and sinks on the source tile,
 dual scales from 0 to 4, zero and unit base costs, and window margins
@@ -15,12 +18,13 @@ whenever every step costs more than 0.
 
 import heapq
 import random
+from types import SimpleNamespace
 from typing import Dict, List, Sequence, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.bounds.pricing as pricing
+import repro.core.two_path as two_path
 from repro.bounds.pricing import NetPricing, PathPricer, PricedPath
 from repro.geometry import Rect
 from repro.tilegraph import CapacityModel, TileGraph
@@ -146,6 +150,32 @@ def reference_search(
     return NetPricing(source=source, costs=costs, paths=paths)
 
 
+def reference_view(pricer):
+    """The attributes of the replaced pricer that the reference reads."""
+    return SimpleNamespace(flat=pricer.flat, _sites=pricer.graph.sites_flat)
+
+
+def candidate_search(
+    pricer, source, sinks, length_limit, edge_lengths, site_lengths,
+    wire_cost, buffer_cost, scale, margin, collect_paths,
+) -> NetPricing:
+    """``_search`` on the reference's arguments: the dual terms scaled
+    into cost lists, INF for an infinite length and on tiles without
+    sites."""
+    sites = pricer.graph.sites_flat
+    edge_costs = [
+        scale * length if length < INF else INF for length in edge_lengths
+    ]
+    site_costs = [
+        scale * length if length < INF and sites[tile] > 0 else INF
+        for tile, length in enumerate(site_lengths)
+    ]
+    return pricer._search(
+        source, sinks, length_limit, edge_costs, site_costs,
+        wire_cost, buffer_cost, margin, collect_paths,
+    )
+
+
 # --------------------------------------------------------------------- #
 # Random cases                                                          #
 # --------------------------------------------------------------------- #
@@ -228,8 +258,8 @@ class TestPricingParity:
     @settings(max_examples=400, deadline=None)
     def test_matches_reference_search(self, case):
         pricer, args, positive = case
-        want = reference_search(pricer, *args)
-        got = pricer._search(*args)
+        want = reference_search(reference_view(pricer), *args)
+        got = candidate_search(pricer, *args)
         assert got.costs == want.costs
         if positive:
             assert got.paths == want.paths
@@ -265,10 +295,10 @@ class TestEarlyStop:
         args = ((0, 0), [(1, 0)], 5, edges, sites, 1.0, 1.0, 1.0, 10, True)
 
         new_heap, old_heap = _CountingHeapq(), _CountingHeapq()
-        monkeypatch.setattr(pricing, "heapq", new_heap)
-        got = pricer._search(*args)
+        monkeypatch.setattr(two_path, "heapq", new_heap)
+        got = candidate_search(pricer, *args)
         monkeypatch.setitem(globals(), "heapq", old_heap)
-        want = reference_search(pricer, *args)
+        want = reference_search(reference_view(pricer), *args)
         monkeypatch.undo()
 
         assert got.costs == want.costs == {(1, 0): 1.0}

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.assignment import assign_buffers_to_net
-from repro.core.costs import buffer_site_cost
 from repro.core.length_rule import length_violations
 from repro.core.rescue import rescue_net
 from repro.geometry import Rect
@@ -48,9 +47,7 @@ class TestRescueProperties:
         g, tree, L = instance
         tree.add_usage(g)
         assign_buffers_to_net(g, tree, L, None)
-        new_tree, _ = rescue_net(
-            g, tree, L, lambda t: buffer_site_cost(g, t), window_margin=12
-        )
+        new_tree, _ = rescue_net(g, tree, L, window_margin=12)
         h, v = g.h_usage.copy(), g.v_usage.copy()
         used = g.used_sites.copy()
         g.h_usage[:] = 0
@@ -68,9 +65,7 @@ class TestRescueProperties:
         tree.add_usage(g)
         assign_buffers_to_net(g, tree, L, None)
         before = length_violations(tree, L)
-        new_tree, _ = rescue_net(
-            g, tree, L, lambda t: buffer_site_cost(g, t), window_margin=12
-        )
+        new_tree, _ = rescue_net(g, tree, L, window_margin=12)
         assert length_violations(new_tree, L) <= before
 
     @given(dead_band_instances())
@@ -80,9 +75,7 @@ class TestRescueProperties:
         tree.add_usage(g)
         assign_buffers_to_net(g, tree, L, None)
         source, sinks = tree.source, tree.sink_tiles
-        new_tree, _ = rescue_net(
-            g, tree, L, lambda t: buffer_site_cost(g, t), window_margin=12
-        )
+        new_tree, _ = rescue_net(g, tree, L, window_margin=12)
         new_tree.validate()
         assert new_tree.source == source
         assert new_tree.sink_tiles == sinks
@@ -93,5 +86,5 @@ class TestRescueProperties:
         g, tree, L = instance
         tree.add_usage(g)
         assign_buffers_to_net(g, tree, L, None)
-        rescue_net(g, tree, L, lambda t: buffer_site_cost(g, t), window_margin=12)
+        rescue_net(g, tree, L, window_margin=12)
         assert (g.used_sites <= g.sites).all()

@@ -160,6 +160,48 @@ class TestDeltas:
             apply_delta(small_spec(), DeltaSpec((set_length_limit("n", 0),)))
 
 
+class TestOffGridTiles:
+    """Tiles outside the grid are refused, not wrapped onto other tiles."""
+
+    SPEC = ScenarioSpec(grid=8, num_nets=10, total_sites=50)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            set_sites([(-1, 0, 7)]),  # once set B(7, 0) = 7
+            set_sites([(9, 0, 7)]),  # once a bare IndexError
+            set_capacity([(7, 0, 8, 0, 3)]),  # once edge ((0, 0), (0, 1))
+            set_capacity([(0, 0, -1, 0, 3)]),  # once edge ((6, 6), (6, 7))
+            set_capacity([(0, 0, 2, 0, 3)]),  # not adjacent
+            add_net("x", (-1, 2), [(3, 3)]),
+            add_net("x", (0, 0), [(9, 3)]),
+        ],
+        ids=[
+            "sites-negative", "sites-beyond", "capacity-beyond",
+            "capacity-negative", "capacity-not-adjacent", "net-source",
+            "net-sink",
+        ],
+    )
+    def test_delta_rejected(self, op):
+        with pytest.raises(ConfigurationError):
+            apply_delta(self.SPEC, DeltaSpec((op,)))
+
+    def test_from_dict_rejects_off_grid_site_override(self):
+        payload = self.SPEC.to_dict()
+        payload["site_overrides"] = [[[0, -1], 4]]  # once landed on (0, 7)
+        with pytest.raises(ConfigurationError, match="outside"):
+            ScenarioSpec.from_dict(payload)
+
+    def test_in_grid_edits_still_apply(self):
+        out = apply_delta(self.SPEC, DeltaSpec((
+            set_sites([(7, 7, 2)]),
+            set_capacity([(6, 7, 7, 7, 1)]),
+            add_net("x", (0, 0), [(7, 7)]),
+        )))
+        assert out.effective_sites()[7, 7] == 2
+        assert ((6, 7), (7, 7), 1) in out.capacity_overrides
+
+
 class TestJobs:
     def test_baseline_needs_scenario(self):
         with pytest.raises(ProtocolError):

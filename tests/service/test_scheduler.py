@@ -26,6 +26,7 @@ from repro.service import (
     full_plan,
     move_macro,
     remove_net,
+    set_capacity,
 )
 from repro.service.jobs import MacroSpec
 
@@ -187,6 +188,32 @@ class TestEndToEnd:
                 record = await service.wait("d0")
                 assert record.status is JobStatus.FAILED
                 assert "UnknownJobError" in record.error
+            finally:
+                await service.stop()
+
+        run(scenario())
+
+
+    def test_off_grid_capacity_edit_fails_job(self):
+        async def scenario():
+            service = PlanningService(
+                options=SchedulerOptions(workers=1, retries=0)
+            )
+            await service.start()
+            try:
+                service.submit(Job("b0", "baseline", scenario=SPEC))
+                await service.wait("b0")
+                before = service.baseline("b0").signature
+                # (8, 0) is off the 8x8 grid: the edit once set W of
+                # edge ((0, 0), (0, 1)) and the job ended DONE.
+                off_grid = DeltaSpec((set_capacity([(7, 0, 8, 0, 3)]),))
+                service.submit(
+                    Job("d0", "delta", baseline_id="b0", delta=off_grid)
+                )
+                record = await service.wait("d0")
+                assert record.status is JobStatus.FAILED
+                assert "outside the 8x8 grid" in record.error
+                assert service.baseline("b0").signature == before
             finally:
                 await service.stop()
 

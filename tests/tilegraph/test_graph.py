@@ -88,6 +88,14 @@ class TestWires:
         with pytest.raises(ConfigurationError):
             graph10.wire_usage((0, 0), (1, 1))
 
+    def test_off_grid_capacity_edit_rejected(self, graph10):
+        # The edge-id arithmetic alone maps these onto other edges.
+        before = graph10.edge_capacity.copy()
+        for u, v in (((9, 0), (10, 0)), ((0, 0), (-1, 0))):
+            with pytest.raises(ConfigurationError, match="outside"):
+                graph10.set_wire_capacity(u, v, 3)
+        assert (graph10.edge_capacity == before).all()
+
     def test_edges_enumeration(self, graph10):
         edges = list(graph10.edges())
         assert len(edges) == graph10.num_edges

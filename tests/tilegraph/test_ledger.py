@@ -141,10 +141,11 @@ class TestSiteCostCache:
         assert cache.tiles_recomputed == full + 1
 
     def test_cost_fn_sees_later_changes(self, graph10_sites):
-        q_of = graph10_sites.site_cost_cache().cost_fn()
-        before = q_of((6, 6))
+        cache = graph10_sites.site_cost_cache()
+        index = graph10_sites.tile_index((6, 6))
+        before = cache.costs()[index]
         graph10_sites.use_site((6, 6), 1)
-        after = q_of((6, 6))
+        after = cache.costs()[index]
         assert after > before
         assert after == buffer_site_cost(graph10_sites, (6, 6))
 
