@@ -56,6 +56,8 @@ SERVICE_COUNTERS = (
     "service.jobs_retried",
     "service.jobs_verified",
     "service.verify_mismatches",
+    "service.nets_searched",
+    "service.nets_rerouted",
     "fleet.dispatches",
     "fleet.preemptions",
     "fleet.rebuilds",

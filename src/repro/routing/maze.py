@@ -271,6 +271,10 @@ def _route_net_flat(
 
     all_pins = [source] + list(sinks)
     margins = [window_margin, window_margin * 4, max(graph.nx, graph.ny)]
+    # The widest margin any attempt searched. Every window is the pin box
+    # grown by a margin, so the windows are nested and this one holds
+    # every tile the net's searches made live (tree tiles included).
+    widest = 0
     total_expanded = 0
     total_pops = 0
     total_lookups = 0
@@ -280,6 +284,7 @@ def _route_net_flat(
         used_costs = soft_costs_fn() if start_soft else strict_costs
         soft = start_soft
         for attempt, margin in enumerate(margins):
+            widest = max(widest, margin)
             window = _search_window(graph, all_pins, margin)
             seeds = [
                 (idx, radius_weight * path_cost)
@@ -339,7 +344,11 @@ def _route_net_flat(
         if cache_backed and total_lookups:
             tracer.count("route.cache_hits", total_lookups)
     sink_tiles = sorted(sink_set)
-    return RouteTree.from_parent_map(source, parent, sink_tiles, net_name=net_name)
+    tree = RouteTree.from_parent_map(source, parent, sink_tiles, net_name=net_name)
+    # The soft rescan runs only after the full-grid strict attempt, so it
+    # never widens the box.
+    tree.read_box = _search_window(graph, all_pins, widest)
+    return tree
 
 
 def route_net_on_tiles(
@@ -377,7 +386,11 @@ def route_net_on_tiles(
             fallback still applies when it leaves a sink unreachable.
 
     Returns:
-        A :class:`RouteTree` connecting the source to every sink.
+        A :class:`RouteTree` connecting the source to every sink. Its
+        ``read_box`` is the widest window any attempt searched: the
+        search reads ``costs[e]`` only for edges with both endpoints
+        inside it, so the tree is a function of the pins and of those
+        costs (the incremental service relies on this).
 
     Raises:
         ConfigurationError: ``cost_fn`` is neither built-in cost and no

@@ -11,20 +11,14 @@ the walk is strictly sequential.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence
 
 from repro.errors import ConfigurationError
 from repro.obs import NULL_TRACER
-from repro.routing.maze import (
-    _search_window,
-    congestion_cost,
-    route_net_on_tiles,
-)
+from repro.routing.maze import congestion_cost, route_net_on_tiles
 from repro.routing.tree import RouteTree
 from repro.tilegraph.congestion import wire_congestion_stats
 from repro.tilegraph.graph import TileGraph
-
-Box = Tuple[int, int, int, int]
 
 
 @dataclass
@@ -121,58 +115,3 @@ def reroute_order_by_delay(
 ) -> List[str]:
     """Net order sorted by delay (paper Stage 2: smallest first)."""
     return sorted(delays, key=lambda n: (delays[n], n), reverse=not ascending)
-
-
-# --------------------------------------------------------------------- #
-# Dirty-region queries (incremental re-planning)                        #
-# --------------------------------------------------------------------- #
-
-
-def net_window_box(graph: TileGraph, tree: RouteTree, margin: int) -> Box:
-    """Bounding box of everything a net's reroute may read.
-
-    Covers the current route *and* the pins it will be rerouted between,
-    expanded by ``margin`` and clipped to the grid. The incremental
-    planning service uses it to decide which nets a dirty tile region can
-    influence. A net routed with window margin ``m`` should be queried
-    with ``margin = 4 * m`` — the router's largest windowed escalation;
-    only the final full-grid retry can read outside that box.
-    """
-    return _search_window(graph, tree.nodes, margin)
-
-
-def nets_intersecting(
-    routes: Dict[str, RouteTree],
-    dirty: "set[Tuple[int, int]] | frozenset",
-    graph: TileGraph,
-    margin: int = 0,
-    names: "Sequence[str] | None" = None,
-) -> List[str]:
-    """Nets whose route (or search window) touches a dirty tile set.
-
-    Args:
-        routes: net name -> current route.
-        dirty: tiles whose state (sites, capacity, or usage) changed.
-        graph: the tile graph the routes live on.
-        margin: 0 tests exact tree-tile intersection (buffer-side
-            dirtiness); a positive margin tests the expanded window box
-            (wire-side dirtiness, where a reroute *reads* beyond its own
-            tiles).
-        names: subset of nets to test (defaults to all of ``routes``).
-
-    Returns:
-        Matching net names, sorted.
-    """
-    if not dirty:
-        return []
-    out: List[str] = []
-    for name in names if names is not None else routes:
-        tree = routes[name]
-        if margin <= 0:
-            if any(t in dirty for t in tree.nodes):
-                out.append(name)
-            continue
-        x0, y0, x1, y1 = net_window_box(graph, tree, margin)
-        if any(x0 <= t[0] <= x1 and y0 <= t[1] <= y1 for t in dirty):
-            out.append(name)
-    return sorted(out)

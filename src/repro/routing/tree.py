@@ -83,6 +83,9 @@ class RouteTree:
         self.root = root
         self.nodes = nodes
         self.net_name = net_name
+        #: Inclusive ``(x0, y0, x1, y1)`` window the maze search that built
+        #: this tree read; ``None`` (any other origin) means the whole grid.
+        self.read_box: Optional[Tuple[int, int, int, int]] = None
         # Memoized topology queries; invalidated by replace_two_path (the
         # only post-construction topology mutator).
         self._edges_cache: Optional[List[Tuple[Tile, Tile]]] = None
@@ -468,4 +471,5 @@ class RouteTree:
         tail_node.parent = prev
         prev.children.append(tail_node)
         prev.children.sort(key=lambda n: n.tile)
+        self.read_box = None  # no longer the maze search's tree
         self._invalidate_topology()

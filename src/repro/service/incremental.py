@@ -1,4 +1,4 @@
-"""Dirty-region incremental re-planning (the service tentpole).
+"""Exact, local incremental re-planning for the planning service.
 
 The exact-replay strategy
 -------------------------
@@ -6,37 +6,53 @@ The exact-replay strategy
 The service pipeline is sequential and deterministic: nets are routed in
 sorted name order against accumulating wire usage, then buffered in the
 same order against accumulating ``b(v)`` and the shrinking ``p(v)``
-field. Each net's result therefore depends on (a) its own pins/limit and
-(b) the *prefix state* left by every net before it — plus, through
-``p(v)``, the routes and limits of the nets after it.
+field. The incremental engine *re-executes the walk*, and replays a
+cached result wherever the delta provably cannot have changed it. Three
+rules decide, each built on what a step of the walk actually read or
+changed:
 
-Instead of patching the old plan in place, the incremental engine
-*re-executes the walk* but replays cached results wherever the delta
-provably cannot have changed them:
+1. **Each route records the window its search read.** The maze router
+   stamps every tree with ``read_box``, the widest window any of its
+   attempts searched (:func:`repro.routing.maze.route_net_on_tiles`).
+   The wavefront reads ``costs[e]`` only between two live tiles; a live
+   tile is inside the current window or on the partial tree, whose
+   tiles earlier windows of the same net found, and the windows are
+   nested. So a route is a function of the net's pins and of the Eq. (1)
+   costs of the edges inside its ``read_box`` — and an edge's cost is a
+   function of its ``W(e)`` and of the usage the nets before it booked.
+   A tree of any other origin (a restored checkpoint) has
+   ``read_box = None``, which stands for the whole grid.
+2. **Route-dirty means the edge's prefix usage changed.** The route
+   phase walks old and new nets together in name order and keeps, per
+   edge, the new minus the old usage booked by the nets before the
+   current one: a removed net subtracts its old edges when the walk
+   reaches its name, a re-searched net whose edges changed swaps its
+   cached edges for its new ones, an added net adds its edges. An edge
+   is dirty while that difference is non-zero, and for the whole walk
+   when its ``W(e)`` changed. A net is searched again only if its pins
+   changed, it is new, or a dirty edge lies inside its ``read_box``.
+   Otherwise every cost its cached search read is unchanged, the search
+   would return the cached tree, and the tree is re-booked as it is. By
+   induction over the walk every route, and so every prefix usage, is
+   the full plan's.
+3. **A rerouted net seeds the buffer phase only with the tiles it
+   gained or lost.** :func:`repro.core.assignment.run_buffer_walk`
+   adds every net's ``1/L`` to ``p(v)`` in walk order and removes it in
+   walk order, so on a tile a rerouted net keeps, with its limit
+   unchanged, the float operations — and every ``p(v)`` a solve reads
+   there — are the same. Limit-changed, added and removed nets seed all
+   of their tiles, as do tiles whose ``B(v)`` changed; the seeding is
+   complete before the walk starts, because ``p(v)`` flows from later
+   nets into earlier solves. ``b(v)`` flows forward instead: a re-solved
+   net whose buffers moved dirties the tiles it changed as the walk
+   commits it (``on_solved``). A net re-solves if it was rerouted, its
+   pins or limit changed, it is new, or one of its tiles is dirty; every
+   other net books its cached :class:`NetOutcome` verbatim.
 
-* **Route phase** — usage is reset and the walk re-books each net in
-  order. A net is re-routed only if its pins changed or its cached
-  search window (``4 x window_margin``, the maze router's largest
-  windowed escalation — see :func:`repro.routing.ripup.net_window_box`)
-  intersects the *route-dirty* tile set: tiles with changed ``W(e)``,
-  tiles of removed/changed nets, and tiles of earlier nets whose reroute
-  produced different edges. Every other net re-books its cached tree,
-  which reconstructs the exact usage prefix its original search saw.
-* **Buffer phase** — ``p(v)`` is rebuilt from the new routes/limits, and
-  the Stage-3 walk replays each cached :class:`NetOutcome` unless the
-  net is *buffer-dirty*: its route or limit changed, its tiles touch a
-  tile with changed ``B(v)`` or changed ``p(v)`` contributions (seeded
-  up front, because ``p(v)`` flows from later nets to earlier solves),
-  or an earlier re-solved net moved a buffer onto one of its tiles
-  (propagated during the walk, because ``b(v)`` flows forward).
-
-By induction over the walk order the composed plan is the one
-:func:`repro.service.engine.full_plan` would produce — with one known
-approximation: a maze search that escalates to the *full grid* reads
-outside its window box, so a dirty region the box test misses could in
-principle change it. That gap is why the scheduler sample-verifies
-incremental results against a scratch full plan and escalates on
-mismatch (:mod:`repro.service.verify`).
+The composed plan is therefore the one
+:func:`repro.service.engine.full_plan` produces, byte for byte. The
+scheduler's sampled verification (:mod:`repro.service.verify`) guards
+against bugs, not against a known gap.
 
 All site bookings happen inside one :class:`SiteLedger` transaction and
 the mutated :class:`PlanState` is restored from a backup if anything
@@ -47,18 +63,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.assignment import NetOutcome, buffering_signature, run_buffer_walk
 from repro.obs import NULL_TRACER
-from repro.routing.ripup import net_window_box
 from repro.routing.tree import RouteTree
 from repro.service.engine import PlanState, route_one
 from repro.service.jobs import DeltaSpec, ScenarioSpec, apply_delta
+from repro.tilegraph.graph import TileGraph
 
 Tile = Tuple[int, int]
+
+_NO_EDGES = np.zeros(0, dtype=np.int64)
 
 
 @dataclass
@@ -67,6 +85,8 @@ class IncrementalStats:
 
     ``nets_searched`` counts the maze searches the route phase ran;
     ``nets_rerouted`` counts only those whose route edges changed.
+    ``dirty_tiles`` counts the buffer-dirty tiles plus the endpoints of
+    the edges whose usage or ``W(e)`` differs from the old plan's.
     """
 
     signature: str
@@ -93,14 +113,70 @@ class IncrementalStats:
         }
 
 
+class _DirtyEdges:
+    """Rule 2's route-dirty edge set, kept as the walk advances.
+
+    ``delta[e]`` is the new minus the old usage the walk's prefix books
+    on edge ``e``; an edge is dirty while that is non-zero, or for good
+    when its ``W(e)`` changed. The mask is viewed as the horizontal
+    ``(nx - 1, ny)`` and vertical ``(nx, ny - 1)`` edge grids, indexed by
+    the lower tile, so the edges inside a box are two slices.
+    """
+
+    def __init__(self, graph: TileGraph, capacity_changed: np.ndarray) -> None:
+        self._capacity_changed = capacity_changed
+        self._delta = np.zeros(len(capacity_changed), dtype=np.int64)
+        self._mask = capacity_changed.copy()
+        self._any = bool(capacity_changed.any())
+        self._shape = (graph.nx, graph.ny)
+        nh = graph.num_h_edges
+        self._h = self._mask[:nh].reshape(graph.nx - 1, graph.ny)
+        self._v = self._mask[nh:].reshape(graph.nx, graph.ny - 1)
+
+    def book(self, lost: np.ndarray, gained: np.ndarray) -> None:
+        """One net's old edges leave the prefix and its new ones enter."""
+        self._delta[lost] -= 1
+        self._delta[gained] += 1
+        np.not_equal(self._delta, 0, out=self._mask)
+        self._mask |= self._capacity_changed
+        self._any = bool(self._mask.any())
+
+    def read_by(self, box: Optional[Tuple[int, int, int, int]]) -> bool:
+        """Whether a dirty edge has both endpoints inside ``box``."""
+        if not self._any:
+            return False
+        if box is None:
+            return True
+        x0, y0, x1, y1 = box
+        return bool(
+            self._h[x0:x1, y0 : y1 + 1].any() or self._v[x0 : x1 + 1, y0:y1].any()
+        )
+
+    def endpoint_mask(self) -> np.ndarray:
+        """``(nx, ny)`` mask of the endpoints of the dirty edges."""
+        tiles = np.zeros(self._shape, dtype=bool)
+        tiles[:-1, :] |= self._h
+        tiles[1:, :] |= self._h
+        tiles[:, :-1] |= self._v
+        tiles[:, 1:] |= self._v
+        return tiles
+
+
 def _normalize(pins) -> Tuple[Tile, Tuple[Tile, ...]]:
     source, sinks = pins
     return tuple(source), tuple(tuple(s) for s in sinks)
 
 
-def _box_hits(box, dirty: Set[Tile]) -> bool:
-    x0, y0, x1, y1 = box
-    return any(x0 <= t[0] <= x1 and y0 <= t[1] <= y1 for t in dirty)
+def _edge_ids(graph: TileGraph, tree: RouteTree) -> np.ndarray:
+    """The tree's flat edge ids, sorted (a canonical edge set)."""
+    edge_id = graph.edge_id
+    ids = np.fromiter(
+        (edge_id(u, v) for u, v in tree.edges()),
+        dtype=np.int64,
+        count=tree.num_edges(),
+    )
+    ids.sort()
+    return ids
 
 
 def incremental_replan(
@@ -113,6 +189,8 @@ def incremental_replan(
     On success ``state`` holds the new plan (scenario, routes, outcomes,
     graph usage, signature). On any exception the backup is restored and
     the exception propagates — the baseline is never left half-planned.
+    Traced, the replan counts ``service.nets_searched`` and
+    ``service.nets_rerouted``.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     new_scenario = apply_delta(state.scenario, delta)
@@ -124,6 +202,8 @@ def incremental_replan(
         state.restore(backup)
         raise
     if tracer.enabled:
+        tracer.count("service.nets_searched", stats.nets_searched)
+        tracer.count("service.nets_rerouted", stats.nets_rerouted)
         tracer.gauge("service.dirty_nets", stats.nets_resolved)
         tracer.observe("service.incremental_seconds", stats.seconds)
     return stats
@@ -143,12 +223,14 @@ def _replay(
     new_nets = {k: _normalize(v) for k, v in new_scenario.nets().items()}
     order = sorted(new_nets)
 
+    # New nets count as pins-changed: they have no cached route.
     pins_changed = {
         name
         for name in new_nets
         if old_nets.get(name) != new_nets[name]
     }
     removed = set(old_nets) - set(new_nets)
+    added = set(new_nets) - set(old_nets)
     old_limits = old_scenario.limits(old_nets)
     new_limits = new_scenario.limits(order)
     limit_changed = {
@@ -168,36 +250,23 @@ def _replay(
     graph.sites[:] = new_scenario.effective_sites()
     graph._notify_all_sites_changed()
 
-    capacity_dirty: Set[Tile] = set()
-    for eid in np.nonzero(old_capacity != graph.edge_capacity)[0]:
-        u, v = graph.edge_endpoints(int(eid))
-        capacity_dirty.add(u)
-        capacity_dirty.add(v)
-    site_dirty: Set[Tile] = {
+    # ---- route phase (Rules 1 and 2) ----------------------------------- #
+    dirty_edges = _DirtyEdges(graph, old_capacity != graph.edge_capacity)
+    # The buffer phase's seed: tiles whose B(v) changed, plus the tiles
+    # each re-searched net gains or loses (added below, as the walk goes).
+    buffer_dirty: Set[Tile] = {
         (int(x), int(y))
         for x, y in zip(*np.nonzero(old_sites != graph.sites))
     }
-
-    # ---- route phase --------------------------------------------------- #
-    route_dirty: Set[Tile] = set(capacity_dirty)
-    for name in removed | (pins_changed & set(old_nets)):
-        route_dirty.update(old_routes[name].nodes)
-
-    margin = 4 * config.window_margin
     routes: Dict[str, RouteTree] = {}
     rerouted: List[str] = []
     searched = 0
-    for name in order:
+    for name in sorted(new_nets.keys() | removed):
         cached = old_routes.get(name)
-        needs_reroute = (
-            name in pins_changed
-            or cached is None
-            or (
-                route_dirty
-                and _box_hits(net_window_box(graph, cached, margin), route_dirty)
-            )
-        )
-        if not needs_reroute:
+        if name in removed:
+            dirty_edges.book(_edge_ids(graph, cached), _NO_EDGES)
+            continue
+        if name not in pins_changed and not dirty_edges.read_by(cached.read_box):
             cached.clear_buffers()  # rebooked bare; buffers re-booked below
             cached.add_usage(graph)
             routes[name] = cached
@@ -207,35 +276,32 @@ def _replay(
         tree = route_one(graph, name, source, list(sinks), config, tracer=tracer)
         tree.add_usage(graph)
         routes[name] = tree
-        changed = cached is None or _edges_differ(tree, cached)
-        if changed:
+        new_ids = _edge_ids(graph, tree)
+        old_ids = _edge_ids(graph, cached) if cached is not None else _NO_EDGES
+        if cached is None or not np.array_equal(old_ids, new_ids):
             rerouted.append(name)
-            if cached is not None:
-                route_dirty.update(cached.nodes)
-            route_dirty.update(tree.nodes)
+            dirty_edges.book(old_ids, new_ids)
+        if cached is not None:
+            # Rule 3: on the tiles the net keeps, p(v) is unchanged.
+            buffer_dirty.update(cached.nodes.keys() ^ tree.nodes.keys())
 
-    # ---- buffer phase -------------------------------------------------- #
+    # ---- buffer phase (Rule 3) ----------------------------------------- #
     # Seed everything that perturbs B(v) or a p(v) contribution; solves
     # earlier in the order read p(v) from *later* nets, so this must be
     # complete before the walk starts. b(v) differences are discovered
     # and propagated as the walk commits (`on_solved`).
-    buffer_dirty: Set[Tile] = set(site_dirty)
     for name in removed:
         buffer_dirty.update(old_routes[name].nodes)
-    for name in limit_changed | (pins_changed & set(routes)):
-        buffer_dirty.update(routes[name].nodes)
-    for name in rerouted:
-        if name in old_routes:
-            buffer_dirty.update(old_routes[name].nodes)
+    for name in limit_changed | added:
         buffer_dirty.update(routes[name].nodes)
 
-    forced = set(rerouted) | limit_changed | (pins_changed & set(routes))
+    forced = set(rerouted) | limit_changed | pins_changed
     resolved: List[str] = []
 
     def replay_cb(name: str):
         if name in forced or name not in old_outcomes:
             return None
-        if buffer_dirty and any(t in buffer_dirty for t in routes[name].nodes):
+        if not buffer_dirty.isdisjoint(routes[name].nodes):
             return None
         return old_outcomes[name]
 
@@ -267,6 +333,10 @@ def _replay(
     state.routes = routes
     state.outcomes = outcomes
     state.signature = buffering_signature(routes, graph, failed)
+    dirty_tiles = dirty_edges.endpoint_mask()
+    if buffer_dirty:
+        xs, ys = zip(*buffer_dirty)
+        dirty_tiles[list(xs), list(ys)] = True
     return IncrementalStats(
         signature=state.signature,
         seconds=time.perf_counter() - start,
@@ -275,16 +345,10 @@ def _replay(
         nets_searched=searched,
         nets_resolved=len(resolved),
         nets_replayed=len(order) - len(resolved),
-        dirty_tiles=len(buffer_dirty | route_dirty),
+        dirty_tiles=int(dirty_tiles.sum()),
         rerouted_nets=rerouted,
         resolved_nets=resolved,
     )
-
-
-def _edges_differ(a: RouteTree, b: RouteTree) -> bool:
-    canon_a = sorted((min(u, v), max(u, v)) for u, v in a.edges())
-    canon_b = sorted((min(u, v), max(u, v)) for u, v in b.edges())
-    return canon_a != canon_b
 
 
 def _spec_counts(outcome: NetOutcome) -> Dict[Tile, int]:

@@ -18,6 +18,7 @@ engine's sampled verification relies on.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Any, Dict, List, Optional, Tuple
@@ -96,6 +97,11 @@ def _generated_nets(
 # --------------------------------------------------------------------- #
 # Scenario                                                              #
 # --------------------------------------------------------------------- #
+
+
+def _is_int(value: Any) -> bool:
+    """An integer (numpy integers included); ``True`` is not tile 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -179,12 +185,23 @@ class ScenarioSpec:
         if self.total_sites < 0:
             raise ConfigurationError("total_sites must be >= 0")
         # Tiles arrive from outside (deltas, JSON, the protocol); numpy
-        # would read a negative index as a tile on the far side.
-        for tile, _count in self.site_overrides:
+        # would read a negative index as a tile on the far side, and a
+        # float or bool one as some other tile or an IndexError.
+        for tile, count in self.site_overrides:
             self._check_tile(tile, "site override")
-        for u, v, _cap in self.capacity_overrides:
+            if not _is_int(count):
+                raise ConfigurationError(
+                    f"site override count {count!r} at {tuple(tile)} "
+                    "is not an integer"
+                )
+        for u, v, cap in self.capacity_overrides:
             self._check_tile(u, "capacity override")
             self._check_tile(v, "capacity override")
+            if not _is_int(cap):
+                raise ConfigurationError(
+                    f"capacity override {cap!r} on {tuple(u)}-{tuple(v)} "
+                    "is not an integer"
+                )
             if abs(u[0] - v[0]) + abs(u[1] - v[1]) != 1:
                 raise ConfigurationError(
                     f"capacity override tiles {tuple(u)} and {tuple(v)} "
@@ -203,6 +220,10 @@ class ScenarioSpec:
                 )
 
     def _check_tile(self, tile: Tile, what: str) -> None:
+        if not (_is_int(tile[0]) and _is_int(tile[1])):
+            raise ConfigurationError(
+                f"{what} {tuple(tile)} needs integer coordinates"
+            )
         if not (0 <= tile[0] < self.grid and 0 <= tile[1] < self.grid):
             raise ConfigurationError(
                 f"{what} {tuple(tile)} is outside the "

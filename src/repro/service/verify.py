@@ -1,11 +1,10 @@
 """Sampled verification of incremental re-plans against full re-plans.
 
-The incremental engine is exact *except* when a maze search escalates to
-the full grid (see :mod:`repro.service.incremental`); the guard against
-that gap — and against plain bugs — is to re-plan a sampled fraction of
-jobs from scratch and compare buffering-kernel signatures. A mismatch is
-logged through ``obs`` and the scheduler escalates by adopting the full
-plan as the new baseline.
+The incremental engine is exact by construction (see
+:mod:`repro.service.incremental`); the guard against plain bugs is to
+re-plan a sampled fraction of jobs from scratch and compare
+buffering-kernel signatures. A mismatch is logged through ``obs`` and the
+scheduler escalates by adopting the full plan as the new baseline.
 """
 
 from __future__ import annotations

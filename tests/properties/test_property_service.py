@@ -6,12 +6,21 @@ limits), the incremental engine must land on the byte-identical plan a
 scratch full re-plan produces, and the graph's booked usage must equal
 the sum of the plan's trees — i.e. every partial commit respected the
 site/wire capacity invariants.
+
+Each property runs on two instances. On the roomy 8x8 one, four times
+the default window margin covers the whole grid; the congested one
+(capacity 2, window margin 1, capacities drawn from 0-3) has windowed
+searches, escalations and soft routes, so a route's recorded read window
+is a strict part of the grid there.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.rabid import RabidConfig
 from repro.service import (
     DeltaSpec,
     MacroSpec,
@@ -32,6 +41,8 @@ SPEC = ScenarioSpec(
     grid=GRID, num_nets=12, total_sites=120, macros=(MacroSpec(1, 1, 2, 2),)
 )
 NET_NAMES = sorted(SPEC.nets())
+CONGESTED = replace(SPEC, capacity=2)
+CONGESTED_CONFIG = RabidConfig(window_margin=1)
 
 tile = st.tuples(st.integers(0, GRID - 1), st.integers(0, GRID - 1))
 
@@ -51,7 +62,7 @@ def v_edge(draw):
 
 
 @st.composite
-def delta_ops(draw):
+def delta_ops(draw, capacities=st.integers(1, 10)):
     kind = draw(
         st.sampled_from(
             [
@@ -76,7 +87,7 @@ def delta_ops(draw):
         )
     if kind == "set_capacity":
         edge = draw(st.one_of(h_edge(), v_edge()))
-        return set_capacity([(*edge, draw(st.integers(1, 10)))])
+        return set_capacity([(*edge, draw(capacities))])
     if kind == "add_net":
         source = draw(tile)
         sinks = draw(st.lists(tile, min_size=1, max_size=2, unique=True))
@@ -92,6 +103,9 @@ def delta_ops(draw):
 deltas = st.lists(delta_ops(), min_size=1, max_size=3).map(
     lambda ops: DeltaSpec(tuple(ops))
 )
+congested_deltas = st.lists(
+    delta_ops(st.integers(0, 3)), min_size=1, max_size=3
+).map(lambda ops: DeltaSpec(tuple(ops)))
 
 
 def assert_usage_consistent(state):
@@ -109,24 +123,44 @@ def assert_usage_consistent(state):
     assert (graph.used_sites >= 0).all()
 
 
-@given(delta=deltas)
-@settings(max_examples=40, deadline=None)
-def test_incremental_equals_full_for_random_deltas(delta):
-    baseline = full_plan(SPEC)
+def check_random_delta(spec, config, delta):
+    baseline = full_plan(spec, config)
     stats = incremental_replan(baseline, delta)
-    reference = full_plan(apply_delta(SPEC, delta))
+    reference = full_plan(apply_delta(spec, delta), config)
     assert stats.signature == reference.signature
     assert baseline.signature == reference.signature
     assert stats.nets_replayed + stats.nets_resolved == stats.nets_total
     assert_usage_consistent(baseline)
 
 
+def check_stacked_deltas(spec, config, delta1, delta2):
+    baseline = full_plan(spec, config)
+    incremental_replan(baseline, delta1)
+    incremental_replan(baseline, delta2)
+    reference = full_plan(apply_delta(apply_delta(spec, delta1), delta2), config)
+    assert baseline.signature == reference.signature
+    assert_usage_consistent(baseline)
+
+
+@given(delta=deltas)
+@settings(max_examples=40, deadline=None)
+def test_incremental_equals_full_for_random_deltas(delta):
+    check_random_delta(SPEC, None, delta)
+
+
 @given(delta1=deltas, delta2=deltas)
 @settings(max_examples=15, deadline=None)
 def test_stacked_random_deltas_converge(delta1, delta2):
-    baseline = full_plan(SPEC)
-    incremental_replan(baseline, delta1)
-    incremental_replan(baseline, delta2)
-    reference = full_plan(apply_delta(apply_delta(SPEC, delta1), delta2))
-    assert baseline.signature == reference.signature
-    assert_usage_consistent(baseline)
+    check_stacked_deltas(SPEC, None, delta1, delta2)
+
+
+@given(delta=congested_deltas)
+@settings(max_examples=40, deadline=None)
+def test_congested_incremental_equals_full_for_random_deltas(delta):
+    check_random_delta(CONGESTED, CONGESTED_CONFIG, delta)
+
+
+@given(delta1=congested_deltas, delta2=congested_deltas)
+@settings(max_examples=15, deadline=None)
+def test_congested_stacked_random_deltas_converge(delta1, delta2):
+    check_stacked_deltas(CONGESTED, CONGESTED_CONFIG, delta1, delta2)

@@ -15,6 +15,7 @@ from repro.service import (
     full_plan,
     incremental_replan,
     move_macro,
+    set_capacity,
 )
 from repro.service.checkpoint import (
     checkpoint_from_dict,
@@ -54,6 +55,17 @@ def test_restored_plan_supports_incremental_replan(baseline, tmp_path):
     _, restored = load_checkpoint(path)
     stats = incremental_replan(restored, DELTA)
     assert stats.signature == full_plan(apply_delta(SPEC, DELTA)).signature
+
+
+def test_restored_routes_count_as_reading_the_whole_grid(baseline):
+    # A loaded tree has no recorded search window, so any route-dirty
+    # edge re-searches it; the replay stays exact.
+    _, restored = checkpoint_from_dict(checkpoint_to_dict("b0", baseline))
+    assert all(tree.read_box is None for tree in restored.routes.values())
+    delta = DeltaSpec((set_capacity([(3, 3, 4, 3, 1)]),))
+    stats = incremental_replan(restored, delta)
+    assert stats.nets_searched == stats.nets_total
+    assert stats.signature == full_plan(apply_delta(SPEC, delta)).signature
 
 
 def test_dict_round_trip(baseline):

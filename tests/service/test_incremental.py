@@ -9,8 +9,10 @@ incrementally, and compares against ``full_plan(apply_delta(...))``.
 import numpy as np
 import pytest
 
+from repro.core.rabid import RabidConfig
 from repro.errors import ConfigurationError
 from repro.obs import Tracer
+from repro.obs.report import SERVICE_COUNTERS, render_summary
 from repro.service import (
     DeltaSpec,
     MacroSpec,
@@ -120,6 +122,71 @@ def test_traced_replan_counts_the_stage3_walk(baseline):
     stage3 = [e for e in tracer.events if e.stage == "3"]
     assert len(stage3) == stats.nets_resolved
     assert [e.net for e in stage3] == stats.resolved_nets
+
+
+def test_traced_replan_counts_searches_and_reroutes(baseline):
+    tracer = Tracer()
+    edges = [(x, 6, x, 7, 1) for x in range(3, 9)]
+    stats = incremental_replan(
+        baseline, DeltaSpec((set_capacity(edges),)), tracer=tracer
+    )
+    assert stats.nets_rerouted > 0
+    assert tracer.metrics.value("service.nets_searched") == stats.nets_searched
+    assert tracer.metrics.value("service.nets_rerouted") == stats.nets_rerouted
+    assert {"service.nets_searched", "service.nets_rerouted"} <= set(
+        SERVICE_COUNTERS
+    )
+    assert "service.nets_searched" in render_summary(tracer)
+
+
+def _count_route_one(monkeypatch):
+    from repro.service import incremental
+
+    calls = []
+    real_route_one = incremental.route_one
+
+    def counting_route_one(*args, **kwargs):
+        calls.append(args[1])
+        return real_route_one(*args, **kwargs)
+
+    monkeypatch.setattr(incremental, "route_one", counting_route_one)
+    return calls
+
+
+def test_removing_the_last_net_searches_nothing(baseline):
+    # No net after it in the walk read its usage.
+    delta = DeltaSpec((remove_net(max(baseline.routes)),))
+    stats = incremental_replan(baseline, delta)
+    assert stats.nets_searched == 0
+    assert stats.signature == full_plan(apply_delta(SPEC, delta)).signature
+
+
+def test_removed_net_dirties_only_later_nets(baseline, monkeypatch):
+    calls = _count_route_one(monkeypatch)
+    stats = incremental_replan(baseline, DELTAS["remove_net"])
+    assert calls and all(name > "net07" for name in calls)
+    assert stats.signature == full_plan(apply_delta(SPEC, DELTAS["remove_net"])).signature
+
+
+def test_full_grid_search_sees_a_far_capacity_change():
+    """A wall forces the probe's search onto the whole grid; opening a
+    gap far outside its windowed boxes must still re-route it."""
+    wall = set_capacity([(x, 11, x, 12, 0) for x in range(2, 22)])
+    spec = apply_delta(
+        ScenarioSpec(grid=24, num_nets=0, total_sites=200),
+        DeltaSpec((wall, add_net("probe", (12, 9), [(12, 14)]))),
+    )
+    config = RabidConfig(window_margin=2)
+    state = full_plan(spec, config)
+    assert max(x for x, _ in state.routes["probe"].nodes) == 22  # east
+    gap = DeltaSpec((set_capacity([(3, 11, 3, 12, 8)]),))
+    stats = incremental_replan(state, gap)
+    reference = full_plan(apply_delta(spec, gap), config)
+    assert stats.signature == reference.signature
+    assert stats.nets_searched == 1
+    probe = state.routes["probe"]
+    assert min(x for x, _ in probe.nodes) == 3  # through the new gap
+    assert probe.read_box == (0, 0, 23, 23)
 
 
 @pytest.mark.parametrize("kind", ["remove_net", "set_capacity"])

@@ -202,6 +202,39 @@ class TestOffGridTiles:
         assert ((6, 7), (7, 7), 1) in out.capacity_overrides
 
 
+class TestTypedTiles:
+    """Tile coordinates, site counts and capacities must be integers."""
+
+    SPEC = ScenarioSpec(grid=8, num_nets=10, total_sites=50)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            set_sites([(1.5, 0, 3)]),  # once a bare IndexError in build_graph
+            set_sites([("a", 0, 3)]),  # once a bare TypeError
+            set_sites([(True, 0, 3)]),  # once read as tile (1, 0)
+            set_sites([(1, 0, 2.5)]),
+            set_capacity([(0, 0, 1, 0, 2.5)]),  # once stored as 2
+            add_net("x", (0, 0.5), [(3, 3)]),
+        ],
+        ids=[
+            "sites-float-tile", "sites-str-tile", "sites-bool-tile",
+            "sites-float-count", "capacity-float", "net-float-pin",
+        ],
+    )
+    def test_delta_rejected(self, op):
+        with pytest.raises(ConfigurationError):
+            apply_delta(self.SPEC, DeltaSpec((op,)))
+
+    def test_numpy_integers_accepted(self):
+        x, count = np.int64(3), np.int32(4)
+        out = apply_delta(self.SPEC, DeltaSpec((
+            set_sites([(x, 0, count)]),
+            set_capacity([(x, 0, x + 1, 0, count)]),
+        )))
+        assert out.effective_sites()[3, 0] == 4
+
+
 class TestJobs:
     def test_baseline_needs_scenario(self):
         with pytest.raises(ProtocolError):
