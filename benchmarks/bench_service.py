@@ -1,9 +1,9 @@
 """Planning-fleet benchmark feeding ``BENCH_service.json``.
 
-One seeded load trace is driven through the single-process scheduler
-(the ``workers=1`` arm) and through ``FleetPlanningService`` at 2 and 4
-workers (2 only under ``REPRO_BENCH_FAST=1``). Every arm must finish
-with byte-identical baseline signatures; the 4-worker arm carries the
+One seeded load trace is driven through ``PlanningService`` built with
+``SchedulerOptions(workers=N)``: in-process at 1 worker, forked at 2 and
+4 (2 only under ``REPRO_BENCH_FAST=1``). Every arm must finish with
+byte-identical baseline signatures; the 4-worker arm carries the
 ``min_speedup_vs_workers1`` gate (armed only on machines with enough
 cores — the entry records ``cores`` either way).
 """
@@ -20,8 +20,8 @@ from repro.experiments.formatting import render_table
 
 TRAJECTORY = os.path.join(os.path.dirname(__file__), "BENCH_service.json")
 
-#: The acceptance floor for the 4-worker fleet vs the single-process
-#: scheduler (only armed when the machine has >= 4 cores).
+#: The acceptance floor for 4 forked shards vs the in-process shard
+#: (only armed when the machine has >= 4 cores).
 MIN_FLEET_SPEEDUP = 3.0
 
 
@@ -45,7 +45,7 @@ def test_fleet_kernel(benchmark):
 
     benchmark.pedantic(body, rounds=1, iterations=1)
     arms, match = holder["arms"], holder["match"]
-    assert match, "fleet arms diverged from the single-process signatures"
+    assert match, "forked arms diverged from the in-process signatures"
 
     label = "fleet-loadgen-smoke" if FAST else "fleet-loadgen"
     params = fleet_params(

@@ -1,10 +1,11 @@
 """End-to-end service smoke: serve, submit, restart, verify exactness.
 
-Runs one scenario twice: against ``repro serve`` (the single-process
-scheduler) and against ``repro serve --fleet-workers 2`` (the process
-fleet). Each run starts a real server with ``--checkpoint-dir``, submits
-one baseline and two incremental deltas through the real ``repro
-submit`` CLI, and shuts the server down, which checkpoints the baseline.
+Runs one scenario twice: against ``repro serve --workers 1`` (the shard
+plans in the server's process) and against ``repro serve --workers 2``
+(two forked shards). Each run starts a real server with
+``--checkpoint-dir``, submits one baseline and two incremental deltas
+through the real ``repro submit`` CLI, and shuts the server down, which
+checkpoints the baseline.
 It then serves again from the same directory, checks that the
 ``baselines`` op lists ``b0`` with its pre-shutdown signature, submits a
 third delta, and asserts that the final signature equals an in-process
@@ -174,8 +175,8 @@ def main() -> int:
     )
     failed = False
     for label, serve_args in (
-        ("repro serve", []),
-        ("repro serve --fleet-workers 2", ["--fleet-workers", "2"]),
+        ("repro serve --workers 1", ["--workers", "1"]),
+        ("repro serve --workers 2", ["--workers", "2"]),
     ):
         signature = run_scheduler(label, serve_args, spec, deltas, env)
         if signature != reference:

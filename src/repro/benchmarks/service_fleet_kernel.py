@@ -3,11 +3,12 @@
 Feeds ``benchmarks/BENCH_service.json`` alongside the incremental
 kernel. One seeded load trace (:mod:`repro.service.loadgen` — M
 tenants, Poisson arrivals, a full/macro-move/net-churn job mix) is
-driven through each *arm*:
+driven through each *arm*, a :class:`PlanningService` with
+``SchedulerOptions(workers=N)``:
 
-* ``workers=1`` — the single-process :class:`PlanningService`, the
-  baseline the fleet must beat *and* match bit-for-bit;
-* ``workers=N`` — :class:`FleetPlanningService` with N shard workers.
+* ``workers=1`` — the shard plans in-process, the baseline the forked
+  arms must beat *and* match bit-for-bit;
+* ``workers=N`` — N forked shard workers.
 
 Each arm records measured jobs, wall seconds, sustained jobs/sec, and
 p50/p95/p99 latency; the trajectory's ``min_speedup_vs_workers1`` gate
@@ -27,8 +28,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.benchmarks.emit import append_trajectory_entry
 from repro.service import (
-    FleetOptions,
-    FleetPlanningService,
     LoadgenOptions,
     PlanningService,
     SchedulerOptions,
@@ -46,45 +45,21 @@ class FleetArmResult:
     report: LoadReport
     preemptions: int = 0
     rebuilds: int = 0
-    fallbacks: int = 0
     aged_promotions: int = 0
 
 
-def _run_classic(trace: LoadTrace, job_timeout: float) -> FleetArmResult:
+def _run_arm(trace: LoadTrace, workers: int, job_timeout: float) -> FleetArmResult:
     async def arm():
         service = PlanningService(
             options=SchedulerOptions(
-                workers=1,
+                workers=workers,
                 max_queue=max(64, len(trace.events) + len(trace.baselines)),
                 job_timeout=job_timeout,
             )
         )
         await service.start()
         try:
-            return await run_load(service, trace)
-        finally:
-            await service.stop()
-
-    return FleetArmResult(workers=1, report=asyncio.run(arm()))
-
-
-def _run_fleet(
-    trace: LoadTrace, workers: int, job_timeout: float
-) -> FleetArmResult:
-    async def arm():
-        service = FleetPlanningService(
-            options=FleetOptions(
-                workers=workers,
-                max_queue_per_tenant=max(
-                    64, len(trace.events) + len(trace.baselines)
-                ),
-                job_timeout=job_timeout,
-            )
-        )
-        await service.start()
-        try:
-            report = await run_load(service, trace)
-            return report, service.stats()
+            return await run_load(service, trace), service.stats()
         finally:
             await service.stop()
 
@@ -92,10 +67,9 @@ def _run_fleet(
     return FleetArmResult(
         workers=workers,
         report=report,
-        preemptions=stats.get("preemptions", 0),
-        rebuilds=stats.get("rebuilds", 0),
-        fallbacks=stats.get("fallbacks", 0),
-        aged_promotions=stats.get("aged_promotions", 0),
+        preemptions=stats["preemptions"],
+        rebuilds=stats["rebuilds"],
+        aged_promotions=stats["aged_promotions"],
     )
 
 
@@ -127,12 +101,7 @@ def run_fleet_kernel(
             total_sites=total_sites,
         )
     )
-    arms: List[FleetArmResult] = []
-    for n in workers:
-        if n == 1:
-            arms.append(_run_classic(trace, job_timeout))
-        else:
-            arms.append(_run_fleet(trace, n, job_timeout))
+    arms = [_run_arm(trace, n, job_timeout) for n in workers]
     reference: Optional[Dict[str, str]] = None
     match = True
     for arm in arms:
@@ -188,7 +157,6 @@ def append_fleet_entry(
             "signatures_match": signatures_match,
             "preemptions": arm.preemptions,
             "rebuilds": arm.rebuilds,
-            "fallbacks": arm.fallbacks,
         },
         workers=arm.workers,
         speedup_from="wall_seconds",
@@ -237,8 +205,7 @@ def main(argv=None) -> int:
             f"{r.wall_seconds:.2f}s -> {r.jobs_per_sec:.2f} jobs/s, "
             f"p50 {r.latency_p50 * 1e3:.1f}ms p95 {r.latency_p95 * 1e3:.1f}ms "
             f"p99 {r.latency_p99 * 1e3:.1f}ms "
-            f"(preempt={arm.preemptions} rebuild={arm.rebuilds} "
-            f"fallback={arm.fallbacks})"
+            f"(preempt={arm.preemptions} rebuild={arm.rebuilds})"
         )
     print(f"signatures_match={match}")
     if not match:

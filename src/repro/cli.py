@@ -9,8 +9,8 @@ Commands:
 * ``table5 <circuit>`` — RABID-vs-BBP comparison rows.
 * ``list`` — list available benchmarks (``--json`` for machine-readable).
 * ``serve`` — run the incremental planning service (JSON-lines
-  protocol); ``--fleet-workers N`` shards baselines over N planner
-  processes.
+  protocol); ``--workers N`` above 1 shards baselines over N forked
+  planner processes.
 * ``loadgen`` — drive a seeded open-loop load trace through an
   in-process service and print the throughput/latency report.
 * ``submit`` — submit a job to a running service and print the result.
@@ -132,12 +132,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="listen port (0 picks a free port and prints it)",
     )
     serve.add_argument(
-        "--service-workers", type=int, default=2,
-        help="concurrent planning jobs",
+        "--workers", type=int, default=1, metavar="N",
+        help="planning shards: 1 plans in the service's process, N > 1 "
+        "forks N planner processes (signatures are identical either way)",
     )
     serve.add_argument(
         "--max-queue", type=int, default=64,
-        help="queued-job cap before submits shed",
+        help="queued-job cap per tenant before submits shed",
     )
     serve.add_argument(
         "--job-timeout", type=float, default=300.0,
@@ -156,24 +157,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="reject request lines longer than N bytes (default 1 MiB)",
     )
     serve.add_argument(
-        "--fleet-workers", type=int, default=0, metavar="N",
-        help="run the sharded multi-process fleet with N planner "
-        "processes (0 = the single-process scheduler; signatures are "
-        "identical either way)",
-    )
-    serve.add_argument(
         "--shutdown-deadline", type=float, default=30.0, metavar="S",
         help="seconds to drain in-flight jobs on SIGTERM/SIGINT before "
         "checkpointing and exiting",
     )
     serve.add_argument(
         "--aging-threshold", type=float, default=30.0, metavar="S",
-        help="fleet: promote jobs queued longer than S seconds to "
-        "absolute priority",
+        help="promote jobs queued longer than S seconds to absolute "
+        "priority",
     )
     serve.add_argument(
         "--preempt-after", type=float, default=0.2, metavar="S",
-        help="fleet: a full plan running longer than S seconds may be "
+        help="a full plan running longer than S seconds may be "
         "preempted by a waiting incremental job",
     )
 
@@ -192,8 +187,8 @@ def _build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--nets", type=int, default=120)
     loadgen.add_argument("--total-sites", type=int, default=600)
     loadgen.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="fleet workers (0 = the single-process scheduler)",
+        "--workers", type=int, default=1, metavar="N",
+        help="planning shards (1 = in-process, N > 1 = N forked planners)",
     )
     loadgen.add_argument(
         "--json", action="store_true",
@@ -395,8 +390,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     workload.add_argument(
         "--workers", type=int, default=1,
-        help="1 = in-process scheduler, >1 = process fleet "
-        "(signature maps are identical either way)",
+        help="planning shards (1 = in-process, N > 1 = N forked "
+        "planners; signature maps are identical either way)",
     )
     workload.add_argument(
         "--job-timeout", type=float, default=600.0,
@@ -858,32 +853,19 @@ def _cmd_serve(args) -> int:
 
     from repro.core import RabidConfig as _Config
     from repro.service.protocol import ProtocolServer
+    from repro.service.scheduler import PlanningService, SchedulerOptions
 
-    if args.fleet_workers:
-        from repro.service.fleet import FleetOptions, FleetPlanningService
-
-        service = FleetPlanningService(
-            config=_Config(),
-            options=FleetOptions(
-                workers=args.fleet_workers,
-                max_queue_per_tenant=args.max_queue,
-                job_timeout=args.job_timeout,
-                aging_threshold=args.aging_threshold,
-                preempt_after=args.preempt_after,
-            ),
-        )
-    else:
-        from repro.service.scheduler import PlanningService, SchedulerOptions
-
-        service = PlanningService(
-            config=_Config(),
-            options=SchedulerOptions(
-                workers=args.service_workers,
-                max_queue=args.max_queue,
-                job_timeout=args.job_timeout,
-                verify_fraction=args.verify_fraction,
-            ),
-        )
+    service = PlanningService(
+        config=_Config(),
+        options=SchedulerOptions(
+            workers=args.workers,
+            max_queue=args.max_queue,
+            job_timeout=args.job_timeout,
+            verify_fraction=args.verify_fraction,
+            aging_threshold=args.aging_threshold,
+            preempt_after=args.preempt_after,
+        ),
+    )
 
     async def _serve() -> None:
         if args.checkpoint_dir and os.path.isdir(args.checkpoint_dir):
@@ -934,6 +916,7 @@ def _cmd_loadgen(args) -> int:
         make_load_trace,
         run_load,
     )
+    from repro.service.scheduler import PlanningService, SchedulerOptions
 
     trace = make_load_trace(
         LoadgenOptions(
@@ -948,27 +931,12 @@ def _cmd_loadgen(args) -> int:
     )
 
     async def _drive():
-        if args.workers:
-            from repro.service.fleet import FleetOptions, FleetPlanningService
-
-            service = FleetPlanningService(
-                options=FleetOptions(
-                    workers=args.workers,
-                    max_queue_per_tenant=max(64, args.jobs + args.tenants),
-                )
+        service = PlanningService(
+            options=SchedulerOptions(
+                workers=args.workers,
+                max_queue=max(64, args.jobs + args.tenants),
             )
-        else:
-            from repro.service.scheduler import (
-                PlanningService,
-                SchedulerOptions,
-            )
-
-            service = PlanningService(
-                options=SchedulerOptions(
-                    workers=1,
-                    max_queue=max(64, args.jobs + args.tenants),
-                )
-            )
+        )
         await service.start()
         try:
             return await run_load(service, trace)

@@ -242,8 +242,8 @@ def run_buffer_walk(
 
     The whole walk runs inside one :class:`SiteLedger` transaction, so
     an exception anywhere unwinds every site booking made so far.
-    ``abort_check`` is the fleet's cooperative-preemption hook: polled
-    between nets, a True return raises
+    ``abort_check`` is the scheduler's deadline and preemption hook:
+    polled between nets, a True return raises
     :class:`repro.errors.PreemptedError` and the graph is left
     untouched.
 

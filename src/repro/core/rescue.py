@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.assignment import assign_buffers_to_net
 from repro.core.length_rule import length_violations
-from repro.core.two_path import best_buffered_path
+from repro.core import two_path
 from repro.routing.maze import _search_window
 from repro.routing.tree import RouteTree
 from repro.tilegraph.graph import Tile, TileGraph
@@ -50,7 +50,9 @@ def _bufferable_tree(
         window = _search_window(
             graph, [*tree_tiles, sink], max(window_margin, 10)
         )
-        path = best_buffered_path(
+        # Through the module, so a wrapper installed there sees rescue's
+        # searches as well as Stage 4's.
+        path = two_path.best_buffered_path(
             graph, sink, set(tree_tiles), length_limit, set(), window,
             graph.cost_cache().strict_costs(),
         )

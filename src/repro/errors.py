@@ -98,9 +98,10 @@ class PreemptedError(ServiceError):
     """A planning attempt was cooperatively aborted mid-run.
 
     Raised by the engine when an ``abort_check`` callback reports that
-    the fleet scheduler wants the worker back (a cheap incremental job
-    is waiting behind a long full plan). The partial plan is discarded;
-    the job is requeued, never lost.
+    the attempt's deadline has passed or that the scheduler wants the
+    shard back (a cheap incremental job is waiting behind a long full
+    plan). The partial plan is discarded; a preempted job is requeued,
+    a timed-out one ends ``TIMEOUT``.
     """
 
 

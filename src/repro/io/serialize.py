@@ -95,10 +95,12 @@ def _buffer_to_dict(spec: BufferSpec) -> Dict[str, Any]:
 
 
 def routes_to_dict(routes: Dict[str, RouteTree]) -> Dict[str, Any]:
-    """Serialize per-net routes: parent edges, sinks, buffers.
+    """Serialize per-net routes: parent edges, sinks, buffers, read box.
 
     Buffer entries follow :data:`BUFFER_SCHEMA_VERSION`: a ``kind`` key is
-    present only on buffers assigned a non-default library kind.
+    present only on buffers assigned a non-default library kind. A
+    ``read_box`` key (the maze search's window, see
+    :attr:`RouteTree.read_box`) is present only on trees that have one.
     """
     payload = {}
     for name in sorted(routes):
@@ -113,6 +115,8 @@ def routes_to_dict(routes: Dict[str, RouteTree]) -> Dict[str, Any]:
                 _buffer_to_dict(spec) for spec in tree.buffer_specs()
             ],
         }
+        if tree.read_box is not None:
+            payload[name]["read_box"] = [int(v) for v in tree.read_box]
     return {
         "version": SCHEMA_VERSION,
         "buffer_schema": BUFFER_SCHEMA_VERSION,
@@ -138,14 +142,43 @@ def _buffer_from_dict(bd: Dict[str, Any], library) -> BufferSpec:
     )
 
 
-def routes_from_dict(d: Dict[str, Any], library=None) -> Dict[str, RouteTree]:
+def _read_box_from(value: Any, tree: RouteTree, grid) -> Tuple[int, int, int, int]:
+    """Validate a payload's read box: four integers, inside ``grid`` when
+    given, covering every tile of ``tree``."""
+    if not (
+        isinstance(value, list)
+        and len(value) == 4
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
+    ):
+        raise ConfigurationError(
+            f"net {tree.net_name!r} read_box {value!r} is not four integers"
+        )
+    x0, y0, x1, y1 = value
+    if grid is not None and not (0 <= x0 <= x1 < grid[0] and 0 <= y0 <= y1 < grid[1]):
+        raise ConfigurationError(
+            f"net {tree.net_name!r} read_box {value} is outside the "
+            f"{grid[0]}x{grid[1]} grid"
+        )
+    if not all(x0 <= x <= x1 and y0 <= y <= y1 for x, y in tree.nodes):
+        raise ConfigurationError(
+            f"net {tree.net_name!r} read_box {value} does not cover its tree"
+        )
+    return x0, y0, x1, y1
+
+
+def routes_from_dict(
+    d: Dict[str, Any], library=None, grid: "Tuple[int, int] | None" = None
+) -> Dict[str, RouteTree]:
     """Inverse of :func:`routes_to_dict`.
 
     Legacy payloads (no ``buffer_schema`` key, buffers without ``kind``)
     load with every buffer as the library default (``""``). When
     ``library`` (a :class:`repro.technology.BufferLibrary`) is given,
     named kinds are validated against it and an unknown name raises
-    :class:`repro.errors.UnknownBufferKindError`.
+    :class:`repro.errors.UnknownBufferKindError`. A tree without a
+    ``read_box`` key loads with ``read_box = None`` (the whole grid); a
+    box that is not four integers inside ``grid`` (when given) covering
+    the tree raises :class:`repro.errors.ConfigurationError`.
     """
     if d.get("version") != SCHEMA_VERSION:
         raise ConfigurationError(f"unsupported routes schema {d.get('version')!r}")
@@ -163,6 +196,8 @@ def routes_from_dict(d: Dict[str, Any], library=None) -> Dict[str, RouteTree]:
         tree.apply_buffers(
             [_buffer_from_dict(bd, library) for bd in rd["buffers"]]
         )
+        if "read_box" in rd:
+            tree.read_box = _read_box_from(rd["read_box"], tree, grid)
         out[name] = tree
     return out
 
@@ -304,7 +339,7 @@ def plan_from_dict(d: Dict[str, Any]):
     from repro.technology import resolve_library
 
     library = resolve_library(config.buffer_library, config.technology)
-    routes = routes_from_dict(d["routes"], library=library)
+    routes = routes_from_dict(d["routes"], library=library, grid=(nx, ny))
     return graph, routes, config
 
 

@@ -47,7 +47,7 @@ POOL_COUNTERS = (
     "pool.respawns",
 )
 
-#: Planning-service scheduler counters (single-process and fleet).
+#: Planning-service scheduler counters (at every worker count).
 SERVICE_COUNTERS = (
     "service.jobs_submitted",
     "service.jobs_shed",
@@ -62,7 +62,6 @@ SERVICE_COUNTERS = (
     "fleet.preemptions",
     "fleet.rebuilds",
     "fleet.respawns",
-    "fleet.fallbacks",
 )
 
 #: Per-stage scheduler latency histograms (queue wait and service time,

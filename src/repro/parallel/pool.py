@@ -131,9 +131,9 @@ def _worker_main(conn, parent_conn, context_payload) -> None:
 class PoolWorker:
     """One pool process plus its parent-side pipe, task slot, deadline.
 
-    :class:`WorkerPool` drives a list of these; the service fleet owns
-    one per shard and drives it directly — same fork/pipe/kill
-    containment, different scheduling policy.
+    :class:`WorkerPool` drives a list of these; the planning service
+    owns one per forked shard and drives it directly — same
+    fork/pipe/kill containment, different scheduling policy.
     """
 
     __slots__ = ("conn", "proc", "seq", "task", "deadline", "started")

@@ -6,9 +6,9 @@ workflow — perturb the floorplan, re-evaluate, repeat — built from:
 * :mod:`repro.service.jobs` — typed scenarios, deltas, and jobs.
 * :mod:`repro.service.engine` — full plans with replayable per-net state.
 * :mod:`repro.service.incremental` — exact dirty-region re-planning.
-* :mod:`repro.service.scheduler` — asyncio workers, timeouts, shed.
+* :mod:`repro.service.scheduler` — the one scheduler: shards run
+  in-process at one worker and forked above it; timeouts, retries.
 * :mod:`repro.service.tenant` — weighted-fair per-tenant queues.
-* :mod:`repro.service.fleet` — the sharded multi-process fleet.
 * :mod:`repro.service.loadgen` — seeded open-loop load generation.
 * :mod:`repro.service.verify` — sampled incremental-vs-full checks.
 * :mod:`repro.service.checkpoint` — warm restarts via ``repro.io``.
@@ -34,12 +34,6 @@ from repro.service.jobs import (
     set_length_limit,
     set_sites,
 )
-from repro.service.fleet import (
-    FleetBaseline,
-    FleetJobRecord,
-    FleetOptions,
-    FleetPlanningService,
-)
 from repro.service.loadgen import (
     LoadgenOptions,
     LoadReport,
@@ -47,17 +41,18 @@ from repro.service.loadgen import (
     make_load_trace,
     run_load,
 )
-from repro.service.scheduler import PlanningService, SchedulerOptions
+from repro.service.scheduler import (
+    BaselineRecord,
+    PlanningService,
+    SchedulerOptions,
+)
 from repro.service.tenant import QueuedItem, TenantQueues
 from repro.service.verify import VerificationResult, verify_state
 
 __all__ = [
+    "BaselineRecord",
     "DeltaOp",
     "DeltaSpec",
-    "FleetBaseline",
-    "FleetJobRecord",
-    "FleetOptions",
-    "FleetPlanningService",
     "IncrementalStats",
     "Job",
     "JobRecord",

@@ -104,35 +104,6 @@ def load_checkpoint(path: "str | Path") -> "tuple[str, PlanState]":
     return checkpoint_from_dict(payload)
 
 
-def save_service_checkpoints(
-    directory: "str | Path", service, only_dirty: bool = False
-) -> "list[str]":
-    """Write one ``<baseline_id>.ckpt.json`` per baseline; returns paths.
-
-    Each baseline is captured under its job lock
-    (:meth:`PlanningService.locked_baseline`), so a worker — or a
-    timed-out job's zombie thread — mid-replan can never hand the
-    serializer a torn plan. ``only_dirty`` restricts to baselines
-    mutated since their last checkpoint (the graceful-shutdown path);
-    saved baselines are marked clean.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    ids = (
-        service.dirty_baseline_ids if only_dirty else service.baseline_ids
-    )
-    written = []
-    for baseline_id in ids:
-        path = directory / f"{baseline_id}.ckpt.json"
-        with service.locked_baseline(baseline_id) as state:
-            save_checkpoint(path, baseline_id, state)
-        mark_clean = getattr(service, "mark_baseline_clean", None)
-        if mark_clean is not None:
-            mark_clean(baseline_id)
-        written.append(str(path))
-    return written
-
-
 def load_service_checkpoints(directory: "str | Path", service) -> "list[str]":
     """Install every checkpoint under ``directory``; returns baseline ids."""
     directory = Path(directory)

@@ -169,10 +169,11 @@ def full_plan(
 ) -> PlanState:
     """Plan a scenario from scratch; the incremental path's reference.
 
-    ``abort_check`` (fleet preemption) is polled between routed nets and
-    between buffered nets; a True return abandons the partial plan by
-    raising :class:`repro.errors.PreemptedError`. The plan is built on a
-    fresh graph, so preemption leaves no shared state to undo.
+    ``abort_check`` (the scheduler's deadline and preemption hook) is
+    polled between routed nets and between buffered nets; a True return
+    abandons the partial plan by raising
+    :class:`repro.errors.PreemptedError`. The plan is built on a fresh
+    graph, so an abort leaves no shared state to undo.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     config = config or RabidConfig()

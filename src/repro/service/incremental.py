@@ -63,11 +63,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.assignment import NetOutcome, buffering_signature, run_buffer_walk
+from repro.errors import PreemptedError
 from repro.obs import NULL_TRACER
 from repro.routing.tree import RouteTree
 from repro.service.engine import PlanState, route_one
@@ -183,12 +184,16 @@ def incremental_replan(
     state: PlanState,
     delta: DeltaSpec,
     tracer=None,
+    abort_check: "Callable[[], bool] | None" = None,
 ) -> IncrementalStats:
     """Apply ``delta`` to a cached baseline plan, in place.
 
     On success ``state`` holds the new plan (scenario, routes, outcomes,
     graph usage, signature). On any exception the backup is restored and
     the exception propagates — the baseline is never left half-planned.
+    ``abort_check`` (the scheduler's deadline and preemption hook) is
+    polled between nets of both phases; a True return raises
+    :class:`repro.errors.PreemptedError`, so the backup is restored.
     Traced, the replan counts ``service.nets_searched`` and
     ``service.nets_rerouted``.
     """
@@ -197,7 +202,7 @@ def incremental_replan(
     backup = state.backup()
     try:
         with tracer.span("service.incremental_replan"):
-            stats = _replay(state, new_scenario, tracer)
+            stats = _replay(state, new_scenario, tracer, abort_check)
     except Exception:
         state.restore(backup)
         raise
@@ -210,7 +215,7 @@ def incremental_replan(
 
 
 def _replay(
-    state: PlanState, new_scenario: ScenarioSpec, tracer
+    state: PlanState, new_scenario: ScenarioSpec, tracer, abort_check
 ) -> IncrementalStats:
     start = time.perf_counter()
     graph = state.graph
@@ -262,6 +267,8 @@ def _replay(
     rerouted: List[str] = []
     searched = 0
     for name in sorted(new_nets.keys() | removed):
+        if abort_check is not None and abort_check():
+            raise PreemptedError(f"replan aborted before routing net {name!r}")
         cached = old_routes.get(name)
         if name in removed:
             dirty_edges.book(_edge_ids(graph, cached), _NO_EDGES)
@@ -326,6 +333,7 @@ def _replay(
         tracer=tracer,
         replay=replay_cb,
         on_solved=on_solved,
+        abort_check=abort_check,
     )
 
     failed = [n for n in order if not outcomes[n].meets]

@@ -189,18 +189,18 @@ class ScenarioSpec:
         # float or bool one as some other tile or an IndexError.
         for tile, count in self.site_overrides:
             self._check_tile(tile, "site override")
-            if not _is_int(count):
+            if not _is_int(count) or count < 0:
                 raise ConfigurationError(
                     f"site override count {count!r} at {tuple(tile)} "
-                    "is not an integer"
+                    "is not an integer >= 0"
                 )
         for u, v, cap in self.capacity_overrides:
             self._check_tile(u, "capacity override")
             self._check_tile(v, "capacity override")
-            if not _is_int(cap):
+            if not _is_int(cap) or cap < 0:
                 raise ConfigurationError(
                     f"capacity override {cap!r} on {tuple(u)}-{tuple(v)} "
-                    "is not an integer"
+                    "is not an integer >= 0"
                 )
             if abs(u[0] - v[0]) + abs(u[1] - v[1]) != 1:
                 raise ConfigurationError(
@@ -254,8 +254,6 @@ class ScenarioSpec:
             for (x, y) in macro.tiles(self.grid, self.grid):
                 sites[x, y] = 0
         for (tile, count) in self.site_overrides:
-            if count < 0:
-                raise ConfigurationError("site override must be >= 0")
             sites[tile[0], tile[1]] = count
         return sites
 
@@ -534,8 +532,8 @@ class Job:
     dict); ``kind == "delta"`` carries a baseline id plus a delta, with
     ``mode`` choosing ``"incremental"`` (dirty-region replay, the
     default) or ``"full"`` (scratch re-plan of the evolved scenario).
-    ``tenant`` names the submitting client for the fleet scheduler's
-    weighted fair queueing; the single-process scheduler ignores it.
+    ``tenant`` names the submitting client for the scheduler's weighted
+    fair queueing.
     """
 
     job_id: str
@@ -568,7 +566,12 @@ class Job:
 
 @dataclass
 class JobRecord:
-    """Mutable job lifecycle state kept by the scheduler."""
+    """Mutable job lifecycle state kept by the scheduler.
+
+    ``shard`` is the shard of the job's baseline, ``preemptions`` counts
+    the attempts a cheap job preempted, and ``rebuilt`` says whether the
+    committed attempt first rebuilt the baseline's plan from its chain.
+    """
 
     job: Job
     status: JobStatus = JobStatus.QUEUED
@@ -578,6 +581,9 @@ class JobRecord:
     submitted_at: float = 0.0
     started_at: float = 0.0
     finished_at: float = 0.0
+    shard: int = 0
+    preemptions: int = 0
+    rebuilt: bool = False
 
     @property
     def queue_wait(self) -> float:
@@ -597,4 +603,8 @@ class JobRecord:
             out["result"] = self.result
         if self.error is not None:
             out["error"] = self.error
+        out["tenant"] = self.job.tenant
+        out["shard"] = self.shard
+        if self.preemptions:
+            out["preemptions"] = self.preemptions
         return out

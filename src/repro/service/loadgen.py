@@ -12,12 +12,12 @@ inter-arrivals at ``rate`` jobs/sec) of jobs mixing three kinds of work:
   tenant, so the netlist never grows unboundedly).
 
 Because the trace is generated up front from one seed, the *same jobs
-in the same submission order* can be driven through the single-process
-scheduler and through fleets of any worker count — and since both
-schedulers preserve per-baseline submission order, the final baseline
-signatures must be byte-identical across all of them. That comparison
-is the fleet determinism gate; the sustained jobs/sec and latency
-percentiles of each run are the fleet benchmark.
+in the same submission order* can be driven through the scheduler at
+any worker count — and since it preserves per-baseline submission
+order, the final baseline signatures must be byte-identical across all
+of them. That comparison is the determinism gate between in-process and
+forked shards; the sustained jobs/sec and latency percentiles of each
+run are the service benchmark.
 
 Submission is *open loop*: jobs are submitted at their trace offsets
 (or immediately, once behind) regardless of completions, so the service
@@ -30,7 +30,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import ConfigurationError, QueueFullError
 from repro.service.jobs import (
@@ -224,22 +224,12 @@ class LoadReport:
         }
 
 
-def _signature_of(service, baseline_id: str) -> Optional[str]:
-    # PlanningService baselines are PlanStates, fleet baselines are
-    # FleetBaseline records; both expose .signature.
-    try:
-        return service.baseline(baseline_id).signature
-    except Exception:  # noqa: BLE001 - baseline may have failed to plan
-        return None
-
-
 async def run_load(service, trace: LoadTrace) -> LoadReport:
     """Drive ``trace`` through a started service; returns the report.
 
-    Works against both scheduler implementations (anything with
-    ``submit``/``wait``/``record``/``baseline``). Baselines are planned
-    first (outside the measured window); delta jobs are then submitted
-    open-loop at their trace offsets.
+    ``service`` is a :class:`~repro.service.scheduler.PlanningService`.
+    Baselines are planned first (outside the measured window); delta
+    jobs are then submitted open-loop at their trace offsets.
     """
     report = LoadReport()
     for job in trace.baselines:
@@ -297,9 +287,10 @@ async def run_load(service, trace: LoadTrace) -> LoadReport:
         }
         for tenant, values in sorted(per_tenant.items())
     }
+    planned = service.baseline_ids
     report.signatures = {
-        job.job_id: sig
+        job.job_id: service.baseline(job.job_id).signature
         for job in trace.baselines
-        if (sig := _signature_of(service, job.job_id)) is not None
+        if job.job_id in planned
     }
     return report

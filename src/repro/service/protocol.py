@@ -17,9 +17,8 @@ an ``op``:
   under the deadline, dirty baselines are checkpointed, then serve
   exits.
 
-Jobs may carry a ``"tenant"`` name; the fleet scheduler
-(:mod:`repro.service.fleet`) uses it for weighted fair queueing, the
-single-process scheduler ignores it.
+Jobs may carry a ``"tenant"`` name; the scheduler
+(:mod:`repro.service.scheduler`) uses it for weighted fair queueing.
 
 Responses are ``{"ok": true, ...}`` or
 ``{"ok": false, "error": "<TypeName>", "message": "..."}``; the error
@@ -132,25 +131,19 @@ class ProtocolServer:
         ``shutdown_deadline``, checkpoints dirty baselines to
         ``checkpoint_dir``, and closes.
         """
-        begin = getattr(self.service, "begin_shutdown", None)
-        if begin is not None:
-            begin()
+        self.service.begin_shutdown()
         self._shutdown.set()
 
     async def serve_until_shutdown(self) -> None:
         await self._shutdown.wait()
-        begin = getattr(self.service, "begin_shutdown", None)
-        if begin is not None:
-            begin()
-        drain_until = getattr(self.service, "drain_until", None)
-        if drain_until is not None:
-            self._drain_report = await drain_until(self.shutdown_deadline)
+        self.service.begin_shutdown()
+        self._drain_report = await self.service.drain_until(
+            self.shutdown_deadline
+        )
         if self.checkpoint_dir is not None:
-            checkpoint_to = getattr(self.service, "checkpoint_to", None)
-            if checkpoint_to is not None:
-                await asyncio.to_thread(
-                    checkpoint_to, self.checkpoint_dir, True
-                )
+            await asyncio.to_thread(
+                self.service.checkpoint_to, self.checkpoint_dir, True
+            )
         await self.close()
 
     @property

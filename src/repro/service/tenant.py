@@ -1,6 +1,6 @@
 """Per-tenant bounded queues with weighted fair selection and aging.
 
-The fleet scheduler front end. Each tenant owns a bounded FIFO deque;
+The planning scheduler's front end. Each tenant owns a bounded FIFO deque;
 selection across tenants is *stride scheduling*: every tenant carries a
 ``pass`` value, dispatching a tenant's job advances its pass by
 ``1 / weight``, and the eligible tenant with the smallest pass goes
@@ -184,7 +184,7 @@ class TenantQueues:
 
         Returns ``(item, aged)``. An item is eligible only when it is
         the oldest queued item for its baseline — per-baseline
-        submission order is the fleet's determinism contract and
+        submission order is the scheduler's determinism contract and
         outranks fairness. Within a tenant, the oldest eligible *cheap*
         item is preferred over older heavy ones (reordering across
         baselines only, so signature-neutral) — otherwise a preempted
@@ -239,7 +239,7 @@ class TenantQueues:
     def peek_eligible(self, shard: int) -> Optional[QueuedItem]:
         """What ``pop_for_shard`` would return, without dispatching it.
 
-        The fleet's preemption trigger: a running full plan is only
+        The scheduler's preemption trigger: a running full plan is only
         aborted when the very next item its shard would execute is a
         cheap incremental job.
         """

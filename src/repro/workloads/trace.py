@@ -5,9 +5,9 @@ churn (macros move, nets appear and vanish, budgets get edited) and the
 planner must keep up incrementally. This module generates a long
 randomized trace of :class:`~repro.service.jobs.DeltaSpec` events from
 a seeded RNG, replays it through the incremental
-:class:`~repro.service.scheduler.PlanningService` (or the sharded
-:class:`~repro.service.fleet.FleetPlanningService` when ``workers >
-1``), and measures what the ROADMAP asks for:
+:class:`~repro.service.scheduler.PlanningService` (its shard in-process
+at ``workers == 1``, forked above), and measures what the ROADMAP asks
+for:
 
 * steady-state incremental speedup vs per-event full re-planning,
 * per-event latency percentiles (p50/p95/p99),
@@ -66,7 +66,7 @@ class TraceOptions:
         seed: RNG seed for the event stream.
         checkpoint_every: full re-plan divergence checkpoint period
             (0 disables checkpoints).
-        workers: 1 runs the in-process scheduler; >1 the process fleet.
+        workers: scheduler shards; 1 plans in-process, more fork.
         job_timeout: per-job wall-clock budget handed to the service.
     """
 
@@ -372,21 +372,6 @@ class TraceReport:
         return out
 
 
-def _baseline_cost(service, baseline_id: str) -> Optional[int]:
-    """Buffer count of the service's evolved baseline, when visible."""
-    try:
-        base = service.baseline(baseline_id)
-    except Exception:
-        return None
-    summary = getattr(base, "summary", None)
-    if callable(summary):  # PlanState
-        summary = summary()
-    if not isinstance(summary, dict):
-        return None
-    buffers = summary.get("buffers")
-    return int(buffers) if isinstance(buffers, int) else None
-
-
 async def _replay_async(
     scenario: ScenarioSpec,
     trace: Sequence[TraceEvent],
@@ -397,30 +382,17 @@ async def _replay_async(
 ) -> TraceReport:
     from repro.service.engine import full_plan
 
-    if options.workers > 1:
-        from repro.service.fleet import FleetOptions, FleetPlanningService
+    from repro.service.scheduler import PlanningService, SchedulerOptions
 
-        service = FleetPlanningService(
-            config=config,
-            options=FleetOptions(
-                workers=options.workers,
-                job_timeout=options.job_timeout,
-                max_queue_per_tenant=max(256, len(trace) + 2),
-            ),
-            tracer=tracer,
-        )
-    else:
-        from repro.service.scheduler import PlanningService, SchedulerOptions
-
-        service = PlanningService(
-            config=config,
-            options=SchedulerOptions(
-                workers=1,
-                job_timeout=options.job_timeout,
-                max_queue=max(64, len(trace) + 2),
-            ),
-            tracer=tracer,
-        )
+    service = PlanningService(
+        config=config,
+        options=SchedulerOptions(
+            workers=options.workers,
+            job_timeout=options.job_timeout,
+            max_queue=max(64, len(trace) + 2),
+        ),
+        tracer=tracer,
+    )
     start = time.perf_counter()
     await service.start()
     try:
@@ -498,7 +470,7 @@ async def _replay_async(
                     len(failed) if isinstance(failed, (list, tuple))
                     else int(failed)
                 )
-                buffers_incr = _baseline_cost(service, "trace-base")
+                buffers_incr = service.baseline("trace-base").summary["buffers"]
                 match = summary["signature"] == signature
                 report.checkpoints.append(
                     CheckpointRecord(
@@ -510,11 +482,7 @@ async def _replay_async(
                         buffers_full=int(summary["buffers"]),
                         failed_full=failed_count,
                         buffers_incremental=buffers_incr,
-                        cost_delta=(
-                            int(summary["buffers"]) - buffers_incr
-                            if buffers_incr is not None
-                            else None
-                        ),
+                        cost_delta=int(summary["buffers"]) - buffers_incr,
                     )
                 )
                 if tracer.enabled:

@@ -66,6 +66,29 @@ class TestRescueNet:
         assert (g.v_usage == v).all()
         assert (g.used_sites == used).all()
 
+    def test_searches_through_the_two_path_module(self, monkeypatch):
+        # A wrapper installed on the module (as the benchmark's span
+        # recorder does) must see rescue's searches, not only Stage 4's.
+        from repro.core import two_path
+
+        calls = []
+        original = two_path.best_buffered_path
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(two_path, "best_buffered_path", counting)
+        g = _graph_with_dead_band()
+        tree = _straight_net_tree(g)
+        tree.add_usage(g)
+        from repro.core.assignment import assign_buffers_to_net
+
+        assign_buffers_to_net(g, tree, 3, None)
+        _, changed = rescue_net(g, tree, 3, window_margin=12)
+        assert changed
+        assert calls == [(13, 2)]
+
     def test_noop_when_already_legal(self, graph10_sites):
         tiles = [(i, 0) for i in range(4)]
         parent = {b: a for a, b in zip(tiles, tiles[1:])}

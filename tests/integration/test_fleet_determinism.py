@@ -1,13 +1,13 @@
-"""Fleet determinism matrix: every worker count must reproduce the
-single-process scheduler's baseline signatures byte for byte.
+"""Determinism matrix: forked shards at every worker count must
+reproduce the in-process shard's baseline signatures byte for byte.
 
-This is the acceptance criterion of the sharded fleet: shard workers
-are *replays* of the sequential planner against shared-memory
-baselines, not approximations of it. One seeded load trace — multiple
-tenants, Poisson arrivals, a full/macro-move/net-churn mix — is driven
-through the classic ``PlanningService`` and through fleets of
-increasing width; the final signature map of every arm must be
-identical and complete. The widest arm carries the ``slow`` marker.
+Shard workers are *replays* of the sequential planner against the
+committed chain, not approximations of it. One seeded load trace —
+multiple tenants, Poisson arrivals, a full/macro-move/net-churn mix —
+is driven through ``PlanningService`` with its one shard in-process
+(``workers=1``) and with increasingly many forked shards; the final
+signature map of every arm must be identical and complete. The widest
+arm carries the ``slow`` marker.
 """
 
 import asyncio
@@ -15,8 +15,6 @@ import asyncio
 import pytest
 
 from repro.service import (
-    FleetOptions,
-    FleetPlanningService,
     LoadgenOptions,
     PlanningService,
     SchedulerOptions,
@@ -35,37 +33,18 @@ TRACE_OPTIONS = LoadgenOptions(
 )
 
 
-def drive(service_factory, trace):
+def signatures(trace, **options):
     async def body():
-        service = service_factory()
+        service = PlanningService(
+            options=SchedulerOptions(max_queue=64, job_timeout=60.0, **options)
+        )
         await service.start()
         try:
             return await run_load(service, trace)
         finally:
             await service.stop()
 
-    return asyncio.run(body())
-
-
-def classic_signatures(trace):
-    report = drive(
-        lambda: PlanningService(
-            options=SchedulerOptions(workers=1, max_queue=64)
-        ),
-        trace,
-    )
-    assert report.jobs_failed == 0
-    assert len(report.signatures) == len(trace.baselines)
-    return report.signatures
-
-
-def fleet_signatures(trace, workers):
-    report = drive(
-        lambda: FleetPlanningService(
-            options=FleetOptions(workers=workers, job_timeout=60.0)
-        ),
-        trace,
-    )
+    report = asyncio.run(body())
     assert report.jobs_failed == 0
     assert len(report.signatures) == len(trace.baselines)
     return report.signatures
@@ -74,12 +53,12 @@ def fleet_signatures(trace, workers):
 class TestFleetMatchesSingleProcess:
     def test_two_workers(self):
         trace = make_load_trace(TRACE_OPTIONS)
-        assert fleet_signatures(trace, 2) == classic_signatures(trace)
+        assert signatures(trace, workers=2) == signatures(trace, workers=1)
 
     @pytest.mark.slow
     def test_four_workers(self):
         trace = make_load_trace(TRACE_OPTIONS)
-        assert fleet_signatures(trace, 4) == classic_signatures(trace)
+        assert signatures(trace, workers=4) == signatures(trace, workers=1)
 
     @pytest.mark.slow
     def test_preemption_does_not_change_signatures(self):
@@ -87,7 +66,7 @@ class TestFleetMatchesSingleProcess:
 
         ``preempt_after=0`` lets any waiting cheap job abort a running
         full plan immediately — the maximally disruptive setting. The
-        committed signatures still have to match the classic scheduler:
+        committed signatures still have to match the in-process arm:
         preempted jobs are requeued and replayed, never partially
         committed.
         """
@@ -105,17 +84,5 @@ class TestFleetMatchesSingleProcess:
                 total_sites=160,
             )
         )
-        reference = classic_signatures(trace)
-        report = drive(
-            lambda: FleetPlanningService(
-                options=FleetOptions(
-                    workers=2,
-                    job_timeout=60.0,
-                    preempt_after=0.0,
-                    max_preemptions=2,
-                )
-            ),
-            trace,
-        )
-        assert report.jobs_failed == 0
-        assert report.signatures == reference
+        reference = signatures(trace, workers=1)
+        assert signatures(trace, workers=2, preempt_after=0.0) == reference

@@ -1,14 +1,16 @@
 """Checkpoint round-trips, tamper detection, and snapshot quiescence."""
 
+import asyncio
 import json
 import threading
-import time
 
 import pytest
 
 from repro.errors import CheckpointError
 from repro.service import (
     DeltaSpec,
+    Job,
+    JobStatus,
     PlanningService,
     ScenarioSpec,
     apply_delta,
@@ -23,7 +25,6 @@ from repro.service.checkpoint import (
     load_checkpoint,
     load_service_checkpoints,
     save_checkpoint,
-    save_service_checkpoints,
 )
 from repro.service.jobs import MacroSpec
 
@@ -57,15 +58,65 @@ def test_restored_plan_supports_incremental_replan(baseline, tmp_path):
     assert stats.signature == full_plan(apply_delta(SPEC, DELTA)).signature
 
 
+def _without_read_boxes(payload):
+    for route in payload["plan"]["routes"]["routes"].values():
+        del route["read_box"]
+    return payload
+
+
 def test_restored_routes_count_as_reading_the_whole_grid(baseline):
-    # A loaded tree has no recorded search window, so any route-dirty
-    # edge re-searches it; the replay stays exact.
-    _, restored = checkpoint_from_dict(checkpoint_to_dict("b0", baseline))
+    # A tree loaded from a payload without recorded search windows (an
+    # older checkpoint) reads the whole grid, so any route-dirty edge
+    # re-searches it; the replay stays exact.
+    payload = _without_read_boxes(checkpoint_to_dict("b0", baseline))
+    _, restored = checkpoint_from_dict(payload)
     assert all(tree.read_box is None for tree in restored.routes.values())
     delta = DeltaSpec((set_capacity([(3, 3, 4, 3, 1)]),))
     stats = incremental_replan(restored, delta)
     assert stats.nets_searched == stats.nets_total
     assert stats.signature == full_plan(apply_delta(SPEC, delta)).signature
+
+
+def test_round_trip_keeps_read_windows():
+    # A restored plan re-searches exactly the nets the warm plan does.
+    spec = ScenarioSpec(grid=16, num_nets=60, total_sites=400)
+    delta = DeltaSpec((set_capacity([(5, 5, 6, 5, 1)]),))
+    warm = full_plan(spec)
+    _, restored = checkpoint_from_dict(
+        json.loads(json.dumps(checkpoint_to_dict("b0", warm)))
+    )
+    assert [t.read_box for t in restored.routes.values()] == [
+        t.read_box for t in warm.routes.values()
+    ]
+    cold = incremental_replan(restored, delta)
+    hot = incremental_replan(warm, delta)
+    assert cold.nets_searched == hot.nets_searched < hot.nets_total
+    assert cold.signature == hot.signature
+
+
+@pytest.mark.parametrize(
+    "box",
+    [[0, 0, 7], [0, 0, 7, 7.0], [0, 0, 7, True], [0, 0, 8, 7], [-1, 0, 7, 7]],
+    ids=["three", "float", "bool", "off-grid", "negative"],
+)
+def test_malformed_read_box_rejected(baseline, box):
+    payload = checkpoint_to_dict("b0", baseline)
+    next(iter(payload["plan"]["routes"]["routes"].values()))["read_box"] = box
+    with pytest.raises(CheckpointError, match="read_box"):
+        checkpoint_from_dict(payload)
+
+
+def test_read_box_must_cover_its_tree(baseline):
+    payload = checkpoint_to_dict("b0", baseline)
+    name, route = next(
+        (n, r)
+        for n, r in payload["plan"]["routes"]["routes"].items()
+        if r["edges"]
+    )
+    x, y = route["source"]
+    route["read_box"] = [x, y, x, y]
+    with pytest.raises(CheckpointError, match="does not cover"):
+        checkpoint_from_dict(payload)
 
 
 def test_dict_round_trip(baseline):
@@ -116,38 +167,57 @@ def test_unreadable_file_raises(tmp_path):
         load_checkpoint(path)
 
 
-def test_service_checkpoint_waits_for_baseline_lock(tmp_path):
-    # A thread holding the baseline lock (a mid-replan job) leaves the
-    # plan torn; save_service_checkpoints must block until it is whole
-    # again rather than serialize the torn state.
-    service = PlanningService()
-    state = full_plan(SPEC)
-    service.install_baseline("b0", state)
-    original = state.signature
-    mutating = threading.Event()
+def test_service_checkpoint_waits_for_running_job(tmp_path):
+    # The baseline's shard serializes it between jobs: a checkpoint asked
+    # for while a delta runs holds the plan that delta commits, never a
+    # torn one.
+    entered = threading.Event()
+    release = threading.Event()
 
-    def mutator():
-        with service.locked_baseline("b0") as locked:
-            locked.signature = "torn-mid-replan"
-            mutating.set()
-            time.sleep(0.3)
-            locked.signature = original
+    def gated_replan(state, delta, tracer=None, abort_check=None):
+        entered.set()
+        release.wait(5.0)
+        return incremental_replan(state, delta, tracer=tracer)
 
-    thread = threading.Thread(target=mutator)
-    thread.start()
-    assert mutating.wait(5.0)
-    written = save_service_checkpoints(tmp_path, service)
-    thread.join()
-    # Without the lock the snapshot would carry the torn signature and
-    # fail the restore-time recompute check.
+    async def body():
+        service = PlanningService(replan_fn=gated_replan)
+        service.install_baseline("b0", full_plan(SPEC))
+        await service.start()
+        try:
+            service.submit(Job("d0", "delta", baseline_id="b0", delta=DELTA))
+            while not entered.is_set():
+                await asyncio.sleep(0.01)
+            saving = asyncio.ensure_future(
+                asyncio.to_thread(service.checkpoint_to, tmp_path)
+            )
+            await asyncio.sleep(0.2)
+            assert not saving.done()
+            release.set()
+            written = await saving
+            record = await service.wait("d0")
+            return written, record
+        finally:
+            release.set()
+            await service.stop()
+
+    written, record = asyncio.run(body())
+    assert record.status is JobStatus.DONE, record.error
     _, restored = load_checkpoint(written[0])
-    assert restored.signature == original
+    assert restored.signature == record.result["signature"]
+    assert restored.signature == full_plan(apply_delta(SPEC, DELTA)).signature
 
 
 def test_service_checkpoint_cycle(baseline, tmp_path):
-    service = PlanningService()
-    service.install_baseline("b0", baseline)
-    written = save_service_checkpoints(tmp_path, service)
+    async def save():
+        service = PlanningService()
+        service.install_baseline("b0", baseline)
+        await service.start()
+        try:
+            return service.checkpoint_to(tmp_path)
+        finally:
+            await service.stop()
+
+    written = asyncio.run(save())
     assert [p.endswith("b0.ckpt.json") for p in written] == [True]
 
     fresh = PlanningService()

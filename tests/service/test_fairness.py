@@ -1,7 +1,7 @@
 """Service-level fairness: flooding vs trickle tenants, aging bound.
 
 The pure scheduling invariants live in ``test_tenant_queues``; these
-tests drive a real one-worker fleet so the guarantees are checked
+tests drive a real one-shard service so the guarantees are checked
 end-to-end from the record timestamps the scheduler itself emits:
 
 * a tenant flooding its queue must not inflate a trickle tenant's
@@ -17,12 +17,12 @@ import asyncio
 
 from repro.service import (
     DeltaSpec,
-    FleetOptions,
-    FleetPlanningService,
     Job,
     JobStatus,
     MacroSpec,
+    PlanningService,
     ScenarioSpec,
+    SchedulerOptions,
     move_macro,
 )
 
@@ -49,8 +49,8 @@ async def _plan_baselines(svc, *bids):
 
 def test_trickle_tenant_queue_wait_bounded_under_flood():
     async def body():
-        options = FleetOptions(workers=1, job_timeout=60.0)
-        with FleetPlanningService(options=options) as svc:
+        options = SchedulerOptions(workers=1, job_timeout=60.0)
+        with PlanningService(options=options) as svc:
             await _plan_baselines(svc, "flood-b", "trickle-b")
             flood_ids = []
             for i in range(12):
@@ -111,12 +111,12 @@ def test_no_starvation_past_aging_threshold():
     """
 
     async def body():
-        options = FleetOptions(
+        options = SchedulerOptions(
             workers=1,
             job_timeout=60.0,
             aging_threshold=0.02,
         )
-        with FleetPlanningService(options=options) as svc:
+        with PlanningService(options=options) as svc:
             await _plan_baselines(svc, "cheap-b", "heavy-b")
             # The blocker occupies the worker so the heavy job is
             # *queued* (not dispatched) when the cheap stream arrives

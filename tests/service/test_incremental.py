@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.rabid import RabidConfig
-from repro.errors import ConfigurationError
+from repro.errors import PreemptedError
 from repro.obs import Tracer
 from repro.obs.report import SERVICE_COUNTERS, render_summary
 from repro.service import (
@@ -212,11 +212,19 @@ def test_failed_replan_rolls_back(baseline):
     sig = baseline.signature
     usage_before = baseline.graph.snapshot_usage()
     routes_before = dict(baseline.routes)
-    # A negative site override passes delta validation but blows up inside
-    # the replay (effective_sites), exercising the restore path.
-    bad = DeltaSpec((set_sites([(3, 3, -1)]),))
-    with pytest.raises(ConfigurationError):
-        incremental_replan(baseline, bad)
+    # An abort hook that fires mid-way through the buffer walk (the route
+    # phase polls once per net, 60 nets) exercises the restore path
+    # after both phases have booked usage.
+    polls = []
+
+    def abort_mid_walk():
+        polls.append(None)
+        return len(polls) > len(SPEC.nets()) + 20
+
+    with pytest.raises(PreemptedError, match="buffer walk"):
+        incremental_replan(
+            baseline, DELTAS["move_macro"], abort_check=abort_mid_walk
+        )
     assert baseline.signature == sig
     assert baseline.routes == routes_before
     h, v, b, kinds = usage_before

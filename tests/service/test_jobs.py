@@ -235,6 +235,42 @@ class TestTypedTiles:
         assert out.effective_sites()[3, 0] == 4
 
 
+class TestNegativeCounts:
+    """Site counts and capacities are refused below 0 at the input
+    boundary; both once passed ``apply_delta`` and failed only when the
+    plan was built."""
+
+    SPEC = ScenarioSpec(grid=8, num_nets=10, total_sites=50)
+
+    @pytest.mark.parametrize(
+        "op",
+        [set_sites([(1, 1, -2)]), set_capacity([(1, 1, 2, 1, -1)])],
+        ids=["sites", "capacity"],
+    )
+    def test_delta_rejected(self, op):
+        with pytest.raises(ConfigurationError, match=">= 0"):
+            apply_delta(self.SPEC, DeltaSpec((op,)))
+
+    @pytest.mark.parametrize(
+        "key, entry",
+        [("site_overrides", [[1, 1], -2]), ("capacity_overrides", [[1, 1], [2, 1], -1])],
+        ids=["sites", "capacity"],
+    )
+    def test_from_dict_rejected(self, key, entry):
+        payload = self.SPEC.to_dict()
+        payload[key] = [entry]
+        with pytest.raises(ConfigurationError, match=">= 0"):
+            ScenarioSpec.from_dict(payload)
+
+    def test_zero_stays_legal(self):
+        out = apply_delta(self.SPEC, DeltaSpec((
+            set_sites([(1, 1, 0)]),
+            set_capacity([(1, 1, 2, 1, 0)]),
+        )))
+        assert out.effective_sites()[1, 1] == 0
+        assert ((1, 1), (2, 1), 0) in out.capacity_overrides
+
+
 class TestJobs:
     def test_baseline_needs_scenario(self):
         with pytest.raises(ProtocolError):

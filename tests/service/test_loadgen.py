@@ -1,10 +1,11 @@
 """Load generation: deterministic traces and the run_load report.
 
-Trace generation must be a pure function of its options — the fleet
-determinism gate depends on driving the *same* trace through every
-scheduler arm. Driving uses a tiny grid so the full report path
-(warmup exclusion, percentiles, per-tenant stats, signatures) runs in
-seconds against the real single-process scheduler.
+Trace generation must be a pure function of its options — the
+determinism gate depends on driving the *same* trace through the
+scheduler at every worker count. Driving uses a tiny grid so the full
+report path (warmup exclusion, percentiles, per-tenant stats,
+signatures) runs in seconds against the real scheduler, its shard
+in-process ("classic") or forked ("fleet").
 """
 
 import asyncio
@@ -13,8 +14,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.service import (
-    FleetOptions,
-    FleetPlanningService,
     JobStatus,
     LoadgenOptions,
     PlanningService,
@@ -172,14 +171,15 @@ class TestRunLoad:
         assert as_dict["signatures"] == report.signatures
 
     def test_fleet_matches_classic_signatures(self):
+        # In-process shard ("classic") against two forked shards.
         classic, _ = self._drive(
             lambda: PlanningService(
                 options=SchedulerOptions(workers=1, max_queue=64)
             )
         )
         fleet, _ = self._drive(
-            lambda: FleetPlanningService(
-                options=FleetOptions(workers=2, job_timeout=60.0)
+            lambda: PlanningService(
+                options=SchedulerOptions(workers=2, job_timeout=60.0)
             )
         )
         assert fleet.jobs_failed == 0

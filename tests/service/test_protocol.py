@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -9,9 +10,12 @@ from repro.errors import ProtocolError
 from repro.service import (
     DeltaSpec,
     Job,
+    JobStatus,
     PlanningService,
     ScenarioSpec,
     SchedulerOptions,
+    full_plan,
+    incremental_replan,
     move_macro,
 )
 from repro.service.jobs import MacroSpec
@@ -124,17 +128,28 @@ class TestServerOps:
     def test_duplicate_submit_and_shed_are_distinct(self):
         job = {"job_id": "d0", "kind": "delta", "baseline_id": "b0",
                "delta": DELTA.to_dict()}
+        gate = threading.Event()
+
+        def gated_replan(state, delta, tracer=None, abort_check=None):
+            gate.wait(5.0)
+            return incremental_replan(state, delta, tracer=tracer)
 
         async def scenario():
             service = PlanningService(
-                options=SchedulerOptions(workers=1, max_queue=1)
+                options=SchedulerOptions(workers=1, max_queue=1),
+                replan_fn=gated_replan,
             )
+            service.install_baseline("b0", full_plan(SPEC))
             server = ProtocolServer(service)
             await server.start("127.0.0.1", 0)
-            # Stop the workers so the one-job queue can never drain —
-            # shed becomes deterministic instead of a race.
-            await service.stop()
             try:
+                # A gated job holds the shard, so d0 fills the one-job
+                # queue and d1's shed is deterministic.
+                service.submit(
+                    Job("hold", "delta", baseline_id="b0", delta=DELTA)
+                )
+                while service.record("hold").status is JobStatus.QUEUED:
+                    await asyncio.sleep(0.01)
                 return await request_over_stream(
                     "127.0.0.1",
                     server.port,
@@ -145,12 +160,33 @@ class TestServerOps:
                     ],
                 )
             finally:
+                gate.set()
                 await server.close()
 
         first, dup, shed = asyncio.run(scenario())
         assert first["ok"]
         assert not dup["ok"] and dup["error"] == "ServiceError"
         assert not shed["ok"] and shed["error"] == "QueueFullError"
+
+    def test_unknown_baseline_and_negative_count_are_typed(self):
+        bad_scenario = SPEC.to_dict()
+        bad_scenario["site_overrides"] = [[[1, 1], -2]]
+        responses = serve_and_request(
+            [
+                {"op": "submit",
+                 "job": {"job_id": "d0", "kind": "delta",
+                         "baseline_id": "nope", "delta": DELTA.to_dict()}},
+                {"op": "submit",
+                 "job": {"job_id": "b0", "kind": "baseline",
+                         "scenario": bad_scenario}},
+                {"op": "stats"},
+            ]
+        )
+        unknown, negative, stats = responses
+        assert unknown["error"] == "UnknownJobError"
+        assert negative["error"] == "ConfigurationError"
+        assert ">= 0" in negative["message"]
+        assert stats["submitted"] == 0
 
     def test_bad_json_line(self):
         async def scenario():

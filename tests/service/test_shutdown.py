@@ -1,7 +1,7 @@
 """Graceful shutdown: drain, typed rejection, dirty checkpoints.
 
-Covered for both schedulers (the single-process ``PlanningService``
-and the sharded ``FleetPlanningService``) plus the protocol layer that
+Covered for both shard modes of ``PlanningService`` ("classic" runs the
+one shard in-process, "fleet" forks it) plus the protocol layer that
 fronts them: once shutdown begins, new submissions fail with
 ``ShuttingDownError`` (``SHUTTING_DOWN`` on the wire), in-flight jobs
 drain bounded by the deadline, and dirty baselines are checkpointed
@@ -18,8 +18,6 @@ import pytest
 from repro.errors import ShuttingDownError
 from repro.service import (
     DeltaSpec,
-    FleetOptions,
-    FleetPlanningService,
     Job,
     JobStatus,
     MacroSpec,
@@ -47,8 +45,8 @@ def make_classic():
 
 
 def make_fleet():
-    return FleetPlanningService(
-        options=FleetOptions(workers=1, job_timeout=60.0)
+    return PlanningService(
+        options=SchedulerOptions(workers=2, max_queue=32, job_timeout=60.0)
     )
 
 
