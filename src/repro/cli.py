@@ -238,15 +238,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     explore.add_argument(
         "--timeout", type=float, default=None, metavar="S",
-        help="per-scenario wall-clock budget (pool mode)",
+        help="per-attempt wall-clock budget for each scenario",
     )
     explore.add_argument(
         "--retries", type=int, default=1,
         help="extra attempts for crashed/timed-out scenarios",
-    )
-    explore.add_argument(
-        "--no-reuse", action="store_true",
-        help="always plan from scratch (skip incremental baseline replay)",
     )
     explore.add_argument(
         "--max-scenarios", type=int, default=None, metavar="N",
@@ -547,7 +543,6 @@ def _cmd_explore(args) -> int:
         workers=args.workers,
         timeout_s=args.timeout,
         retries=args.retries,
-        reuse_baseline=not args.no_reuse,
         max_scenarios=args.max_scenarios,
         triage=args.triage,
     )

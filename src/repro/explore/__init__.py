@@ -5,7 +5,7 @@ budget route and buffer": *what is the cheapest budget that still
 does?* A :class:`ParameterSpace` enumerates scenario variants (buffer
 site density, wire capacity, length limits, macro placements, net
 count), :func:`run_sweep` / :func:`explore_space` evaluate them — in
-process or across a worker pool, reusing the incremental planner when a
+process or on forked workers, reusing the incremental planner when a
 variant is a delta of the sweep baseline — into a resumable
 content-addressed :class:`ResultStore`, and :mod:`repro.explore.frontier`
 reduces the results to a Pareto frontier plus per-dimension sensitivity.

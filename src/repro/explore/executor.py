@@ -1,4 +1,4 @@
-"""Sweep execution: evaluate many scenarios, in-process or across a pool.
+"""Sweep execution: evaluate many scenarios, in-process or on forked workers.
 
 The unit of work is one scenario -> one :class:`EvalRecord`. Evaluation
 is a full :func:`repro.service.engine.full_plan` — except when the
@@ -6,28 +6,31 @@ scenario is a pure delta of the sweep's base scenario
 (:func:`repro.explore.space.delta_between`), in which case the worker
 replays a shared baseline plan incrementally, which is several times
 faster and provably the same plan (the service's byte-identical replay
-property). Each worker process caches the baseline; under the ``fork``
-start method the parent plans it once *before* spawning, so every
-worker inherits it for free.
+property). The parent plans the baseline once before any evaluation;
+under the ``fork`` start method every worker inherits it for free.
 
-Failure policy is graceful degradation: a scenario that times out is
-killed and recorded as ``timeout``, a worker that crashes (or an
-evaluation that raises) records ``crashed`` — after ``retries`` extra
-attempts — and the sweep always continues to the next scenario. Records
-land in the :class:`ResultStore` as they finish, so killing the sweep
-loses at most the in-flight scenarios; a re-run resumes from the store
-and re-evaluates nothing that finished (``explore.cache_hits``).
+Every attempt is one ``call`` on a worker (:mod:`repro.parallel.pool`):
+in-process at one worker, forked above it. Failure policy is graceful
+degradation: a scenario that overruns its deadline stops (a forked
+worker that does not is killed) and records ``timeout``; a worker that
+crashes, or an evaluation that raises, records ``crashed`` — after
+``retries`` extra attempts — and the sweep always continues to the next
+scenario. Records land in the :class:`ResultStore` as they finish, so
+killing the sweep loses at most the in-flight scenarios; a re-run
+resumes from the store and re-evaluates nothing that finished
+(``explore.cache_hits``).
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.candidates import INF
 from repro.core.rabid import RabidConfig
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, PreemptedError, ReproError
 from repro.explore.space import (
     AdaptiveBisection,
     ParameterSpace,
@@ -36,7 +39,8 @@ from repro.explore.space import (
 )
 from repro.explore.store import EvalRecord, ResultStore, scenario_key
 from repro.obs import NULL_TRACER
-from repro.service.engine import PlanState, full_plan, plan_cost
+from repro.parallel.pool import InlineWorker, PoolWorker
+from repro.service.engine import PlanState, full_plan
 from repro.service.incremental import incremental_replan
 from repro.service.jobs import ScenarioSpec
 from repro.timing.elmore import net_delay
@@ -111,22 +115,25 @@ def evaluate_scenario(
     scenario: ScenarioSpec,
     config: "RabidConfig | None" = None,
     base: "ScenarioSpec | None" = None,
-    reuse_baseline: bool = True,
+    abort_check: "Callable[[], bool] | None" = None,
 ) -> Tuple[Dict[str, Any], str]:
     """Evaluate one scenario; returns ``(metrics, via)``.
 
     ``via`` is ``"incremental"`` when the scenario was a recognized delta
-    of ``base`` and the replay succeeded, else ``"full"``.
+    of ``base`` and the replay succeeded, else ``"full"``. The planner
+    polls ``abort_check`` between nets and raises
+    :class:`~repro.errors.PreemptedError` once it fires.
 
     When ``config.bound`` is set, the certified lower-bound oracle runs
     after the plan and merges its per-scenario metrics
     (``lower_bound``, ``optimality_gap``, ``certified_infeasible``; see
     :func:`repro.bounds.gap.gap_metrics`) into the result. The oracle is
     deterministic and single-threaded, so the added metrics keep the
-    sweep's byte-identity across worker counts.
+    sweep's byte-identity across worker counts. It does not poll
+    ``abort_check``.
     """
     config = config or RabidConfig()
-    metrics, via = _plan_metrics(scenario, config, base, reuse_baseline)
+    metrics, via = _plan_metrics(scenario, config, base, abort_check)
     if config.bound:
         from repro.bounds.gap import gap_metrics
 
@@ -138,17 +145,17 @@ def _plan_metrics(
     scenario: ScenarioSpec,
     config: RabidConfig,
     base: "ScenarioSpec | None",
-    reuse_baseline: bool,
+    abort_check,
 ) -> Tuple[Dict[str, Any], str]:
     """The plan-side evaluation (incremental replay or scratch plan)."""
-    if reuse_baseline and base is not None and base != scenario:
+    if base is not None and base != scenario:
         delta = delta_between(base, scenario)
         if delta is not None:
             baseline = _baseline_for(base, config)
             baseline_delays = _BASELINE_DELAYS[scenario_key(base, config)]
             backup = baseline.backup()
             try:
-                stats = incremental_replan(baseline, delta)
+                stats = incremental_replan(baseline, delta, abort_check=abort_check)
                 fresh = set(stats.resolved_nets)
                 metrics = metrics_from_state(
                     baseline,
@@ -159,11 +166,14 @@ def _plan_metrics(
                     },
                 )
                 return metrics, "incremental"
+            except PreemptedError:
+                raise
             except ReproError:
                 pass  # fall through to the scratch plan
             finally:
                 baseline.restore(backup)
-    return metrics_from_state(full_plan(scenario, config)), "full"
+    state = full_plan(scenario, config, abort_check=abort_check)
+    return metrics_from_state(state), "full"
 
 
 @dataclass
@@ -171,16 +181,14 @@ class SweepOptions:
     """Execution knobs for :func:`run_sweep`.
 
     Attributes:
-        workers: worker processes; 1 evaluates in-process (no timeout
-            enforcement, exceptions degrade to ``crashed`` records).
-        timeout_s: per-scenario wall-clock budget (pool mode only); an
-            expired worker is terminated and respawned.
+        workers: 1 evaluates in-process; more fork that many worker
+            processes, at most one per pending scenario. Results are
+            identical at every count.
+        timeout_s: per-attempt wall-clock budget. The planner stops
+            itself at the next net once it has passed, and a forked
+            worker that overruns it is killed and re-forked; either way
+            the attempt ends ``timeout``.
         retries: extra attempts granted to crashed/timed-out scenarios.
-        reuse_baseline: replay the shared baseline incrementally for
-            delta-expressible scenarios.
-        retry_failed: on resume, re-evaluate stored ``crashed``/
-            ``timeout`` records (finished ``ok`` records are never
-            re-evaluated).
         max_scenarios: stop the sweep after this many evaluations —
             remaining scenarios stay pending in the store for a resume.
         triage: routability triage gate mode (``"off"``, ``"certified"``,
@@ -195,8 +203,6 @@ class SweepOptions:
     workers: int = 1
     timeout_s: Optional[float] = None
     retries: int = 1
-    reuse_baseline: bool = True
-    retry_failed: bool = True
     max_scenarios: Optional[int] = None
     triage: str = "off"
 
@@ -219,38 +225,36 @@ class SweepOptions:
 
 
 # --------------------------------------------------------------------- #
-# Worker process                                                        #
+# The worker's handler                                                  #
 # --------------------------------------------------------------------- #
 
-#: Pool handler spec for sweep evaluation tasks.
+#: Handler spec for sweep evaluation attempts.
 _EVAL_HANDLER = "repro.explore.executor:_evaluate_task"
 
 
 def _evaluate_task(payload, ctx):
-    """Pool handler: evaluate one ``(key, scenario_dict)`` task.
+    """Handler: one attempt at one ``(scenario, deadline)``.
 
-    The pool ``context`` is ``(base_dict, config_dict, reuse_baseline)``,
-    parsed once per worker into ``ctx.scratch``. Raises on evaluation
-    failure (the pool turns that into an ``"error"`` result).
+    The worker's ``context`` is the sweep's ``(base, config)``. Replies
+    ``{"status": "ok", "metrics", "via", "seconds"}``, or ``{"status":
+    "timeout"}`` when the planner stopped at ``deadline`` (a
+    :func:`time.monotonic` instant, or ``None``). Raises on any other
+    evaluation failure (the worker turns that into ``"error"``).
     """
-    setup = ctx.scratch.get("explore")
-    if setup is None:
-        base_dict, config_dict, reuse_baseline = ctx.context
-        setup = ctx.scratch["explore"] = (
-            ScenarioSpec.from_dict(base_dict) if base_dict else None,
-            RabidConfig.from_dict(config_dict)
-            if config_dict
-            else RabidConfig(),
-            reuse_baseline,
-        )
-    base, config, reuse_baseline = setup
-    _key, scenario_dict = payload
+    base, config = ctx.context
+    scenario, deadline = payload
+    abort_check = None
+    if deadline is not None:
+        abort_check = lambda: time.monotonic() > deadline  # noqa: E731
     start = time.perf_counter()
-    scenario = ScenarioSpec.from_dict(scenario_dict)
-    metrics, via = evaluate_scenario(
-        scenario, config, base=base, reuse_baseline=reuse_baseline
-    )
+    try:
+        metrics, via = evaluate_scenario(
+            scenario, config, base=base, abort_check=abort_check
+        )
+    except PreemptedError:
+        return {"status": "timeout"}
     return {
+        "status": "ok",
         "metrics": metrics,
         "via": via,
         "seconds": time.perf_counter() - start,
@@ -273,7 +277,8 @@ def run_sweep(
     """Evaluate ``scenarios`` and return ``{scenario_key: record}``.
 
     Scenarios already finished in ``store`` are returned from it without
-    re-evaluation (counted as ``explore.cache_hits``); duplicates within
+    re-evaluation (counted as ``explore.cache_hits``); stored ``crashed``
+    and ``timeout`` records are evaluated again. Duplicates within
     ``scenarios`` are evaluated once. New records are appended to the
     store as they complete, so the sweep can be killed and resumed.
     """
@@ -289,9 +294,7 @@ def run_sweep(
     results: Dict[str, EvalRecord] = {}
     for key, scenario in keyed.items():
         record = store.get(key)
-        if record is not None and (
-            record.finished or not options.retry_failed
-        ):
+        if record is not None and record.finished:
             results[key] = record
             if tracer.enabled:
                 tracer.count("explore.cache_hits")
@@ -305,13 +308,8 @@ def run_sweep(
         pending.append((key, scenario))
     if options.max_scenarios is not None:
         pending = pending[: options.max_scenarios]
-    if not pending:
-        return results
-
-    if options.workers == 1:
-        _run_inline(pending, base, config, store, options, tracer, results)
-    else:
-        _run_pool(pending, base, config, store, options, tracer, results)
+    if pending:
+        _run_pending(pending, base, config, store, options, tracer, results)
     return results
 
 
@@ -346,140 +344,116 @@ def _triage_prune(
     )
 
 
-def _finish(record: EvalRecord, store: ResultStore, results, tracer) -> None:
-    store.append(record)
-    results[record.key] = record
-    if tracer.enabled:
-        tracer.count("explore.scenarios")
-
-
-def _run_inline(
+def _run_pending(
     pending, base, config, store, options, tracer, results
 ) -> None:
-    """Sequential in-process evaluation (workers == 1)."""
-    for key, scenario in pending:
-        attempts = 0
-        while True:
-            attempts += 1
-            start = time.perf_counter()
-            try:
-                metrics, via = evaluate_scenario(
-                    scenario,
-                    config,
-                    base=base,
-                    reuse_baseline=options.reuse_baseline,
-                )
-                record = EvalRecord(
-                    key=key,
-                    scenario=scenario.to_dict(),
-                    status="ok",
-                    metrics=metrics,
-                    seconds=time.perf_counter() - start,
-                    attempts=attempts,
-                    via=via,
-                )
-            except Exception as exc:  # noqa: BLE001 - degrade, continue sweep
-                record = EvalRecord(
-                    key=key,
-                    scenario=scenario.to_dict(),
-                    status="crashed",
-                    error=f"{type(exc).__name__}: {exc}",
-                    seconds=time.perf_counter() - start,
-                    attempts=attempts,
-                )
-            if record.status == "ok" or attempts > options.retries:
-                _finish(record, store, results, tracer)
-                break
-            if tracer.enabled:
-                tracer.count("explore.retries")
+    """Evaluate ``pending``, one thread per worker.
 
-
-def _run_pool(
-    pending, base, config, store, options, tracer, results
-) -> None:
-    """Process-pool evaluation with per-scenario timeout and respawn.
-
-    Built on :class:`repro.parallel.WorkerPool`: the pool owns crash
-    detection, respawn, retries and deadlines; this function only maps
-    :class:`~repro.parallel.pool.TaskResult` objects onto the sweep's
-    :class:`EvalRecord` contract.
+    At one worker an :class:`InlineWorker` evaluates in-process. Above
+    one, up to ``options.workers`` :class:`PoolWorker` processes fork
+    after the shared baseline is planned, so every worker inherits it
+    instead of planning its own copy. The caller's thread drives the
+    first worker and one thread each the rest: it pulls the next
+    scenario and blocks in the worker's ``call``. Records reach the
+    store under one lock, in completion order.
     """
-    from repro.parallel import WorkerPool
-
-    base_dict = base.to_dict() if base is not None else None
-    config_dict = config.as_dict()
-    if options.reuse_baseline and base is not None and any(
+    if base is not None and any(
         delta_between(base, scenario) is not None for _, scenario in pending
     ):
-        # Plan the shared baseline in the parent before the pool forks
-        # (it forks lazily on the first dispatch): under the Linux
-        # ``fork`` start method every worker inherits the planned
-        # baseline instead of replanning its own copy.
         _baseline_for(base, config)
+    context = (base, config)
+    if options.workers == 1:
+        workers = [InlineWorker(context)]
+    else:
+        workers = [
+            PoolWorker(context) for _ in range(min(options.workers, len(pending)))
+        ]
+    lock = threading.Lock()
+    todo = iter(pending)
+    stop = threading.Event()
+    failures: List[Exception] = []
 
-    tasks = [
-        (_EVAL_HANDLER, (key, scenario.to_dict()))
-        for key, scenario in pending
-    ]
+    def drain(worker) -> None:
+        while not stop.is_set():
+            with lock:
+                task = next(todo, None)
+            if task is None:
+                return
+            record = _evaluate(worker, *task, options, tracer, lock)
+            with lock:
+                store.append(record)
+                results[record.key] = record
+                if tracer.enabled:
+                    tracer.count("explore.scenarios")
 
-    def on_result(index: int, result) -> None:
-        key, scenario = pending[index]
-        scenario_dict = scenario.to_dict()
-        if result.ok:
-            record = EvalRecord(
+    def guarded(worker) -> None:
+        try:
+            drain(worker)
+        except Exception as exc:  # noqa: BLE001 - re-raised below
+            failures.append(exc)
+            stop.set()
+
+    threads = [threading.Thread(target=guarded, args=(w,)) for w in workers[1:]]
+    try:
+        for thread in threads:
+            thread.start()
+        drain(workers[0])
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join()
+        for worker in workers:
+            worker.shutdown()
+    if failures:
+        raise failures[0]
+
+
+def _evaluate(worker, key, scenario, options, tracer, lock) -> EvalRecord:
+    """One scenario's attempts on ``worker``; the record of the last.
+
+    Every failure is retried up to ``options.retries`` times: a handler
+    error and a crashed or timed-out worker alike.
+    """
+    for attempt in range(1, options.retries + 2):
+        deadline = None
+        if options.timeout_s is not None:
+            deadline = time.monotonic() + options.timeout_s
+        start = time.perf_counter()
+        status, value = worker.call(_EVAL_HANDLER, (scenario, deadline), deadline)
+        with lock:
+            if tracer.enabled:
+                tracer.count("pool.dispatches")
+                if status in ("crashed", "timeout"):  # the worker was re-forked
+                    tracer.count("pool.respawns")
+        if status == "ok":
+            status = value["status"]
+        if status == "ok":
+            return EvalRecord(
                 key=key,
-                scenario=scenario_dict,
+                scenario=scenario.to_dict(),
                 status="ok",
-                metrics=result.value["metrics"],
-                seconds=result.value["seconds"],
-                attempts=result.attempts,
-                via=result.value["via"],
+                metrics=value["metrics"],
+                seconds=value["seconds"],
+                attempts=attempt,
+                via=value["via"],
             )
-        elif result.status == "timeout":
-            record = EvalRecord(
-                key=key,
-                scenario=scenario_dict,
-                status="timeout",
-                error=f"scenario exceeded {options.timeout_s}s",
-                seconds=options.timeout_s or 0.0,
-                attempts=result.attempts,
-            )
-        elif result.status == "crashed":
-            record = EvalRecord(
-                key=key,
-                scenario=scenario_dict,
-                status="crashed",
-                error="worker process died",
-                seconds=0.0,
-                attempts=result.attempts,
-            )
-        else:  # the evaluation raised deterministically
-            record = EvalRecord(
-                key=key,
-                scenario=scenario_dict,
-                status="crashed",
-                error=result.error,
-                seconds=result.seconds,
-                attempts=result.attempts,
-            )
-        _finish(record, store, results, tracer)
-
-    def on_retry(index: int) -> None:
-        if tracer.enabled:
-            tracer.count("explore.retries")
-
-    with WorkerPool(
-        min(options.workers, len(pending)),
-        context=(base_dict, config_dict, options.reuse_baseline),
-        tracer=tracer,
-    ) as pool:
-        pool.run_tasks(
-            tasks,
-            timeout_s=options.timeout_s,
-            retries=options.retries,
-            on_result=on_result,
-            on_retry=on_retry,
-        )
+        if attempt > options.retries:
+            break
+        with lock:
+            if tracer.enabled:
+                tracer.count("explore.retries")
+    if status == "timeout":
+        error = f"scenario exceeded {options.timeout_s}s"
+    else:  # a crashed worker, or the evaluation raised
+        status, error = "crashed", value
+    return EvalRecord(
+        key=key,
+        scenario=scenario.to_dict(),
+        status=status,
+        error=error,
+        seconds=time.perf_counter() - start,
+        attempts=attempt,
+    )
 
 
 # --------------------------------------------------------------------- #

@@ -41,7 +41,7 @@ WORKLOAD_COUNTERS = (
     "triage.skips",
 )
 
-#: Worker-pool counters (:mod:`repro.parallel`).
+#: The sweep executor's worker counters (:mod:`repro.explore`).
 POOL_COUNTERS = (
     "pool.dispatches",
     "pool.respawns",

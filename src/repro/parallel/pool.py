@@ -1,9 +1,21 @@
-"""Persistent worker pool over pipes.
+"""One attempt primitive for every worker: ``call``.
 
-One pool outlives many batches: workers are forked once and handlers
-are resolved once per worker. Under the Linux ``fork`` start method a
-worker inherits everything the parent built before the fork, so task
-payloads carry only what changed.
+Two kinds of worker run named handlers, and both offer the same
+blocking method, ``call(handler, payload, deadline, poll=None) ->
+(status, value)``:
+
+* :class:`InlineWorker` runs the handler in the caller's thread. The
+  handler stops itself at the deadline (the engine's ``abort_check``);
+  an exception it raises becomes ``"error"``.
+* :class:`PoolWorker` is one forked process. Under the Linux ``fork``
+  start method it inherits everything the parent built before the fork,
+  so payloads carry only what changed.
+
+``status`` is ``"ok"`` (``value`` is the handler's return), ``"error"``
+(the handler raised; ``value`` is the message), ``"crashed"`` or
+``"timeout"`` (``value`` says what happened). Only a forked worker
+reports the last two, and it has killed and re-forked its process
+before it returns them. Retry policy belongs to the caller.
 
 Protocol (all frames are ``pickle`` bytes over a duplex pipe, encoded
 and decoded by :meth:`PoolWorker.send` and :meth:`PoolWorker.recv`):
@@ -11,18 +23,13 @@ and decoded by :meth:`PoolWorker.send` and :meth:`PoolWorker.recv`):
 * parent -> worker: ``(seq, handler, payload)`` where ``handler`` is a
   ``"module:function"`` import string resolved (and cached) worker-side.
 * worker -> parent: ``(seq, status, value)`` with ``status`` of
-  ``"ok"`` or ``"error"`` (the handler raised; ``value`` is the message).
+  ``"ok"`` or ``"error"``.
 
 Crash containment: a worker that dies mid-task (SIGKILL, segfault,
 ``os._exit``) surfaces as EOF on its pipe; a reply that fails to
 unpickle, exceeds ``max_reply_bytes`` or carries a sequence number
-other than the last frame's is treated the same way. In every case the
-worker is killed and respawned (``pool.respawns``), and the task is
-retried up to ``retries`` extra times before its :class:`TaskResult`
-reports the failure.
-
-Counters (also mirrored into the tracer when one is supplied):
-``pool.dispatches``, ``pool.respawns``.
+other than the last frame's is treated the same way (``"crashed"``),
+and so is a deadline overrun (``"timeout"``).
 """
 
 from __future__ import annotations
@@ -31,41 +38,23 @@ import multiprocessing
 import pickle
 import signal
 import time
-from dataclasses import dataclass
 from importlib import import_module
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
 #: Replies larger than this are treated as poisoned (worker respawned).
 DEFAULT_MAX_REPLY_BYTES = 64 * 1024 * 1024
 
-
-@dataclass
-class TaskResult:
-    """Outcome of one task after retries.
-
-    ``status`` is ``"ok"`` (``value`` holds the handler's return),
-    ``"error"`` (the handler raised deterministically), ``"crashed"``
-    (the worker process died or replied garbage), or ``"timeout"``.
-    """
-
-    status: str
-    value: Any = None
-    error: Optional[str] = None
-    seconds: float = 0.0
-    attempts: int = 1
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
+#: Seconds a forked worker's ``call`` waits on the pipe between polls.
+POLL_INTERVAL = 0.05
 
 
 class WorkerContext:
     """Per-worker state handed to every handler invocation."""
 
     def __init__(self, payload: Any) -> None:
-        #: The pool's ``context`` argument, as seen after the fork.
+        #: The worker's ``context`` argument (inherited at fork).
         self.context = payload
         #: Free-form handler scratch space (graphs, caches, solvers...).
         self.scratch: Dict[str, Any] = {}
@@ -128,36 +117,101 @@ def _worker_main(conn, parent_conn, context_payload) -> None:
             return
 
 
+class InlineWorker:
+    """Runs handlers in the caller's thread, with the same ``call``."""
+
+    def __init__(self, context: Any = None) -> None:
+        self._ctx = WorkerContext(context)
+        self._handlers: Dict[str, Callable] = {}
+
+    def call(
+        self,
+        handler: str,
+        payload: Any,
+        deadline: Optional[float] = None,
+        poll: Optional[Callable[[], None]] = None,
+    ) -> Tuple[str, Any]:
+        """Run one handler: ``("ok", value)`` or ``("error", message)``.
+
+        ``deadline`` and ``poll`` are accepted for symmetry with
+        :meth:`PoolWorker.call`: nothing else runs while the handler
+        does, so the handler itself watches the deadline.
+        """
+        try:
+            return "ok", _resolve_handler(handler, self._handlers)(payload, self._ctx)
+        except Exception as exc:  # noqa: BLE001 - a failed attempt
+            return "error", f"{type(exc).__name__}: {exc}"
+
+    def shutdown(self) -> None:
+        """Nothing to release; here so callers treat both kinds alike."""
+
+
 class PoolWorker:
-    """One pool process plus its parent-side pipe, task slot, deadline.
+    """One forked worker process and the parent's end of its pipe."""
 
-    :class:`WorkerPool` drives a list of these; the planning service
-    owns one per forked shard and drives it directly — same
-    fork/pipe/kill containment, different scheduling policy.
-    """
+    __slots__ = ("context", "max_reply_bytes", "conn", "proc", "seq")
 
-    __slots__ = ("conn", "proc", "seq", "task", "deadline", "started")
+    def __init__(
+        self,
+        context: Any = None,
+        max_reply_bytes: int = DEFAULT_MAX_REPLY_BYTES,
+    ) -> None:
+        self.context = context
+        self.max_reply_bytes = max_reply_bytes
+        self._fork()
 
-    def __init__(self, ctx, context_payload) -> None:
-        self.conn, child_conn = ctx.Pipe(duplex=True)
-        self.proc = ctx.Process(
+    def _fork(self) -> None:
+        mp = multiprocessing.get_context("fork")
+        self.conn, child_conn = mp.Pipe(duplex=True)
+        self.proc = mp.Process(
             target=_worker_main,
-            args=(child_conn, self.conn, context_payload),
+            args=(child_conn, self.conn, self.context),
             daemon=True,
         )
         self.proc.start()
         child_conn.close()
         self.seq = 0  # sequence number of the last frame sent
-        self.task = None  # (index, handler, payload, attempt)
-        self.deadline: Optional[float] = None
-        self.started: float = 0.0
 
-    @property
-    def idle(self) -> bool:
-        return self.task is None
+    def call(
+        self,
+        handler: str,
+        payload: Any,
+        deadline: Optional[float] = None,
+        poll: Optional[Callable[[], None]] = None,
+    ) -> Tuple[str, Any]:
+        """Send one frame and wait for its reply: ``(status, value)``.
 
-    def expired(self, now: float) -> bool:
-        return self.deadline is not None and now > self.deadline
+        ``deadline`` is a :func:`time.monotonic` instant (``None``: no
+        limit); ``poll`` runs between waits of :data:`POLL_INTERVAL`
+        seconds. On EOF, a dead process, an overrun deadline, or a reply
+        that is garbled, oversized or out of sequence, the process is
+        killed and re-forked before ``"crashed"`` or ``"timeout"``
+        returns. A worker that was shut down raises
+        :class:`~repro.errors.ConfigurationError` instead of re-forking.
+        """
+        if self.conn.closed:
+            raise ConfigurationError("worker is shut down")
+        try:
+            self.send(handler, payload)
+        except (OSError, ValueError):
+            return self._respawn("crashed", "worker pipe closed")
+        while True:
+            try:
+                if self.conn.poll(POLL_INTERVAL):
+                    return self.recv()
+            except Exception:  # noqa: BLE001 - EOF or a poisoned reply
+                return self._respawn("crashed", "worker died or replied garbage")
+            if deadline is not None and time.monotonic() > deadline:
+                return self._respawn("timeout", "worker overran the deadline")
+            if not self.proc.is_alive():
+                return self._respawn("crashed", "worker process died")
+            if poll is not None:
+                poll()
+
+    def _respawn(self, status: str, message: str) -> Tuple[str, str]:
+        self.kill()
+        self._fork()
+        return status, message
 
     def send(self, handler: str, payload: Any) -> None:
         """Ship one ``(seq, handler, payload)`` frame to the worker."""
@@ -166,15 +220,15 @@ class PoolWorker:
             pickle.dumps((self.seq, handler, payload), protocol=pickle.HIGHEST_PROTOCOL)
         )
 
-    def recv(self, max_bytes: int = DEFAULT_MAX_REPLY_BYTES) -> Tuple[str, Any]:
+    def recv(self) -> Tuple[str, Any]:
         """Read the reply to the last :meth:`send`: ``(status, value)``.
 
-        Raises when the pipe is dead, the frame exceeds ``max_bytes``,
-        or the reply does not unpickle into the protocol tuple (a
-        poisoned reply may raise anything at load time) answering that
-        send: the worker's state is suspect and the caller respawns it.
+        Raises when the pipe is dead, the frame exceeds
+        ``max_reply_bytes``, or the reply does not unpickle into the
+        protocol tuple (a poisoned reply may raise anything at load
+        time) answering that send: the worker's state is suspect.
         """
-        seq, status, value = pickle.loads(self.conn.recv_bytes(max_bytes))
+        seq, status, value = pickle.loads(self.conn.recv_bytes(self.max_reply_bytes))
         if seq != self.seq:
             raise ValueError(f"reply to frame {seq}, expected {self.seq}")
         return status, value
@@ -194,191 +248,10 @@ class PoolWorker:
     def shutdown(self) -> None:
         try:
             self.conn.send_bytes(pickle.dumps(None))
-            self.conn.close()
-        except (OSError, ValueError, BrokenPipeError):
+        except (OSError, ValueError):
             pass
+        self.conn.close()
         self.proc.join(timeout=5.0)
         if self.proc.is_alive():  # pragma: no cover - stuck worker
             self.proc.kill()
             self.proc.join(timeout=5.0)
-
-
-class WorkerPool:
-    """A persistent pool of forked workers executing named handlers.
-
-    Created lazily: processes fork on the first :meth:`run_tasks` call,
-    so parent-side state built before that (baseline plans, monkey-
-    patches, the graph CSR) is inherited for free under the Linux
-    ``fork`` start method.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        context: Any = None,
-        tracer=None,
-        max_reply_bytes: int = DEFAULT_MAX_REPLY_BYTES,
-    ) -> None:
-        if workers < 1:
-            raise ConfigurationError("pool workers must be >= 1")
-        self.workers = workers
-        self.tracer = tracer
-        self.max_reply_bytes = max_reply_bytes
-        self._context_payload = context
-        self._ctx = multiprocessing.get_context("fork")
-        self._pool: List[PoolWorker] = []
-        self._closed = False
-        #: Lifetime counters (also mirrored into the tracer).
-        self.counters: Dict[str, int] = {
-            "pool.dispatches": 0,
-            "pool.respawns": 0,
-        }
-
-    # -- lifecycle ------------------------------------------------------ #
-
-    def _count(self, name: str, value: int = 1) -> None:
-        if not value:
-            return
-        self.counters[name] = self.counters.get(name, 0) + value
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.count(name, value)
-
-    def _spawn(self) -> PoolWorker:
-        return PoolWorker(self._ctx, self._context_payload)
-
-    def _ensure_started(self, needed: int) -> None:
-        if self._closed:
-            raise ConfigurationError("worker pool is closed")
-        while len(self._pool) < min(self.workers, max(1, needed)):
-            self._pool.append(self._spawn())
-
-    def close(self) -> None:
-        """Shut every worker down; the pool cannot be reused after."""
-        self._closed = True
-        for worker in self._pool:
-            worker.shutdown()
-        del self._pool[:]
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            if not self._closed:
-                self.close()
-        except Exception:
-            pass
-
-    # -- execution ------------------------------------------------------ #
-
-    def run_tasks(
-        self,
-        tasks: List[Tuple[str, Any]],
-        timeout_s: Optional[float] = None,
-        retries: int = 1,
-        on_result: Optional[Callable[[int, TaskResult], None]] = None,
-        on_retry: Optional[Callable[[int], None]] = None,
-    ) -> List[TaskResult]:
-        """Run ``(handler, payload)`` tasks; results are in task order.
-
-        Tasks are dispatched in submission order to idle workers. A
-        crashed/timed-out/raising task is retried ``retries`` extra
-        times (``on_retry`` fires per retry); the final failure is
-        *recorded* in its :class:`TaskResult`, never raised.
-        ``on_result`` streams results in completion order.
-        """
-        if not tasks:
-            return []
-        self._ensure_started(len(tasks))
-        from multiprocessing.connection import wait as conn_wait
-
-        results: List[Optional[TaskResult]] = [None] * len(tasks)
-        queue: List[Tuple[int, str, Any, int]] = [
-            (i, handler, payload, 1)
-            for i, (handler, payload) in enumerate(tasks)
-        ]
-        queue.reverse()  # pop() consumes in submission order
-        in_flight = 0
-
-        def finish(index: int, result: TaskResult) -> None:
-            results[index] = result
-            if on_result is not None:
-                on_result(index, result)
-
-        def assign(worker: PoolWorker, task) -> None:
-            nonlocal in_flight
-            worker.task = task
-            worker.started = time.perf_counter()
-            worker.deadline = (
-                time.monotonic() + timeout_s if timeout_s is not None else None
-            )
-            worker.send(task[1], task[2])
-            self._count("pool.dispatches")
-            in_flight += 1
-
-        def settle(worker: PoolWorker, status: str, value, error) -> None:
-            """Release the worker's slot; retry or record its task."""
-            nonlocal in_flight
-            index, _handler, _payload, attempt = worker.task
-            elapsed = time.perf_counter() - worker.started
-            worker.task, worker.deadline = None, None
-            in_flight -= 1
-            if status == "ok":
-                finish(
-                    index,
-                    TaskResult("ok", value=value, seconds=elapsed, attempts=attempt),
-                )
-                return
-            if attempt <= retries:
-                if on_retry is not None:
-                    on_retry(index)
-                queue.append((index, _handler, _payload, attempt + 1))
-                return
-            finish(
-                index,
-                TaskResult(status, error=error, seconds=elapsed, attempts=attempt),
-            )
-
-        def respawn(worker: PoolWorker) -> None:
-            worker.kill()
-            self._pool[self._pool.index(worker)] = self._spawn()
-            self._count("pool.respawns")
-
-        while queue or in_flight:
-            for worker in self._pool:
-                if queue and worker.idle:
-                    assign(worker, queue.pop())
-            busy = [w for w in self._pool if not w.idle]
-            ready = conn_wait([w.conn for w in busy], timeout=0.05)
-            now = time.monotonic()
-            for worker in busy:
-                if worker.conn in ready:
-                    try:
-                        status, value = worker.recv(self.max_reply_bytes)
-                    except Exception:
-                        settle(
-                            worker, "crashed",
-                            None, "worker process died or replied garbage",
-                        )
-                        respawn(worker)
-                        continue
-                    if status == "ok":
-                        settle(worker, "ok", value, None)
-                    else:
-                        settle(worker, "error", None, str(value))
-                elif worker.expired(now):
-                    settle(
-                        worker, "timeout", None,
-                        f"task exceeded {timeout_s}s",
-                    )
-                    respawn(worker)
-                elif not worker.proc.is_alive():
-                    settle(
-                        worker, "crashed", None,
-                        "worker process died or replied garbage",
-                    )
-                    respawn(worker)
-        return [r for r in results if r is not None]

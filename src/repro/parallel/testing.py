@@ -1,11 +1,11 @@
-"""Fault-injection handlers for exercising the worker pool.
+"""Fault-injection handlers for exercising worker ``call``.
 
-These run *inside* pool workers (dispatched like any other handler) and
-simulate the failure modes the pool must contain: a worker killed
-mid-task, a reply too large for the parent's bound, a reply that does
-not unpickle. Kill-style handlers are gated by a flag file so the
-respawned worker's retry succeeds — exactly the transient-crash shape
-the pool is designed for.
+These run *inside* workers (dispatched like any other handler) and
+simulate the failure modes a forked worker must contain: a worker
+killed mid-task, a reply too large for the parent's bound, a reply that
+does not unpickle. Kill-style handlers are gated by a flag file so the
+re-forked worker's retry succeeds — the transient-crash shape callers
+retry.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ def echo(payload, ctx):
 
 
 def read_context(payload, ctx):
-    """Return the worker's pool-level context object."""
+    """Return the worker's context object."""
     return ctx.context
 
 

@@ -8,7 +8,7 @@ workflow — perturb the floorplan, re-evaluate, repeat — built from:
 * :mod:`repro.service.incremental` — exact dirty-region re-planning.
 * :mod:`repro.service.scheduler` — the one scheduler: shards run
   in-process at one worker and forked above it; timeouts, retries.
-* :mod:`repro.service.tenant` — weighted-fair per-tenant queues.
+* :mod:`repro.service.tenant` — fair per-tenant queues with aging.
 * :mod:`repro.service.loadgen` — seeded open-loop load generation.
 * :mod:`repro.service.verify` — sampled incremental-vs-full checks.
 * :mod:`repro.service.checkpoint` — warm restarts via ``repro.io``.

@@ -532,8 +532,8 @@ class Job:
     dict); ``kind == "delta"`` carries a baseline id plus a delta, with
     ``mode`` choosing ``"incremental"`` (dirty-region replay, the
     default) or ``"full"`` (scratch re-plan of the evolved scenario).
-    ``tenant`` names the submitting client for the scheduler's weighted
-    fair queueing.
+    ``tenant`` names the submitting client: the scheduler queues each
+    tenant's jobs separately and serves the tenants at equal rates.
     """
 
     job_id: str

@@ -44,6 +44,7 @@ from repro.service.jobs import (
     remove_net,
 )
 from repro.utils.rng import make_rng
+from repro.utils.stats import percentile
 
 _TERMINAL = (
     JobStatus.DONE,
@@ -51,14 +52,6 @@ _TERMINAL = (
     JobStatus.TIMEOUT,
     JobStatus.SHED,
 )
-
-
-def _percentile(values: List[float], q: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    idx = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return ordered[idx]
 
 
 @dataclass(frozen=True)
@@ -276,14 +269,14 @@ async def run_load(service, trace: LoadTrace) -> LoadReport:
     if not report.jobs_measured:
         report.wall_seconds = max(1e-9, wall_end - start)
     report.jobs_per_sec = report.jobs_measured / report.wall_seconds
-    report.latency_p50 = _percentile(latencies, 0.50)
-    report.latency_p95 = _percentile(latencies, 0.95)
-    report.latency_p99 = _percentile(latencies, 0.99)
-    report.queue_wait_p95 = _percentile(waits, 0.95)
+    report.latency_p50 = percentile(latencies, 0.50)
+    report.latency_p95 = percentile(latencies, 0.95)
+    report.latency_p99 = percentile(latencies, 0.99)
+    report.queue_wait_p95 = percentile(waits, 0.95)
     report.per_tenant = {
         tenant: {
             "jobs": float(len(values)),
-            "queue_wait_p95": round(_percentile(values, 0.95), 6),
+            "queue_wait_p95": round(percentile(values, 0.95), 6),
         }
         for tenant, values in sorted(per_tenant.items())
     }

@@ -18,7 +18,8 @@ an ``op``:
   exits.
 
 Jobs may carry a ``"tenant"`` name; the scheduler
-(:mod:`repro.service.scheduler`) uses it for weighted fair queueing.
+(:mod:`repro.service.scheduler`) queues each tenant's jobs separately
+and serves the tenants fairly, each at the same rate.
 
 Responses are ``{"ok": true, ...}`` or
 ``{"ok": false, "error": "<TypeName>", "message": "..."}``; the error

@@ -6,8 +6,8 @@ per-tenant queues and the shards. Each baseline lives on one shard
 it runs there, one attempt at a time, in submission order. One
 dispatcher thread per shard pops the shard's work from
 :class:`repro.service.tenant.TenantQueues` (bounded per-tenant queues,
-stride-weighted fair selection, starvation aging, and at most one
-queued job per baseline eligible at a time).
+stride fair selection, starvation aging, and at most one queued job
+per baseline eligible at a time).
 
 Every attempt runs the same job body, :func:`run_job`: the shard keeps
 each baseline's materialized :class:`~repro.service.engine.PlanState` in
@@ -22,11 +22,14 @@ payload does not grow with the baseline's history. The parent commits a
 reply by extending the chain, and re-roots it at every full-mode or
 verified job.
 
-* ``workers == 1``: the one shard runs the job body in the service's
-  own process, on its dispatcher thread, calling ``full_plan_fn`` and
-  ``replan_fn`` there.
+A shard runs each attempt through its worker's ``call``
+(:mod:`repro.parallel.pool`):
+
+* ``workers == 1``: an :class:`~repro.parallel.pool.InlineWorker` runs
+  the job body in the service's own process, on the shard's dispatcher
+  thread, calling ``full_plan_fn`` and ``replan_fn`` there.
 * ``workers > 1``: each shard is a forked
-  :class:`repro.parallel.pool.PoolWorker` that inherits those functions
+  :class:`~repro.parallel.pool.PoolWorker` that inherits those functions
   and the plan cache at fork; payloads and replies cross a pipe.
 
 How an attempt ends. The engine polls an ``abort_check`` hook between
@@ -36,9 +39,9 @@ when a full plan has run ``preempt_after`` seconds and the next job its
 shard would run is a cheap incremental one: the aborted attempt commits
 nothing and the job is requeued at its tenant's head, at most
 :data:`MAX_PREEMPTIONS` times. In-process, the hook itself applies that
-rule, because no dispatcher is free to watch; a forked shard's
-dispatcher applies it while it waits for the reply, and also kills and
-respawns a worker that overruns the deadline. An attempt past its
+rule, because no dispatcher is free to watch; a forked worker's
+``call`` applies it between waits for the reply, and kills and
+re-forks a worker that overruns the deadline. An attempt past its
 deadline ends the job ``TIMEOUT`` without retry. A handler error or a
 crashed worker (respawned first) retries at once, up to ``retries``
 times, then the job ends ``FAILED``. No thread is ever abandoned.
@@ -73,7 +76,7 @@ from repro.errors import (
     UnknownJobError,
 )
 from repro.obs import NULL_TRACER
-from repro.parallel.pool import PoolWorker, WorkerContext
+from repro.parallel.pool import InlineWorker, PoolWorker, WorkerContext
 from repro.service.engine import PlanState, full_plan
 from repro.service.incremental import incremental_replan
 from repro.service.jobs import (
@@ -89,7 +92,7 @@ from repro.service.verify import verify_state
 
 _TERMINAL = (JobStatus.DONE, JobStatus.FAILED, JobStatus.TIMEOUT, JobStatus.SHED)
 
-#: Handler spec a forked shard resolves (pool protocol).
+#: Handler spec every shard's worker resolves (worker protocol).
 JOB_HANDLER = "repro.service.scheduler:run_job"
 
 #: Preemptions per job, after which it runs to completion.
@@ -359,20 +362,22 @@ def run_job(payload: Dict[str, Any], ctx: WorkerContext) -> Dict[str, Any]:
 
 
 class _Shard:
-    """One shard: its dispatcher thread and, when forked, its worker.
+    """One shard: its dispatcher thread and its worker.
 
     The thread pops the shard's work from the tenant queues and runs one
-    attempt at a time: in-process it calls :func:`run_job` itself;
-    forked it ships the payload over the pipe and waits for the reply
-    under the attempt's deadline, applying the preemption rule while it
-    waits.
+    attempt at a time through its worker's ``call``: an
+    :class:`~repro.parallel.pool.InlineWorker` runs :func:`run_job` on
+    this thread, a forked :class:`~repro.parallel.pool.PoolWorker` ships
+    the payload over the pipe and waits for the reply under the
+    attempt's deadline, applying the preemption rule (:meth:`_poll`)
+    while it waits.
     """
 
     def __init__(self, service: "PlanningService", index: int) -> None:
         self.service = service
         self.index = index
         forked = service.options.workers > 1
-        self.context = {
+        context = {
             "shard": index,
             "ctl": service._ctl,
             "plans": service._plans,
@@ -381,10 +386,7 @@ class _Shard:
             "tracer": NULL_TRACER if forked else service.tracer,
             "poll": None if forked else self._poll,
         }
-        if forked:
-            self.local, self.worker = None, PoolWorker(service._mp_ctx, self.context)
-        else:
-            self.local, self.worker = WorkerContext(self.context), None
+        self.worker = PoolWorker(context) if forked else InlineWorker(context)
         self.thread = threading.Thread(
             target=self._loop, name=f"planning-shard-{index}", daemon=True
         )
@@ -396,14 +398,8 @@ class _Shard:
     def _poll(self) -> None:
         self.service._maybe_preempt(self, time.monotonic())
 
-    def respawn(self) -> None:
-        self.worker.kill()
-        self.worker = PoolWorker(self.service._mp_ctx, self.context)
-        self.service._count("respawns")
-
     def close(self) -> None:
-        if self.worker is not None:
-            self.worker.shutdown()
+        self.worker.shutdown()
 
     def _loop(self) -> None:
         svc = self.service
@@ -435,36 +431,12 @@ class _Shard:
         return status, value
 
     def _send(self, payload: Dict[str, Any]) -> Tuple[str, Any]:
-        if self.worker is None:
-            try:
-                return "ok", run_job(payload, self.local)
-            except Exception as exc:  # noqa: BLE001 - a failed attempt
-                return "error", f"{type(exc).__name__}: {exc}"
-        try:
-            self.worker.send(JOB_HANDLER, payload)
-        except (OSError, ValueError):
-            status, value = "crashed", "worker pipe closed"
-        else:
-            status, value = self._wait(payload["deadline"])
-        if status in ("crashed", "timeout"):
-            self.respawn()
+        status, value = self.worker.call(
+            JOB_HANDLER, payload, payload["deadline"], poll=self._poll
+        )
+        if status in ("crashed", "timeout"):  # the worker was re-forked
+            self.service._count("respawns")
         return status, value
-
-    def _wait(self, deadline: float) -> Tuple[str, Any]:
-        """The forked worker's reply, or how the attempt ended without one."""
-        worker = self.worker
-        while True:
-            try:
-                if worker.conn.poll(0.05):
-                    return worker.recv()
-            except Exception:  # noqa: BLE001 - EOF or a poisoned reply
-                return "crashed", "worker died or replied garbage"
-            now = time.monotonic()
-            if now > deadline:
-                return "timeout", "worker overran the deadline"
-            if not worker.proc.is_alive():
-                return "crashed", "worker process died"
-            self.service._maybe_preempt(self, now)
 
     def _run(self, item: QueuedItem) -> None:
         svc = self.service
@@ -583,7 +555,6 @@ class PlanningService:
         # version and plan): the in-process shard's own; a forked shard
         # inherits a copy at fork.
         self._plans: Dict[str, Tuple[int, PlanState]] = {}
-        self._mp_ctx = multiprocessing.get_context("fork")
         self._ctl: Any = None
         self._shards: List[_Shard] = []
         self._verify_rng = random.Random(VERIFY_SEED)
@@ -615,7 +586,11 @@ class PlanningService:
         workers = self.options.workers
         # Preemption flags, made before the first fork so every shard
         # worker (respawns included) shares them.
-        self._ctl = self._mp_ctx.RawArray("b", workers) if workers > 1 else [0]
+        self._ctl = (
+            multiprocessing.get_context("fork").RawArray("b", workers)
+            if workers > 1
+            else [0]
+        )
         self._shards = [_Shard(self, i) for i in range(workers)]
         for shard in self._shards:
             shard.thread.start()

@@ -1,19 +1,21 @@
-"""Per-tenant bounded queues with weighted fair selection and aging.
+"""Per-tenant bounded queues with fair selection and aging.
 
 The planning scheduler's front end. Each tenant owns a bounded FIFO deque;
-selection across tenants is *stride scheduling*: every tenant carries a
-``pass`` value, dispatching a tenant's job advances its pass by
-``1 / weight``, and the eligible tenant with the smallest pass goes
-next. A tenant submitting twice the jobs therefore gets served at the
-same *rate* as its peers (per unit weight), not twice as often — the
-flooding tenant queues behind itself, the trickle tenant's jobs are
-picked almost immediately.
+selection across tenants is *stride scheduling* with equal strides:
+every tenant carries a ``pass`` value, dispatching a tenant's job
+advances its pass by 1, and the eligible tenant with the smallest pass
+goes next. A tenant submitting twice the jobs therefore gets served at
+the same *rate* as its peers, not twice as often — the flooding tenant
+queues behind itself, the trickle tenant's jobs are picked almost
+immediately.
 
 Two fairness escape hatches:
 
 * **Starvation aging** — any job older than ``aging_threshold`` seconds
   is promoted to absolute priority (oldest first, by submission
-  sequence), bounding worst-case wait even under adversarial weights.
+  sequence), bounding worst-case wait even where the within-tenant
+  cheap-first rule (:meth:`TenantQueues._select`) keeps passing an old
+  heavy job over.
 * **Virtual-time resync** — a tenant going idle and returning has its
   pass forwarded to the current virtual time, so it cannot bank credit
   while idle and then monopolize the workers.
@@ -65,18 +67,13 @@ class TenantState:
     """One tenant's queue plus its stride-scheduling pass value."""
 
     name: str
-    weight: float
     items: Deque[QueuedItem] = field(default_factory=deque)
-    pass_value: float = 0.0
+    pass_value: int = 0
     dispatched: int = 0
-
-    @property
-    def stride(self) -> float:
-        return 1.0 / self.weight
 
 
 class TenantQueues:
-    """Bounded per-tenant FIFOs with weighted fair, shard-aware pop.
+    """Bounded per-tenant FIFOs with fair, shard-aware pop.
 
     ``pop_for_shard`` only considers items pinned to the asking shard
     (every job for a baseline runs on that baseline's shard, preserving
@@ -87,7 +84,6 @@ class TenantQueues:
     def __init__(
         self,
         max_per_tenant: int = 256,
-        weights: "Dict[str, float] | None" = None,
         aging_threshold: float = 30.0,
         clock: "Callable[[], float] | None" = None,
     ) -> None:
@@ -95,18 +91,12 @@ class TenantQueues:
             raise ConfigurationError("max_per_tenant must be >= 1")
         if aging_threshold <= 0:
             raise ConfigurationError("aging_threshold must be > 0")
-        for tenant, weight in (weights or {}).items():
-            if weight <= 0:
-                raise ConfigurationError(
-                    f"tenant {tenant!r} weight must be > 0, got {weight}"
-                )
         self.max_per_tenant = max_per_tenant
         self.aging_threshold = aging_threshold
-        self._weights = dict(weights or {})
         self._clock = clock or time.monotonic
         self._tenants: Dict[str, TenantState] = {}
         self._seq = 0
-        self._vtime = 0.0
+        self._vtime = 0
         self.aged_promotions = 0
 
     # -- introspection --------------------------------------------------- #
@@ -133,10 +123,7 @@ class TenantQueues:
     def _state(self, tenant: str) -> TenantState:
         state = self._tenants.get(tenant)
         if state is None:
-            state = TenantState(
-                name=tenant, weight=self._weights.get(tenant, 1.0)
-            )
-            self._tenants[tenant] = state
+            state = self._tenants[tenant] = TenantState(name=tenant)
         return state
 
     def push(
@@ -192,7 +179,7 @@ class TenantQueues:
         out-queue the cheap job that preempted it, and preemption would
         livelock. Aged items (older than ``aging_threshold``) win
         outright, oldest first; else the eligible tenant with the
-        smallest stride pass (ties by name) goes next.
+        smallest pass (ties by name) goes next.
         """
         now = self._clock()
         oldest_for_baseline: Dict[str, int] = {}
@@ -256,7 +243,7 @@ class TenantQueues:
             self.aged_promotions += 1
         state = self._tenants[pick.tenant]
         state.items.remove(pick)
-        state.pass_value += state.stride
+        state.pass_value += 1
         state.dispatched += 1
         self._vtime = max(self._vtime, state.pass_value)
         return pick

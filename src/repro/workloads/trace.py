@@ -45,6 +45,7 @@ from repro.service.jobs import (
     set_sites,
 )
 from repro.utils.rng import make_rng
+from repro.utils.stats import percentile
 
 #: Relative weights of the six ECO event kinds.
 EVENT_MIX: Tuple[Tuple[str, float], ...] = (
@@ -226,17 +227,6 @@ def make_trace(
     return events
 
 
-def _percentile(values: Sequence[float], q: float) -> float:
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    pos = q * (len(ordered) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = pos - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-
 @dataclass
 class TraceReport:
     """Everything one replayed trace measured."""
@@ -280,9 +270,9 @@ class TraceReport:
     def latency_percentiles(self) -> Dict[str, float]:
         lat = self.latencies
         return {
-            "event_p50": _percentile(lat, 0.50),
-            "event_p95": _percentile(lat, 0.95),
-            "event_p99": _percentile(lat, 0.99),
+            "event_p50": percentile(lat, 0.50),
+            "event_p95": percentile(lat, 0.95),
+            "event_p99": percentile(lat, 0.99),
         }
 
     def steady_speedup(self) -> Optional[float]:
@@ -363,8 +353,8 @@ class TraceReport:
             searched = [r.nets_searched for r in records if r.nets_searched is not None]
             out[kind] = {
                 "events": len(records),
-                "latency_p50": round(_percentile(latencies, 0.50), 6),
-                "latency_p95": round(_percentile(latencies, 0.95), 6),
+                "latency_p50": round(percentile(latencies, 0.50), 6),
+                "latency_p95": round(percentile(latencies, 0.95), 6),
                 "nets_searched": (
                     round(sum(searched) / len(searched), 2) if searched else None
                 ),

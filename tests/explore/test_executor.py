@@ -1,10 +1,10 @@
-"""Sweep execution: reuse, resume, degradation, and determinism."""
+"""Sweep execution: reuse, resume, degradation, timeouts, and determinism."""
 
 import time
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PreemptedError
 from repro.explore import (
     Dimension,
     ParameterSpace,
@@ -47,9 +47,9 @@ def key_of(scenario):
 def counting_full_plan(monkeypatch):
     calls = []
 
-    def wrapper(scenario, config=None):
+    def wrapper(scenario, config=None, **kwargs):
         calls.append(scenario)
-        return full_plan(scenario, config)
+        return full_plan(scenario, config, **kwargs)
 
     monkeypatch.setattr(executor_module, "full_plan", wrapper)
     return calls
@@ -85,10 +85,7 @@ class TestEvaluateScenario:
         scenario = region_space().grid()[1].scenario
         metrics, via = evaluate_scenario(scenario, base=base)
         assert via == "incremental"
-        full_metrics, full_via = evaluate_scenario(
-            scenario, base=base, reuse_baseline=False
-        )
-        assert full_via == "full"
+        full_metrics = metrics_from_state(full_plan(scenario))
         # The replay reproduces the scratch plan exactly.
         assert metrics["signature"] == full_metrics["signature"]
         assert metrics == full_metrics
@@ -122,20 +119,18 @@ class TestSweepOptions:
 
 
 class TestResume:
-    def test_kill_and_resume_reevaluates_nothing_finished(
-        self, monkeypatch, tmp_path
-    ):
-        calls = counting_full_plan(monkeypatch)
+    def test_kill_and_resume_reevaluates_nothing_finished(self, tmp_path):
         base = small_base()
         points = region_space(values=(0, 1, 2)).grid()
         scenarios = [p.scenario for p in points]
         path = str(tmp_path / "results.jsonl")
-        options = SweepOptions(reuse_baseline=False)
 
-        first = run_sweep(scenarios, base=base, store=ResultStore(path), options=options)
+        tracer = Tracer()
+        first = run_sweep(
+            scenarios, base=base, store=ResultStore(path), tracer=tracer
+        )
         assert len(first) == 3
-        evaluated_first = len(calls)
-        assert evaluated_first == 3
+        assert tracer.metrics.value("explore.scenarios") == 3
 
         # Resume against the persisted store: nothing finished re-runs.
         tracer = Tracer()
@@ -143,31 +138,34 @@ class TestResume:
             scenarios,
             base=base,
             store=ResultStore(path),
-            options=options,
             tracer=tracer,
         )
         assert len(again) == 3
-        assert len(calls) == evaluated_first  # zero new full_plan calls
         assert tracer.metrics.value("explore.cache_hits") == 3
         assert tracer.metrics.value("explore.scenarios") == 0
 
-    def test_partial_sweep_resumes_remainder(self, monkeypatch, tmp_path):
-        calls = counting_full_plan(monkeypatch)
+    def test_partial_sweep_resumes_remainder(self, tmp_path):
         base = small_base()
         scenarios = [p.scenario for p in region_space(values=(0, 1, 2)).grid()]
         path = str(tmp_path / "results.jsonl")
-        options = SweepOptions(reuse_baseline=False, max_scenarios=2)
-        run_sweep(scenarios, base=base, store=ResultStore(path), options=options)
-        assert len(calls) == 2  # truncated by max_scenarios
-
-        rest = run_sweep(
+        tracer = Tracer()
+        run_sweep(
             scenarios,
             base=base,
             store=ResultStore(path),
-            options=SweepOptions(reuse_baseline=False),
+            options=SweepOptions(max_scenarios=2),
+            tracer=tracer,
+        )
+        # Truncated by max_scenarios.
+        assert tracer.metrics.value("explore.scenarios") == 2
+
+        tracer = Tracer()
+        rest = run_sweep(
+            scenarios, base=base, store=ResultStore(path), tracer=tracer
         )
         assert len(rest) == 3
-        assert len(calls) == 3  # only the pending scenario ran
+        # Only the pending scenario ran.
+        assert tracer.metrics.value("explore.scenarios") == 1
 
     def test_failed_records_retry_on_resume_by_default(self, tmp_path):
         base = small_base()
@@ -184,37 +182,23 @@ class TestResume:
         records = run_sweep([scenario], base=base, store=store)
         assert records[key].status == "ok"
 
-        store.append(
-            EvalRecord(
-                key=key, scenario=scenario.to_dict(), status="crashed", error="x"
-            )
-        )
-        kept = run_sweep(
-            [scenario],
-            base=base,
-            store=store,
-            options=SweepOptions(retry_failed=False),
-        )
-        assert kept[key].status == "crashed"
-
 
 class TestDegradation:
     def test_crash_records_and_sweep_continues(self, monkeypatch):
-        base = small_base()
         points = region_space(values=(0, 1, 2)).grid()
         doomed = key_of(points[1].scenario)
 
-        def flaky(scenario, config=None):
+        def flaky(scenario, config=None, **kwargs):
             if key_of(scenario) == doomed:
                 raise RuntimeError("boom")
-            return full_plan(scenario, config)
+            return full_plan(scenario, config, **kwargs)
 
         monkeypatch.setattr(executor_module, "full_plan", flaky)
         tracer = Tracer()
+        # No base, so every scenario is a scratch plan.
         records = run_sweep(
             [p.scenario for p in points],
-            base=base,
-            options=SweepOptions(reuse_baseline=False, retries=1),
+            options=SweepOptions(retries=1),
             tracer=tracer,
         )
         assert len(records) == 3
@@ -226,22 +210,17 @@ class TestDegradation:
         assert len(ok) == 2
 
     def test_retry_recovers_transient_failure(self, monkeypatch):
-        base = small_base()
         scenario = region_space().grid()[1].scenario
         attempts = {"n": 0}
 
-        def transient(spec, config=None):
+        def transient(spec, config=None, **kwargs):
             attempts["n"] += 1
             if attempts["n"] == 1:
                 raise RuntimeError("transient")
-            return full_plan(spec, config)
+            return full_plan(spec, config, **kwargs)
 
         monkeypatch.setattr(executor_module, "full_plan", transient)
-        records = run_sweep(
-            [scenario],
-            base=base,
-            options=SweepOptions(reuse_baseline=False, retries=1),
-        )
+        records = run_sweep([scenario], options=SweepOptions(retries=1))
         record = records[key_of(scenario)]
         assert record.status == "ok"
         assert record.attempts == 2
@@ -264,22 +243,15 @@ class TestPool:
             assert record.metrics == metrics_from_state(full_plan(scenario))
 
     def test_pool_timeout_degrades(self, monkeypatch):
-        base = small_base()
         scenario = region_space().grid()[1].scenario
 
-        def slow(spec, config=None):
-            time.sleep(30)
+        def slow(spec, config=None, **kwargs):
+            time.sleep(30)  # never polls the abort hook
 
         monkeypatch.setattr(executor_module, "full_plan", slow)
         records = run_sweep(
             [scenario],
-            base=base,
-            options=SweepOptions(
-                workers=2,
-                timeout_s=0.5,
-                retries=0,
-                reuse_baseline=False,
-            ),
+            options=SweepOptions(workers=2, timeout_s=0.5, retries=0),
         )
         record = records[key_of(scenario)]
         assert record.status == "timeout"
@@ -288,21 +260,100 @@ class TestPool:
     def test_pool_worker_crash_degrades(self, monkeypatch):
         import os
 
-        base = small_base()
         scenario = region_space().grid()[1].scenario
 
-        def fatal(spec, config=None):
+        def fatal(spec, config=None, **kwargs):
             os._exit(3)  # simulates a segfaulting worker
 
         monkeypatch.setattr(executor_module, "full_plan", fatal)
         records = run_sweep(
             [scenario],
-            base=base,
-            options=SweepOptions(workers=2, retries=0, reuse_baseline=False),
+            options=SweepOptions(workers=2, retries=0),
         )
         record = records[key_of(scenario)]
         assert record.status == "crashed"
         assert "died" in record.error
+
+    def test_threads_record_every_scenario_once(self, tmp_path):
+        """More forked workers than cores, with fast thread switching:
+        the threads share the pending list, the store and the counters,
+        and a lost update would drop or repeat a scenario."""
+        import sys
+
+        scenarios = [
+            ScenarioSpec(grid=6, num_nets=6, total_sites=sites)
+            for sites in range(20, 52, 4)
+        ]
+        path = str(tmp_path / "results.jsonl")
+        tracer = Tracer()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            records = run_sweep(
+                scenarios,
+                store=ResultStore(path),
+                options=SweepOptions(workers=4, timeout_s=60.0),
+                tracer=tracer,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        keys = {key_of(s) for s in scenarios}
+        assert set(records) == keys
+        assert all(r.status == "ok" for r in records.values())
+        with open(path, encoding="utf-8") as fh:
+            assert len(fh.readlines()) == len(scenarios)
+        assert set(ResultStore(path).records()) == keys
+        assert tracer.metrics.value("explore.scenarios") == len(scenarios)
+        assert tracer.metrics.value("pool.dispatches") == len(scenarios)
+
+    def test_pool_counts_dispatches_respawns_and_retries(self, monkeypatch):
+        import os
+
+        scenario = region_space().grid()[1].scenario
+
+        def fatal(spec, config=None, **kwargs):
+            os._exit(3)
+
+        monkeypatch.setattr(executor_module, "full_plan", fatal)
+        tracer = Tracer()
+        records = run_sweep(
+            [scenario],
+            options=SweepOptions(workers=2, retries=1),
+            tracer=tracer,
+        )
+        assert records[key_of(scenario)].attempts == 2
+        assert tracer.metrics.value("pool.dispatches") == 2
+        assert tracer.metrics.value("pool.respawns") == 2
+        assert tracer.metrics.value("explore.retries") == 1
+
+
+class TestInlineTimeout:
+    def test_inline_attempt_stops_at_its_deadline(self, monkeypatch):
+        """One worker evaluates in-process, and ``timeout_s`` still
+        applies: the planner polls the attempt's abort hook."""
+        scenario = region_space().grid()[1].scenario
+
+        def patient(spec, config=None, abort_check=None, **kwargs):
+            give_up = time.monotonic() + 3.0
+            while time.monotonic() < give_up:
+                if abort_check is not None and abort_check():
+                    raise PreemptedError("deadline passed")
+                time.sleep(0.01)
+            return full_plan(spec, config)
+
+        monkeypatch.setattr(executor_module, "full_plan", patient)
+        tracer = Tracer()
+        records = run_sweep(
+            [scenario],
+            options=SweepOptions(workers=1, timeout_s=0.5, retries=0),
+            tracer=tracer,
+        )
+        record = records[key_of(scenario)]
+        assert record.status == "timeout"
+        assert record.error == "scenario exceeded 0.5s"
+        assert record.seconds < 3.0
+        # In-process, nothing was killed.
+        assert tracer.metrics.value("pool.respawns") == 0
 
 
 class TestDeterminism:

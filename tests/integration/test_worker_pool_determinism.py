@@ -1,11 +1,11 @@
-"""Worker-pool determinism: the sequential Stage-2 and Stage-3 kernels
-reproduce their 32x32 goldens byte for byte inside a forked
-:class:`repro.parallel.WorkerPool` worker.
+"""Forked-worker determinism: the sequential Stage-2 and Stage-3 kernels
+reproduce their 32x32 goldens byte for byte through
+:meth:`repro.parallel.PoolWorker.call`.
 
-The planning fleet and the sweep executor plan on that pool, so a
-kernel run in a worker must not drift from the same run in the parent:
-the fork, the handler dispatch and the pickled reply are the only
-differences. The ids name the pool size and where the kernel runs.
+The planning service's shards and the sweep executor plan in such
+workers, so a kernel run in a worker must not drift from the same run
+in the parent: the fork, the handler dispatch and the pickled reply are
+the only differences. The ids name the number of forked workers.
 """
 
 import json
@@ -21,7 +21,7 @@ from repro.benchmarks.routing_kernel import (
     make_routing_scenario,
     run_routing_kernel,
 )
-from repro.parallel import WorkerPool
+from repro.parallel import PoolWorker
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "golden")
 
@@ -32,7 +32,7 @@ def load_golden(name):
 
 
 def route_golden(name, ctx):
-    """Pool handler: run the routing golden's scenario, reply its figures."""
+    """Worker handler: run the routing golden's scenario, reply its figures."""
     spec = load_golden(name)["scenario"]
     scenario = make_routing_scenario(
         grid=spec["grid"],
@@ -54,7 +54,7 @@ def route_golden(name, ctx):
 
 
 def buffer_golden(name, ctx):
-    """Pool handler: run the buffering golden's scenario, reply its figures."""
+    """Worker handler: run the buffering golden's scenario, reply its figures."""
     spec = load_golden(name)["scenario"]
     instance = make_buffering_scenario(
         grid=spec["grid"],
@@ -74,12 +74,16 @@ def buffer_golden(name, ctx):
 
 
 def run_in_pool(handler, golden_name, workers):
-    """Run ``handler`` once per worker; every reply comes from a fork."""
+    """Run ``handler`` once per forked worker; every reply comes from a fork."""
     spec = f"{__name__}:{handler.__name__}"
-    with WorkerPool(workers) as pool:
-        results = pool.run_tasks([(spec, golden_name)] * workers)
-    assert [r.status for r in results] == ["ok"] * workers
-    return [r.value for r in results]
+    forked = [PoolWorker() for _ in range(workers)]
+    try:
+        results = [worker.call(spec, golden_name) for worker in forked]
+    finally:
+        for worker in forked:
+            worker.shutdown()
+    assert [status for status, _ in results] == ["ok"] * workers
+    return [value for _, value in results]
 
 
 class TestRouting32:

@@ -1,6 +1,11 @@
-"""Worker-pool protocol: dispatch, retries, and every injected fault."""
+"""Worker ``call``: the protocol and every injected fault.
 
-import multiprocessing
+A forked :class:`PoolWorker` must contain each fault in its own process:
+it kills and re-forks the process, reports ``crashed`` or ``timeout``,
+and serves the next call. :class:`InlineWorker` runs the same handlers
+in the caller's thread.
+"""
+
 import os
 import signal
 import subprocess
@@ -12,10 +17,10 @@ import pytest
 import repro
 
 from repro.errors import ConfigurationError
-from repro.obs import Tracer
-from repro.parallel import PoolWorker, WorkerPool
+from repro.parallel import InlineWorker, PoolWorker
 
 ECHO = "repro.parallel.testing:echo"
+CONTEXT = "repro.parallel.testing:read_context"
 SLEEP = "repro.parallel.testing:sleep_then_echo"
 KILL_ONCE = "repro.parallel.testing:kill_self_once"
 CRASH_ALWAYS = "repro.parallel.testing:crash_always"
@@ -24,77 +29,70 @@ RAISE = "repro.parallel.testing:raise_error"
 POISON = "repro.parallel.testing:poison_reply"
 
 
-def values(pool, handler, payloads, **kwargs):
-    """Run one handler over ``payloads``; every task must succeed."""
-    results = pool.run_tasks([(handler, p) for p in payloads], **kwargs)
-    assert [r.status for r in results] == ["ok"] * len(payloads)
-    return [r.value for r in results]
+@pytest.fixture
+def worker():
+    forked = PoolWorker()
+    yield forked
+    forked.shutdown()
+
+
+def soon(seconds=30.0):
+    return time.monotonic() + seconds
 
 
 class TestBasics:
-    def test_map_preserves_submission_order(self):
-        """One handler mapped over 20 payloads replies in task order."""
-        with WorkerPool(2) as pool:
-            assert values(pool, ECHO, list(range(20))) == list(range(20))
-
-    def test_results_carry_timing_and_attempts(self):
-        with WorkerPool(1) as pool:
-            [result] = pool.run_tasks([(ECHO, "x")])
-            assert result.ok
-            assert result.value == "x"
-            assert result.attempts == 1
-            assert result.seconds >= 0.0
+    def test_map_preserves_submission_order(self, worker):
+        pid = worker.proc.pid
+        assert [worker.call(ECHO, i) for i in range(5)] == [
+            ("ok", i) for i in range(5)
+        ]
+        assert worker.proc.pid == pid
 
     def test_context_reaches_handlers(self):
-        with WorkerPool(1, context={"base": 7}) as pool:
-            [value] = values(
-                pool, "repro.parallel.testing:read_context", [None]
-            )
-            assert value == {"base": 7}
+        forked = PoolWorker(context={"base": 7})
+        try:
+            assert forked.call(CONTEXT, None) == ("ok", {"base": 7})
+        finally:
+            forked.shutdown()
 
-    def test_dispatch_counter(self):
-        tracer = Tracer()
-        with WorkerPool(2, tracer=tracer) as pool:
-            values(pool, ECHO, list(range(6)))
-            assert pool.counters["pool.dispatches"] == 6
-            assert tracer.metrics.value("pool.dispatches") == 6
-
-    def test_invalid_worker_count_rejected(self):
+    def test_closed_pool_rejects_work(self, worker):
+        """A shut-down worker refuses a call rather than fork again."""
+        worker.shutdown()
+        assert not worker.proc.is_alive()
         with pytest.raises(ConfigurationError):
-            WorkerPool(0)
+            worker.call(ECHO, 1)
+        assert not worker.proc.is_alive()
 
-    def test_closed_pool_rejects_work(self):
-        pool = WorkerPool(1)
-        pool.close()
-        with pytest.raises(ConfigurationError):
-            pool.run_tasks([(ECHO, 1)])
+    def test_bad_handler_spec_is_error_status(self, worker):
+        status, message = worker.call("no-colon-here", 1)
+        assert status == "error"
+        assert "bad handler spec" in message
+        assert worker.call(ECHO, "alive") == ("ok", "alive")
 
-    def test_bad_handler_spec_is_error_status(self):
-        with WorkerPool(1) as pool:
-            [result] = pool.run_tasks([("no-colon-here", 1)], retries=0)
-            assert result.status == "error"
-
-    def test_empty_task_list(self):
-        with WorkerPool(1) as pool:
-            assert pool.run_tasks([]) == []
+    def test_poll_runs_while_the_worker_is_busy(self, worker):
+        polls = []
+        status, value = worker.call(
+            SLEEP, {"seconds": 0.3, "value": "done"}, soon(),
+            poll=lambda: polls.append(1),
+        )
+        assert (status, value) == ("ok", "done")
+        assert len(polls) >= 2
 
 
 class TestHandlerErrors:
-    def test_handler_exception_reported_not_fatal(self):
-        with WorkerPool(1) as pool:
-            [result] = pool.run_tasks(
-                [(RAISE, {"message": "boom"})], retries=0
-            )
-            assert result.status == "error"
-            assert "ValueError" in result.error
-            assert "boom" in result.error
-            # The worker survived: no respawn, still serving.
-            assert pool.counters["pool.respawns"] == 0
-            assert values(pool, ECHO, ["alive"]) == ["alive"]
+    def test_handler_exception_reported_not_fatal(self, worker):
+        pid = worker.proc.pid
+        status, message = worker.call(RAISE, {"message": "boom"})
+        assert status == "error"
+        assert "ValueError" in message
+        assert "boom" in message
+        # The worker survived: no respawn, still serving.
+        assert worker.proc.pid == pid
+        assert worker.call(ECHO, "alive") == ("ok", "alive")
 
 
 class TestSignals:
-    def test_workers_ignore_group_delivered_sigterm(self):
+    def test_workers_ignore_group_delivered_sigterm(self, worker):
         """A cgroup-wide SIGTERM/SIGINT must not take workers down.
 
         systemd's default KillMode delivers the shutdown signal to every
@@ -102,19 +100,14 @@ class TestSignals:
         still needs its workers (checkpoints, in-flight jobs). Workers
         only die on the pipe sentinel or SIGKILL from the parent.
         """
-        import os
-        import signal as _signal
-        import time as _time
-
-        with WorkerPool(2) as pool:
-            assert values(pool, ECHO, [1, 2]) == [1, 2]  # fork the workers
-            for worker in pool._pool:
-                os.kill(worker.proc.pid, _signal.SIGTERM)
-                os.kill(worker.proc.pid, _signal.SIGINT)
-            _time.sleep(0.2)
-            assert all(w.proc.is_alive() for w in pool._pool)
-            assert values(pool, ECHO, list(range(4))) == list(range(4))
-            assert pool.counters["pool.respawns"] == 0
+        assert worker.call(ECHO, 1) == ("ok", 1)  # the handler loop is up
+        pid = worker.proc.pid
+        os.kill(pid, signal.SIGTERM)
+        os.kill(pid, signal.SIGINT)
+        time.sleep(0.2)
+        assert worker.proc.is_alive()
+        assert worker.call(ECHO, 2) == ("ok", 2)
+        assert worker.proc.pid == pid
 
 
 def _running(pid):
@@ -132,10 +125,9 @@ class TestParentDeath:
         a SIGKILLed parent's workers end; none may outlive it."""
         script = (
             "import time\n"
-            "from repro.parallel import WorkerPool\n"
-            "pool = WorkerPool(2)\n"
-            f"pool.run_tasks([({ECHO!r}, i) for i in range(2)])\n"
-            "print(*(w.proc.pid for w in pool._pool), flush=True)\n"
+            "from repro.parallel import PoolWorker\n"
+            "workers = [PoolWorker() for _ in range(2)]\n"
+            f"print(*(w.call({ECHO!r}, w.proc.pid)[1] for w in workers), flush=True)\n"
             "time.sleep(60)\n"
         )
         env = dict(os.environ)
@@ -164,105 +156,102 @@ class TestParentDeath:
 
 
 class TestCrashes:
-    def test_sigkill_mid_task_respawns_and_retries(self, tmp_path):
-        tracer = Tracer()
-        with WorkerPool(1, tracer=tracer) as pool:
-            flag = tmp_path / "crashed"
-            [value] = values(
-                pool, KILL_ONCE, [{"flag": str(flag), "value": 42}], retries=1
-            )
-            assert value == 42
-            assert pool.counters["pool.respawns"] == 1
-            assert tracer.metrics.value("pool.respawns") == 1
+    def test_sigkill_mid_task_respawns_and_retries(self, worker, tmp_path):
+        payload = {"flag": str(tmp_path / "crashed"), "value": 42}
+        pid = worker.proc.pid
+        status, _ = worker.call(KILL_ONCE, payload)
+        assert status == "crashed"
+        assert worker.proc.pid != pid
+        # The re-forked worker serves the retry.
+        assert worker.call(KILL_ONCE, payload) == ("ok", 42)
 
-    def test_repeat_crasher_exhausts_retries(self):
-        with WorkerPool(1) as pool:
-            [result] = pool.run_tasks([(CRASH_ALWAYS, None)], retries=2)
-            assert result.status == "crashed"
-            assert result.attempts == 3
-            assert "died" in result.error
-            assert pool.counters["pool.respawns"] == 3
+    def test_repeat_crasher_exhausts_retries(self, worker):
+        """Three attempts, three crashes: each one re-forks the worker."""
+        pids = {worker.proc.pid}
+        for _ in range(3):
+            status, message = worker.call(CRASH_ALWAYS, None)
+            assert status == "crashed"
+            assert "died" in message
+            pids.add(worker.proc.pid)
+        assert len(pids) == 4
+        assert worker.call(ECHO, "alive") == ("ok", "alive")
 
-    def test_crash_does_not_poison_other_tasks(self, tmp_path):
-        with WorkerPool(2) as pool:
-            flag = tmp_path / "crashed"
-            tasks = [(ECHO, i) for i in range(8)]
-            tasks.insert(3, (KILL_ONCE, {"flag": str(flag), "value": "ok"}))
-            results = pool.run_tasks(tasks, retries=1)
-            assert [r.status for r in results] == ["ok"] * 9
-            assert results[3].value == "ok"
-
-    def test_poisoned_reply_is_contained(self):
-        """A reply that explodes at unpickle time counts as a crash."""
-        with WorkerPool(1) as pool:
-            [result] = pool.run_tasks([(POISON, None)], retries=0)
-            assert result.status == "crashed"
-            assert pool.counters["pool.respawns"] == 1
-            assert values(pool, ECHO, ["alive"]) == ["alive"]
-
-    def test_reply_to_another_frame_is_refused(self):
-        """``recv`` only accepts the reply to the last ``send``."""
-        worker = PoolWorker(multiprocessing.get_context("fork"), None)
+    def test_crash_does_not_poison_other_tasks(self, worker, tmp_path):
+        other = PoolWorker()
         try:
-            worker.send(ECHO, "first")
-            assert worker.recv() == ("ok", "first")
-            worker.send(ECHO, "second")
-            worker.seq += 1  # as if a later frame had gone out unanswered
-            with pytest.raises(ValueError):
-                worker.recv()
+            pid = other.proc.pid
+            payload = {"flag": str(tmp_path / "crashed"), "value": "ok"}
+            assert worker.call(KILL_ONCE, payload)[0] == "crashed"
+            assert [other.call(ECHO, i) for i in range(4)] == [
+                ("ok", i) for i in range(4)
+            ]
+            assert other.proc.pid == pid
+            assert worker.call(KILL_ONCE, payload) == ("ok", "ok")
         finally:
-            worker.kill()
-        assert not worker.proc.is_alive()
+            other.shutdown()
+
+    def test_poisoned_reply_is_contained(self, worker):
+        """A reply that explodes at unpickle time counts as a crash."""
+        pid = worker.proc.pid
+        status, _ = worker.call(POISON, None)
+        assert status == "crashed"
+        assert worker.proc.pid != pid
+        assert worker.call(ECHO, "alive") == ("ok", "alive")
 
     def test_oversized_reply_is_contained(self):
-        with WorkerPool(1, max_reply_bytes=1024) as pool:
-            [result] = pool.run_tasks(
-                [(OVERSIZED, {"nbytes": 1 << 20})], retries=0
-            )
-            assert result.status == "crashed"
-            assert pool.counters["pool.respawns"] == 1
+        forked = PoolWorker(max_reply_bytes=1024)
+        try:
+            pid = forked.proc.pid
+            status, _ = forked.call(OVERSIZED, {"nbytes": 1 << 20})
+            assert status == "crashed"
+            assert forked.proc.pid != pid
             # A small reply still fits afterwards.
-            assert values(pool, ECHO, ["small"]) == ["small"]
+            assert forked.call(ECHO, "small") == ("ok", "small")
+        finally:
+            forked.shutdown()
+
+    def test_reply_to_another_frame_is_refused(self, worker):
+        """``call`` only accepts the reply to its own frame."""
+        pid = worker.proc.pid
+        worker.send(ECHO, "stale")  # a frame whose reply nobody read
+        status, _ = worker.call(ECHO, "fresh")
+        assert status == "crashed"
+        assert worker.proc.pid != pid
+        assert worker.call(ECHO, "fresh") == ("ok", "fresh")
 
 
 class TestTimeouts:
-    def test_slow_task_times_out_and_respawns(self):
-        with WorkerPool(1) as pool:
-            [result] = pool.run_tasks(
-                [(SLEEP, {"seconds": 30.0})], timeout_s=0.3, retries=0
-            )
-            assert result.status == "timeout"
-            assert "0.3" in result.error
-            assert pool.counters["pool.respawns"] == 1
+    def test_slow_task_times_out_and_respawns(self, worker):
+        pid = worker.proc.pid
+        start = time.monotonic()
+        status, message = worker.call(SLEEP, {"seconds": 30.0}, soon(0.3))
+        assert status == "timeout"
+        assert "deadline" in message
+        assert time.monotonic() - start < 10.0
+        assert worker.proc.pid != pid
+        assert worker.call(ECHO, "alive") == ("ok", "alive")
 
-    def test_fast_task_beats_deadline(self):
-        with WorkerPool(1) as pool:
-            [result] = pool.run_tasks(
-                [(SLEEP, {"seconds": 0.0, "value": "quick"})],
-                timeout_s=30.0,
-                retries=0,
-            )
-            assert result.ok
-            assert result.value == "quick"
+    def test_fast_task_beats_deadline(self, worker):
+        pid = worker.proc.pid
+        assert worker.call(
+            SLEEP, {"seconds": 0.0, "value": "quick"}, soon()
+        ) == ("ok", "quick")
+        assert worker.proc.pid == pid
 
 
-class TestCallbacks:
-    def test_on_retry_fires_per_extra_attempt(self, tmp_path):
-        seen = []
-        with WorkerPool(1) as pool:
-            flag = tmp_path / "crashed"
-            pool.run_tasks(
-                [(KILL_ONCE, {"flag": str(flag), "value": 1})],
-                retries=1,
-                on_retry=seen.append,
-            )
-            assert seen == [0]
+class TestInlineWorker:
+    def test_runs_handlers_with_their_context(self):
+        inline = InlineWorker(context={"base": 7})
+        assert inline.call(ECHO, "x") == ("ok", "x")
+        assert inline.call(CONTEXT, None, soon()) == ("ok", {"base": 7})
 
-    def test_on_result_streams_every_final_result(self):
-        seen = {}
-        with WorkerPool(2) as pool:
-            pool.run_tasks(
-                [(ECHO, i) for i in range(5)],
-                on_result=lambda i, r: seen.__setitem__(i, r.value),
-            )
-            assert seen == {i: i for i in range(5)}
+    def test_handler_error_is_error_status(self):
+        status, message = InlineWorker().call(RAISE, {"message": "boom"})
+        assert status == "error"
+        assert "ValueError" in message
+        assert "boom" in message
+
+    def test_bad_handler_spec_is_error_status(self):
+        status, message = InlineWorker().call("no-colon-here", 1)
+        assert status == "error"
+        assert "bad handler spec" in message

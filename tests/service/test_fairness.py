@@ -6,8 +6,8 @@ end-to-end from the record timestamps the scheduler itself emits:
 
 * a tenant flooding its queue must not inflate a trickle tenant's
   queue wait — the flood queues behind itself;
-* no queued job waits past the aging threshold while younger work from
-  heavier-weighted tenants keeps arriving.
+* no queued job waits past the aging threshold while younger cheap work
+  keeps arriving ahead of it.
 
 Assertions are *relative* (trickle vs flood percentiles from the same
 run) so they hold on slow single-core CI machines.
@@ -25,16 +25,12 @@ from repro.service import (
     SchedulerOptions,
     move_macro,
 )
+from repro.utils import percentile
 
 SPEC = ScenarioSpec(
     grid=8, num_nets=24, total_sites=160, macros=(MacroSpec(1, 1, 2, 2),)
 )
 DELTA = DeltaSpec((move_macro(0, 4, 4),))
-
-
-def _percentile(values, q):
-    ordered = sorted(values)
-    return ordered[min(len(ordered) - 1, round(q * (len(ordered) - 1)))]
 
 
 async def _plan_baselines(svc, *bids):
@@ -84,8 +80,8 @@ def test_trickle_tenant_queue_wait_bounded_under_flood():
 
             flood_waits = [svc.record(j).queue_wait for j in flood_ids]
             trickle_waits = [svc.record(j).queue_wait for j in trickle_ids]
-            flood_p95 = _percentile(flood_waits, 0.95)
-            trickle_p95 = _percentile(trickle_waits, 0.95)
+            flood_p95 = percentile(flood_waits, 0.95)
+            trickle_p95 = percentile(trickle_waits, 0.95)
             # The trickle jobs entered behind a 12-deep flood backlog;
             # fair selection must serve them long before the flood tail
             # rather than FIFO-ing the whole backlog first.
