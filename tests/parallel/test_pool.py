@@ -3,7 +3,9 @@
 A forked :class:`PoolWorker` must contain each fault in its own process:
 it kills and re-forks the process, reports ``crashed`` or ``timeout``,
 and serves the next call. :class:`InlineWorker` runs the same handlers
-in the caller's thread.
+in the caller's thread. Attempt counts, timing and retries belong to the
+caller; they are checked here through explore's sweep, the caller that
+keeps them on its records.
 """
 
 import os
@@ -17,7 +19,13 @@ import pytest
 import repro
 
 from repro.errors import ConfigurationError
+from repro.explore import SweepOptions, run_sweep
+from repro.explore import executor as executor_module
+from repro.obs import Tracer
 from repro.parallel import InlineWorker, PoolWorker
+from repro.service import SchedulerOptions
+from repro.service.engine import full_plan
+from repro.service.jobs import ScenarioSpec
 
 ECHO = "repro.parallel.testing:echo"
 CONTEXT = "repro.parallel.testing:read_context"
@@ -27,6 +35,9 @@ CRASH_ALWAYS = "repro.parallel.testing:crash_always"
 OVERSIZED = "repro.parallel.testing:oversized_reply"
 RAISE = "repro.parallel.testing:raise_error"
 POISON = "repro.parallel.testing:poison_reply"
+
+#: A scenario that plans in milliseconds, for the sweep-driven checks.
+TINY = ScenarioSpec(grid=6, num_nets=6, total_sites=40)
 
 
 @pytest.fixture
@@ -48,12 +59,46 @@ class TestBasics:
         ]
         assert worker.proc.pid == pid
 
+    def test_results_carry_timing_and_attempts(self, worker):
+        """``call`` answers ``(status, value)``; the caller's attempt
+        loop stamps the attempt count and wall time on the record it
+        keeps, in-process and on a forked worker alike."""
+        assert worker.call(ECHO, "x") == ("ok", "x")
+        for workers in (1, 2):
+            [record] = run_sweep(
+                [TINY], options=SweepOptions(workers=workers)
+            ).values()
+            assert record.status == "ok"
+            assert record.attempts == 1
+            assert record.seconds >= 0.0
+
     def test_context_reaches_handlers(self):
         forked = PoolWorker(context={"base": 7})
         try:
             assert forked.call(CONTEXT, None) == ("ok", {"base": 7})
         finally:
             forked.shutdown()
+
+    def test_dispatch_counter(self, worker):
+        """Every ``call`` dispatches one frame and numbers it: two
+        workers sharing six tasks have sent three frames each."""
+        other = PoolWorker()
+        try:
+            for i in range(6):
+                assert (worker, other)[i % 2].call(ECHO, i) == ("ok", i)
+            assert worker.seq == 3
+            assert other.seq == 3
+        finally:
+            other.shutdown()
+
+    def test_invalid_worker_count_rejected(self):
+        """Both callers run one ``InlineWorker`` at one worker and forked
+        ``PoolWorker``s above it; a count below one is refused."""
+        for workers in (0, -1):
+            with pytest.raises(ConfigurationError):
+                SweepOptions(workers=workers)
+            with pytest.raises(ConfigurationError):
+                SchedulerOptions(workers=workers)
 
     def test_closed_pool_rejects_work(self, worker):
         """A shut-down worker refuses a call rather than fork again."""
@@ -68,6 +113,21 @@ class TestBasics:
         assert status == "error"
         assert "bad handler spec" in message
         assert worker.call(ECHO, "alive") == ("ok", "alive")
+
+    def test_empty_task_list(self, monkeypatch):
+        """No work: a worker never called sends no frame and leaves
+        through the shutdown sentinel (exit code 0, not SIGKILL), and a
+        sweep with nothing pending forks no worker at all."""
+        idle = PoolWorker()
+        assert idle.seq == 0
+        idle.shutdown()
+        assert idle.proc.exitcode == 0
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("forked a worker for an empty sweep")
+
+        monkeypatch.setattr(executor_module, "PoolWorker", no_fork)
+        assert run_sweep([], options=SweepOptions(workers=2)) == {}
 
     def test_poll_runs_while_the_worker_is_busy(self, worker):
         polls = []
@@ -237,6 +297,32 @@ class TestTimeouts:
             SLEEP, {"seconds": 0.0, "value": "quick"}, soon()
         ) == ("ok", "quick")
         assert worker.proc.pid == pid
+
+
+class TestCallbacks:
+    def test_on_retry_fires_per_extra_attempt(self, monkeypatch, tmp_path):
+        """Retry policy is the caller's: explore's sweep counts
+        ``explore.retries`` once per extra attempt it makes, not once
+        per retry it allows. A planner that SIGKILLs its forked worker
+        once is retried on the re-forked worker and succeeds."""
+        flag = tmp_path / "crashed"
+
+        def kill_once(spec, config=None, **kwargs):
+            if not flag.exists():
+                flag.write_text("crashed", encoding="utf-8")
+                os.kill(os.getpid(), signal.SIGKILL)
+            return full_plan(spec, config, **kwargs)
+
+        monkeypatch.setattr(executor_module, "full_plan", kill_once)
+        tracer = Tracer()
+        [record] = run_sweep(
+            [TINY], options=SweepOptions(workers=2, retries=2), tracer=tracer
+        ).values()
+        assert record.status == "ok"
+        assert record.attempts == 2
+        assert tracer.metrics.value("explore.retries") == 1
+        assert tracer.metrics.value("pool.respawns") == 1
+        assert tracer.metrics.value("pool.dispatches") == 2
 
 
 class TestInlineWorker:
