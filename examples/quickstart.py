@@ -9,7 +9,7 @@ the buffer-site usage across the tile grid.
 Run:  python examples/quickstart.py
 """
 
-from repro import RabidConfig, RabidPlanner, load_benchmark
+from repro import RabidConfig, RabidPlanner, StageMetrics, load_benchmark
 from repro.experiments.formatting import render_table
 
 
@@ -42,13 +42,10 @@ def main():
     planner = RabidPlanner(bench.graph, bench.netlist, config)
     result = planner.run()
 
-    headers = [
-        "stage", "wire max", "wire avg", "overflows", "buf max", "buf avg",
-        "#bufs", "#fails", "wirelength(mm)", "delay max(ps)", "delay avg(ps)",
-        "CPU(s)",
-    ]
     print()
-    print(render_table(headers, [m.as_row() for m in result.stage_metrics]))
+    print(render_table(
+        StageMetrics.HEADERS, [m.as_row() for m in result.stage_metrics]
+    ))
 
     final = result.final_metrics
     print()

@@ -34,9 +34,7 @@ def main():
         stage4_iterations=1,
     )
     result = RabidPlanner(bench.graph, bench.netlist, config).run()
-    report = design_report(
-        result.routes, bench.graph, TECH_180NM, config.length_limit
-    )
+    report = design_report(result.routes, bench.graph, config)
     worst = report.worst_nets(10)
 
     rows = []

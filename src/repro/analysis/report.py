@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.length_rule import length_violations
+from repro.core.rabid import RabidConfig, StageMetrics, measure_plan
 from repro.routing.tree import RouteTree
-from repro.technology import Technology
-from repro.tilegraph.congestion import buffer_density_stats, wire_congestion_stats
+from repro.technology import resolve_library
 from repro.tilegraph.graph import TileGraph
 from repro.timing.elmore import net_delay
 
@@ -29,19 +29,16 @@ class NetReport:
 
 @dataclass(frozen=True)
 class DesignReport:
-    """Whole-design planning outcome (the Table II final-row figures)."""
+    """Whole-design planning outcome: per-net rows and the plan's Table II
+    figures (:func:`repro.core.measure_plan`)."""
 
     nets: List[NetReport]
-    total_wirelength_mm: float
-    total_buffers: int
-    failed_nets: List[str]
-    wire_congestion_max: float
-    wire_congestion_avg: float
-    wire_overflow: int
-    buffer_density_max: float
-    buffer_density_avg: float
-    max_delay_ps: float
-    avg_delay_ps: float
+    metrics: StageMetrics
+
+    @property
+    def failed_nets(self) -> List[str]:
+        """Nets with at least one gate over its length limit."""
+        return [n.name for n in self.nets if n.length_violations]
 
     def worst_nets(self, count: int = 10) -> List[NetReport]:
         """The nets with the highest max sink delay."""
@@ -49,23 +46,16 @@ class DesignReport:
 
 
 def design_report(
-    routes: Dict[str, RouteTree],
-    graph: TileGraph,
-    tech: Technology,
-    length_limit: int,
+    routes: Dict[str, RouteTree], graph: TileGraph, config: RabidConfig
 ) -> DesignReport:
-    """Measure everything the experiment tables need, per net and overall."""
+    """Measure a plan per net and overall under its config's per-net
+    length limits, technology and buffer library."""
+    tech = config.technology
+    library = resolve_library(config.buffer_library, tech)
     nets: List[NetReport] = []
-    failed: List[str] = []
-    delay_total = 0.0
-    delay_count = 0
-    delay_worst = 0.0
     for name in sorted(routes):
         tree = routes[name]
-        report = net_delay(tree, graph, tech)
-        violations = length_violations(tree, length_limit)
-        if violations:
-            failed.append(name)
+        report = net_delay(tree, graph, tech, library)
         nets.append(
             NetReport(
                 name=name,
@@ -75,26 +65,9 @@ def design_report(
                 num_buffers=tree.buffer_count(),
                 max_delay_ps=report.max_delay * 1e12,
                 avg_delay_ps=report.avg_delay * 1e12,
-                length_violations=violations,
+                length_violations=length_violations(
+                    tree, config.limit_for(name)
+                ),
             )
         )
-        for value in report.sink_delays.values():
-            delay_total += value
-            delay_count += 1
-        delay_worst = max(delay_worst, report.max_delay)
-
-    wire = wire_congestion_stats(graph)
-    buffers = buffer_density_stats(graph)
-    return DesignReport(
-        nets=nets,
-        total_wirelength_mm=sum(n.wirelength_mm for n in nets),
-        total_buffers=sum(n.num_buffers for n in nets),
-        failed_nets=failed,
-        wire_congestion_max=wire.maximum,
-        wire_congestion_avg=wire.average,
-        wire_overflow=wire.overflow,
-        buffer_density_max=buffers.maximum,
-        buffer_density_avg=buffers.average,
-        max_delay_ps=delay_worst * 1e12,
-        avg_delay_ps=(delay_total / delay_count * 1e12) if delay_count else 0.0,
-    )
+    return DesignReport(nets=nets, metrics=measure_plan(routes, graph, config))

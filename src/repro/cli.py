@@ -32,7 +32,7 @@ from typing import List, Optional
 
 from repro.analysis import buffer_usage_map, wire_congestion_map
 from repro.benchmarks import BENCHMARK_SPECS, load_benchmark
-from repro.core import RabidConfig, RabidPlanner
+from repro.core import RabidConfig, RabidPlanner, StageMetrics
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments import (
     ExperimentConfig,
@@ -621,8 +621,9 @@ def _cmd_explore(args) -> int:
         print(f"\nscatter ({args.svg_x} vs {args.svg_y}) -> {args.svg}")
     if tracer is not None:
         print("\ncounters:")
-        for name in ("explore.scenarios", "explore.cache_hits",
-                     "explore.retries", "explore.triage_pruned"):
+        from repro.obs.report import EXPLORE_COUNTERS, POOL_COUNTERS
+
+        for name in EXPLORE_COUNTERS + POOL_COUNTERS:
             print(f"  {name}: {tracer.metrics.value(name)}")
     evaluated_ok = any(
         r.status == "ok" for r in result.records.values()
@@ -1011,11 +1012,9 @@ def _cmd_run(args) -> int:
         tracer = Tracer()
     planner = RabidPlanner(bench.graph, bench.netlist, config, tracer=tracer)
     result = planner.run()
-    headers = [
-        "stage", "wire max", "wire avg", "overflows", "buf max", "buf avg",
-        "#bufs", "#fails", "wirelength", "delay max", "delay avg", "CPU(s)",
-    ]
-    print(render_table(headers, [m.as_row() for m in result.stage_metrics]))
+    print(render_table(
+        StageMetrics.HEADERS, [m.as_row() for m in result.stage_metrics]
+    ))
     if args.maps:
         print("\nwire congestion (per-tile worst edge):")
         print(wire_congestion_map(bench.graph))

@@ -25,7 +25,13 @@ from repro.core.fallback import greedy_buffering
 from repro.core.assignment import NetOutcome, run_buffer_walk
 from repro.core.two_path import optimize_two_paths
 from repro.core.rescue import rescue_failing_nets, rescue_net
-from repro.core.rabid import RabidConfig, RabidPlanner, RabidResult, StageMetrics
+from repro.core.rabid import (
+    RabidConfig,
+    RabidPlanner,
+    RabidResult,
+    StageMetrics,
+    measure_plan,
+)
 from repro.core.layers import (
     LayerAssignment,
     LayerSpec,
@@ -56,4 +62,5 @@ __all__ = [
     "RabidPlanner",
     "RabidResult",
     "StageMetrics",
+    "measure_plan",
 ]

@@ -10,8 +10,6 @@ still-unprocessed nets expected to pass through the tile.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.tilegraph.graph import Tile, TileGraph
 
 
@@ -32,11 +30,3 @@ def buffer_site_cost(graph: TileGraph, tile: Tile, probability: float = 0.0) -> 
         return float("inf")
     return (used + probability + 1.0) / (sites - used)
 
-
-def make_cost_fn(
-    graph: TileGraph, probability_of: "Callable[[Tile], float] | None" = None
-) -> Callable[[Tile], float]:
-    """A ``q(v)`` closure over the graph and a probability source."""
-    if probability_of is None:
-        return lambda tile: buffer_site_cost(graph, tile, 0.0)
-    return lambda tile: buffer_site_cost(graph, tile, probability_of(tile))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import ClassVar, Dict, List, Tuple
 
 from repro.core.assignment import assign_buffers_to_net, run_buffer_walk
 from repro.core.length_rule import net_meets_length_rule
@@ -29,7 +29,7 @@ from repro.routing.prim_dijkstra import prim_dijkstra_tree
 from repro.routing.ripup import RipupOptions, reroute_order_by_delay, ripup_and_reroute
 from repro.routing.steiner import remove_overlaps
 from repro.routing.tree import RouteTree
-from repro.technology import LIBRARY_NAMES, TECH_180NM, Technology
+from repro.technology import LIBRARY_NAMES, TECH_180NM, Technology, resolve_library
 from repro.tilegraph.congestion import buffer_density_stats, wire_congestion_stats
 from repro.tilegraph.graph import TileGraph
 from repro.timing.elmore import delay_summary
@@ -183,6 +183,12 @@ class RabidConfig:
 class StageMetrics:
     """One row of the paper's Table II."""
 
+    #: Column headers of :meth:`as_row`, in the same order.
+    HEADERS: ClassVar[Tuple[str, ...]] = (
+        "stage", "wire max", "wire avg", "overflows", "buf max", "buf avg",
+        "#bufs", "#fails", "wirelength", "delay max", "delay avg", "CPU(s)",
+    )
+
     stage: int
     wire_congestion_max: float
     wire_congestion_avg: float
@@ -212,6 +218,45 @@ class StageMetrics:
             f"{self.avg_delay_ps:.0f}",
             f"{self.cpu_seconds:.1f}",
         ]
+
+
+def measure_plan(
+    routes: Dict[str, RouteTree],
+    graph: TileGraph,
+    config: RabidConfig,
+    stage: int = 0,
+    cpu_seconds: float = 0.0,
+) -> StageMetrics:
+    """A RABID plan's Table II figures under the plan's own config.
+
+    Fails are counted against each net's ``config.limit_for`` limit,
+    buffers from the trees' annotations (which every RABID plan books
+    one site each), and sink delays with the Elmore model of
+    ``config.technology`` and the sized kinds of ``config.buffer_library``.
+    """
+    wire = wire_congestion_stats(graph)
+    sites = buffer_density_stats(graph)
+    library = resolve_library(config.buffer_library, config.technology)
+    max_delay, avg_delay, _ = delay_summary(
+        routes, graph, config.technology, library
+    )
+    return StageMetrics(
+        stage=stage,
+        wire_congestion_max=wire.maximum,
+        wire_congestion_avg=wire.average,
+        overflows=wire.overflow,
+        buffer_density_max=sites.maximum,
+        buffer_density_avg=sites.average,
+        num_buffers=sum(tree.buffer_count() for tree in routes.values()),
+        num_fails=sum(
+            not net_meets_length_rule(tree, config.limit_for(name))
+            for name, tree in routes.items()
+        ),
+        wirelength_mm=sum(tree.wirelength_mm(graph) for tree in routes.values()),
+        max_delay_ps=max_delay * 1e12,
+        avg_delay_ps=avg_delay * 1e12,
+        cpu_seconds=cpu_seconds,
+    )
 
 
 @dataclass
@@ -244,6 +289,9 @@ class RabidPlanner:
         self.graph = graph
         self.netlist = netlist
         self.config = config or RabidConfig()
+        self.library = resolve_library(
+            self.config.buffer_library, self.config.technology
+        )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.routes: Dict[str, RouteTree] = {}
         self.stage_metrics: List[StageMetrics] = []
@@ -417,49 +465,19 @@ class RabidPlanner:
 
     def _net_delays(self) -> Dict[str, float]:
         _, _, reports = delay_summary(
-            self.routes, self.graph, self.config.technology
+            self.routes, self.graph, self.config.technology, self.library
         )
         return {name: report.max_delay for name, report in reports.items()}
 
-    def _count_fails(self) -> int:
-        fails = 0
-        for name, tree in self.routes.items():
-            if not net_meets_length_rule(tree, self.config.limit_for(name)):
-                fails += 1
-        return fails
-
     def _snapshot(self, stage: int, cpu_seconds: float) -> None:
-        wire = wire_congestion_stats(self.graph)
-        buffers = buffer_density_stats(self.graph)
-        max_delay, avg_delay, _ = delay_summary(
-            self.routes, self.graph, self.config.technology
+        metrics = measure_plan(
+            self.routes, self.graph, self.config, stage, cpu_seconds
         )
-        wirelength = sum(
-            tree.wirelength_mm(self.graph) for tree in self.routes.values()
-        )
-        num_fails = self._count_fails()
         if self.tracer.enabled:
-            self.tracer.gauge(f"stage{stage}.overflows", wire.overflow)
-            self.tracer.gauge(
-                f"stage{stage}.num_buffers", self.graph.total_used_sites
-            )
-            self.tracer.gauge(f"stage{stage}.num_fails", num_fails)
-            self.tracer.gauge(f"stage{stage}.wirelength_mm", wirelength)
-            self.tracer.gauge("overflow_total", wire.overflow)
+            self.tracer.gauge(f"stage{stage}.overflows", metrics.overflows)
+            self.tracer.gauge(f"stage{stage}.num_buffers", metrics.num_buffers)
+            self.tracer.gauge(f"stage{stage}.num_fails", metrics.num_fails)
+            self.tracer.gauge(f"stage{stage}.wirelength_mm", metrics.wirelength_mm)
+            self.tracer.gauge("overflow_total", metrics.overflows)
             self.tracer.observe("stage.cpu_seconds", cpu_seconds)
-        self.stage_metrics.append(
-            StageMetrics(
-                stage=stage,
-                wire_congestion_max=wire.maximum,
-                wire_congestion_avg=wire.average,
-                overflows=wire.overflow,
-                buffer_density_max=buffers.maximum,
-                buffer_density_avg=buffers.average,
-                num_buffers=self.graph.total_used_sites,
-                num_fails=num_fails,
-                wirelength_mm=wirelength,
-                max_delay_ps=max_delay * 1e12,
-                avg_delay_ps=avg_delay * 1e12,
-                cpu_seconds=cpu_seconds,
-            )
-        )
+        self.stage_metrics.append(metrics)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
+
+from repro.core.rabid import StageMetrics
 
 
 def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -21,3 +23,14 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     lines: List[str] = [fmt(headers), "-" * (sum(widths) + 2 * (columns - 1))]
     lines.extend(fmt(row) for row in rows)
     return "\n".join(lines)
+
+
+def render_metrics_table(
+    label: str, rows: Sequence[Tuple[str, str, StageMetrics]]
+) -> str:
+    """Tables II-IV: a circuit column, one ``label`` column, then the
+    :class:`StageMetrics` columns after its stage."""
+    return render_table(
+        ["circuit", label, *StageMetrics.HEADERS[1:]],
+        [[circuit, value, *m.as_row()[1:]] for circuit, value, m in rows],
+    )

@@ -14,7 +14,7 @@ from repro.benchmarks import BENCHMARK_SPECS, load_benchmark
 from repro.core import RabidPlanner, StageMetrics
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig, planner_config_for
-from repro.experiments.formatting import render_table
+from repro.experiments.formatting import render_metrics_table
 
 
 @dataclass(frozen=True)
@@ -51,29 +51,6 @@ def run_table3_circuit(
 
 
 def format_table3(rows: List[Table3Row]) -> str:
-    headers = [
-        "circuit", "buffer sites", "wire max", "wire avg", "overflows",
-        "buf max", "buf avg", "#bufs", "#fails", "wirelength",
-        "delay max", "delay avg", "CPU(s)",
-    ]
-    cells = []
-    for r in rows:
-        m = r.metrics
-        cells.append(
-            [
-                r.circuit,
-                str(r.buffer_sites),
-                f"{m.wire_congestion_max:.2f}",
-                f"{m.wire_congestion_avg:.2f}",
-                str(m.overflows),
-                f"{m.buffer_density_max:.2f}",
-                f"{m.buffer_density_avg:.2f}",
-                str(m.num_buffers),
-                str(m.num_fails),
-                f"{m.wirelength_mm:.0f}",
-                f"{m.max_delay_ps:.0f}",
-                f"{m.avg_delay_ps:.0f}",
-                f"{m.cpu_seconds:.1f}",
-            ]
-        )
-    return render_table(headers, cells)
+    return render_metrics_table(
+        "buffer sites", [(r.circuit, str(r.buffer_sites), r.metrics) for r in rows]
+    )

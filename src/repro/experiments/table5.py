@@ -10,13 +10,12 @@ delays, and CPU time.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.bbp import BbpConfig, BbpPlanner, max_tile_area_pct
 from repro.benchmarks import load_benchmark
-from repro.core import RabidPlanner
+from repro.core import RabidPlanner, measure_plan
 from repro.experiments.config import ExperimentConfig, planner_config_for
 from repro.experiments.formatting import render_table
 from repro.netlist import decompose_to_two_pin
@@ -88,18 +87,14 @@ def run_table5_circuit(
 
     # RABID gets an identical fresh instance and the decomposed netlist.
     bench = load_benchmark(name, seed=experiment.seed, wire_capacity=capacity)
-    planner = RabidPlanner(
-        bench.graph, two_pin, planner_config_for(bench, experiment),
-        tracer=tracer,
-    )
-    result = planner.run()
+    config = planner_config_for(bench, experiment)
+    result = RabidPlanner(bench.graph, two_pin, config, tracer=tracer).run()
     # The same equal-length congestion cleanup the paper applies to both
     # algorithms before measuring Table V.
     from repro.routing.monotone import reduce_congestion
 
     reduce_congestion(bench.graph, result.routes)
-    planner._snapshot(4, 0.0)
-    final = planner.stage_metrics[-1]
+    final = measure_plan(result.routes, bench.graph, config, stage=4)
     rabid_row = Table5Row(
         circuit=name,
         algorithm="RABID",
@@ -107,9 +102,7 @@ def run_table5_circuit(
         wire_congestion_avg=final.wire_congestion_avg,
         overflows=final.overflows,
         num_buffers=final.num_buffers,
-        mtap_pct=max_tile_area_pct(
-            copy.deepcopy(bench.graph.used_sites), bench.graph, TECH_180NM
-        ),
+        mtap_pct=max_tile_area_pct(bench.graph.used_sites, bench.graph, TECH_180NM),
         wirelength_mm=final.wirelength_mm,
         max_delay_ps=final.max_delay_ps,
         avg_delay_ps=final.avg_delay_ps,

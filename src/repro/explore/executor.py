@@ -43,6 +43,7 @@ from repro.parallel.pool import InlineWorker, PoolWorker
 from repro.service.engine import PlanState, full_plan
 from repro.service.incremental import incremental_replan
 from repro.service.jobs import ScenarioSpec
+from repro.technology import resolve_library
 from repro.timing.elmore import net_delay
 
 #: Baseline plans cached per process (inherited by forked workers).
@@ -66,13 +67,14 @@ def metrics_from_state(state: PlanState, reuse_delays=None) -> Dict[str, Any]:
     graph = state.graph
     failed = state.failed_nets
     tech = state.config.technology
+    library = resolve_library(state.config.buffer_library, tech)
     max_delay = 0.0
     delay_total = 0.0
     delay_count = 0
     for name, tree in state.routes.items():
         report = reuse_delays.get(name) if reuse_delays else None
         if report is None:
-            report = net_delay(tree, graph, tech)
+            report = net_delay(tree, graph, tech, library)
         max_delay = max(max_delay, report.max_delay)
         for value in report.sink_delays.values():
             delay_total += value
@@ -104,8 +106,9 @@ def _baseline_for(base: ScenarioSpec, config: RabidConfig) -> PlanState:
         state = _BASELINE_CACHE[key] = full_plan(base, config)
     if key not in _BASELINE_DELAYS:
         tech = state.config.technology
+        library = resolve_library(state.config.buffer_library, tech)
         _BASELINE_DELAYS[key] = {
-            name: net_delay(tree, state.graph, tech)
+            name: net_delay(tree, state.graph, tech, library)
             for name, tree in state.routes.items()
         }
     return state

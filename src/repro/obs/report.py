@@ -111,42 +111,21 @@ def render_summary(tracer: Tracer) -> str:
     if len(tracer.metrics):
         sections.append("== metrics ==")
         sections.append(tracer.metrics.render())
-    buffering = [
-        (name, tracer.metrics.get(name))
-        for name in BUFFERING_COUNTERS
-        if tracer.metrics.get(name) is not None
-    ]
-    if buffering:
-        sections.append("== buffering ==")
-        for name, metric in buffering:
-            sections.append(f"{name:24s} {metric.value}")
-    explore = [
-        (name, tracer.metrics.get(name))
-        for name in EXPLORE_COUNTERS
-        if tracer.metrics.get(name) is not None
-    ]
-    if explore:
-        sections.append("== explore ==")
-        for name, metric in explore:
-            sections.append(f"{name:24s} {metric.value}")
-    workload = [
-        (name, tracer.metrics.get(name))
-        for name in WORKLOAD_COUNTERS
-        if tracer.metrics.get(name) is not None
-    ]
-    if workload:
-        sections.append("== workload ==")
-        for name, metric in workload:
-            sections.append(f"{name:24s} {metric.value}")
-    pool = [
-        (name, tracer.metrics.get(name))
-        for name in POOL_COUNTERS
-        if tracer.metrics.get(name) is not None
-    ]
-    if pool:
-        sections.append("== pool ==")
-        for name, metric in pool:
-            sections.append(f"{name:24s} {metric.value}")
+    for title, names in (
+        ("buffering", BUFFERING_COUNTERS),
+        ("explore", EXPLORE_COUNTERS),
+        ("workload", WORKLOAD_COUNTERS),
+        ("pool", POOL_COUNTERS),
+    ):
+        present = [
+            (name, tracer.metrics.get(name))
+            for name in names
+            if tracer.metrics.get(name) is not None
+        ]
+        if present:
+            sections.append(f"== {title} ==")
+            for name, metric in present:
+                sections.append(f"{name:24s} {metric.value}")
     service = [
         (name, tracer.metrics.get(name))
         for name in SERVICE_COUNTERS

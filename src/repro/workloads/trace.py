@@ -455,11 +455,6 @@ async def _replay_async(
                 full_state = full_plan(folded, config, tracer=tracer)
                 seconds_full = time.perf_counter() - t0
                 summary = full_state.summary()
-                failed = summary["failed_nets"]
-                failed_count = (
-                    len(failed) if isinstance(failed, (list, tuple))
-                    else int(failed)
-                )
                 buffers_incr = service.baseline("trace-base").summary["buffers"]
                 match = summary["signature"] == signature
                 report.checkpoints.append(
@@ -470,7 +465,7 @@ async def _replay_async(
                         match=match,
                         seconds_full=seconds_full,
                         buffers_full=int(summary["buffers"]),
-                        failed_full=failed_count,
+                        failed_full=len(full_state.failed_nets),
                         buffers_incremental=buffers_incr,
                         cost_delta=int(summary["buffers"]) - buffers_incr,
                     )

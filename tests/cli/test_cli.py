@@ -103,6 +103,15 @@ class TestExplore:
         # Second run answers fully from the store.
         assert "explore.cache_hits" in second
 
+    def test_metrics_print_pool_counters(self, capsys):
+        assert main([
+            *self.BASE, "--dim", "total_sites=250,350",
+            "--workers", "1", "--metrics",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "  pool.dispatches: 2\n" in out
+        assert "  pool.respawns: 0\n" in out
+
     def test_region_dim_and_svg(self, capsys, tmp_path):
         svg = tmp_path / "sweep.svg"
         assert main([

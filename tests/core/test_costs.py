@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import buffer_site_cost
-from repro.core.costs import make_cost_fn
 
 
 class TestBufferSiteCost:
@@ -48,12 +47,3 @@ class TestBufferSiteCost:
                 graph10.use_site(tile, used)
             assert buffer_site_cost(graph10, tile, p) == pytest.approx(expected)
 
-
-class TestCostFn:
-    def test_without_probability(self, graph10_sites):
-        q = make_cost_fn(graph10_sites)
-        assert q((0, 0)) == pytest.approx(1 / 3)
-
-    def test_with_probability_source(self, graph10_sites):
-        q = make_cost_fn(graph10_sites, probability_of=lambda t: 5.0)
-        assert q((0, 0)) == pytest.approx(2.0)

@@ -123,6 +123,40 @@ class TestPlannerConfig:
         assert row[0] == "4"
 
 
+class TestMeasurePlan:
+    def test_final_snapshot_is_measure_plan(self, planned):
+        from repro.core import measure_plan
+
+        graph, _, planner, result = planned
+        final = result.final_metrics
+        assert measure_plan(
+            result.routes, graph, planner.config, 4, final.cpu_seconds
+        ) == final
+        assert final.num_buffers == graph.total_used_sites
+
+    def test_multi_type_tech_delays_use_the_library(self):
+        from repro.benchmarks import load_benchmark
+        from repro.technology import resolve_library
+        from repro.timing.elmore import delay_summary
+
+        bench = load_benchmark("apte", seed=0)
+        config = RabidConfig(
+            length_limit=bench.spec.length_limit,
+            window_margin=10,
+            stage3_solver="multi_type",
+            buffer_library="tech",
+        )
+        result = RabidPlanner(bench.graph, bench.netlist, config).run()
+        tech = config.technology
+        max_delay, avg_delay, _ = delay_summary(
+            result.routes, bench.graph, tech, resolve_library("tech", tech)
+        )
+        final = result.final_metrics
+        assert final.max_delay_ps == max_delay * 1e12
+        assert final.avg_delay_ps == avg_delay * 1e12
+        assert final.num_buffers == bench.graph.total_used_sites
+
+
 class TestStagesIndividually:
     def test_stage1_routes_and_usage(self):
         graph, netlist = _design(n=4)

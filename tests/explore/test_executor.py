@@ -79,6 +79,41 @@ class TestMetrics:
         assert metrics_from_state(state)["signature"] == state.signature
 
 
+def library_delays_ps(state):
+    """Max and average sink delay of a plan under its own buffer library."""
+    from repro.technology import resolve_library
+    from repro.timing.elmore import delay_summary
+
+    tech = state.config.technology
+    library = resolve_library(state.config.buffer_library, tech)
+    max_delay, avg_delay, _ = delay_summary(
+        state.routes, state.graph, tech, library
+    )
+    return round(max_delay * 1e12, 3), round(avg_delay * 1e12, 3)
+
+
+class TestLibraryDelays:
+    def test_tech_scenario_delays_use_the_library(self):
+        state = full_plan(
+            ScenarioSpec(grid=16, num_nets=120, total_sites=600, buffer_library="tech")
+        )
+        metrics = metrics_from_state(state)
+        assert (metrics["max_delay_ps"], metrics["avg_delay_ps"]) == (
+            library_delays_ps(state)
+        )
+
+    def test_tech_delta_replay_matches_scratch_plan(self):
+        base = small_base(buffer_library="tech")
+        scenario = region_space(base=base).grid()[1].scenario
+        metrics, via = evaluate_scenario(scenario, base=base)
+        assert via == "incremental"
+        scratch = full_plan(scenario)
+        assert metrics == metrics_from_state(scratch)
+        assert (metrics["max_delay_ps"], metrics["avg_delay_ps"]) == (
+            library_delays_ps(scratch)
+        )
+
+
 class TestEvaluateScenario:
     def test_incremental_used_for_region_delta(self):
         base = small_base()

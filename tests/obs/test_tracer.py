@@ -127,6 +127,38 @@ class TestExport:
     def test_empty_summary(self):
         assert render_summary(Tracer()) == "(empty trace)"
 
+    def test_summary_sections_text_pinned(self):
+        t = Tracer()
+        t.count("dp_candidates", 7)
+        t.count("explore.scenarios", 2)
+        t.count("workload.checkpoints", 3)
+        t.count("pool.dispatches", 4)
+        t.count("service.jobs_submitted", 5)
+        t.observe("service.queue_wait_seconds", 0.25)
+        t.event("failed", "n9", stage="4")
+        assert render_summary(t) == "\n".join([
+            "== metrics ==",
+            "counter   dp_candidates = 7",
+            "counter   explore.scenarios = 2",
+            "counter   pool.dispatches = 4",
+            "counter   service.jobs_submitted = 5",
+            "histogram service.queue_wait_seconds: n=1 sum=0.25 mean=0.25",
+            "counter   workload.checkpoints = 3",
+            "== buffering ==",
+            "dp_candidates            7",
+            "== explore ==",
+            "explore.scenarios        2",
+            "== workload ==",
+            "workload.checkpoints     3",
+            "== pool ==",
+            "pool.dispatches          4",
+            "== service ==",
+            "service.jobs_submitted           5",
+            "service.queue_wait_seconds       n=1 mean=250.00ms max=250.00ms",
+            "== events ==",
+            "failed     1",
+        ])
+
 
 class TestNullTracer:
     def test_is_disabled_and_inert(self):
