@@ -14,51 +14,35 @@ buffers, turned into a recommended site budget (with 2x headroom).
 Run:  python examples/site_budgeting.py
 """
 
-from collections import defaultdict
-
-from repro import RabidConfig, RabidPlanner, load_benchmark
+from repro import load_benchmark
 from repro.experiments.formatting import render_table
-from repro.tilegraph.sites import distribute_sites_randomly
+from repro.tilegraph import CHANNELS, block_budgets, unconstrained_site_demand
 
 
 def main():
     bench = load_benchmark("ami33", seed=0)
     # Replace the budgeted distribution with an effectively infinite one:
     # 50 sites in every tile, including over macro blocks (the "hole in a
-    # macro" methodology), except nowhere blocked.
-    bench.graph.used_sites[:] = 0
-    for tile in bench.graph.tiles():
-        bench.graph.set_sites(tile, 50)
-
-    config = RabidConfig(
-        length_limit=bench.spec.length_limit,
-        window_margin=10,
-        stage4_iterations=1,
+    # macro" methodology), then census the buffers each block attracts.
+    demand = unconstrained_site_demand(
+        bench.graph, bench.floorplan, bench.netlist, bench.spec.length_limit
     )
-    result = RabidPlanner(bench.graph, bench.netlist, config).run()
     print(
-        f"Unconstrained run inserted {bench.graph.total_used_sites} buffers "
-        f"({result.final_metrics.num_fails} fails)\n"
+        f"Unconstrained run inserted {demand.total} buffers "
+        f"({demand.fails} fails)\n"
     )
 
-    # Census: which block (or open area) does each used tile sit in?
-    per_block = defaultdict(int)
-    for tile in bench.graph.tiles():
-        used = bench.graph.used_site_count(tile)
-        if not used:
-            continue
-        block = bench.floorplan.block_at(bench.graph.tile_center(tile))
-        per_block[block.name if block else "<channels>"] += used
-
+    budgets = block_budgets(demand, headroom=2.0)
+    ranked = sorted(demand.per_block.items(), key=lambda kv: -kv[1])
     rows = []
-    for name, count in sorted(per_block.items(), key=lambda kv: -kv[1])[:12]:
-        if name == "<channels>":
+    for name, count in ranked[:12]:
+        if name == CHANNELS:
             area_pct = ""
         else:
             block = bench.floorplan.get(name)
-            site_area = 2 * count * 400e-6  # 2x headroom, 400um^2 per site
+            site_area = budgets[name] * 400e-6  # 400um^2 per site
             area_pct = f"{100 * site_area / block.area:.2f}"
-        rows.append([name, str(count), str(2 * count), area_pct])
+        rows.append([name, str(count), str(budgets[name]), area_pct])
 
     print(render_table(
         ["block", "buffers used", "recommended sites (2x)", "% of block area"],

@@ -9,7 +9,6 @@ from repro.analysis.report import DesignReport, NetReport, design_report
 from repro.analysis.svg import (
     SvgCanvas,
     floorplan_svg,
-    planning_svg,
     scatter_svg,
 )
 from repro.analysis.failures import (
@@ -28,7 +27,6 @@ __all__ = [
     "failure_summary",
     "SvgCanvas",
     "floorplan_svg",
-    "planning_svg",
     "scatter_svg",
     "wire_congestion_map",
     "buffer_usage_map",

@@ -1,19 +1,17 @@
-"""SVG rendering of floorplans, routes, and buffer placements.
+"""SVG rendering of floorplans, buffer placements and sweep results.
 
 Pure-stdlib string assembly: produces standalone ``.svg`` documents for
-Fig.-1-style pictures (floorplan + buffer locations) and planning-state
-views (tile grid, blocked region, per-tile buffer usage). No display
-dependencies; files open in any browser.
+Fig.-1-style pictures (floorplan + buffer locations) and the scatter plot
+of an explore sweep (``repro explore --svg``). No display dependencies;
+files open in any browser.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.floorplan import Floorplan
 from repro.geometry import Point, Rect
-from repro.routing.tree import RouteTree
-from repro.tilegraph.graph import Tile, TileGraph
 
 _HEADER = (
     '<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
@@ -189,51 +187,3 @@ def scatter_svg(
         )
     body.append("</svg>")
     return "\n".join(body)
-
-
-def planning_svg(
-    graph: TileGraph,
-    floorplan: "Floorplan | None" = None,
-    routes: "Dict[str, RouteTree] | None" = None,
-    blocked: "Iterable[Tile] | None" = None,
-    pixels_per_mm: float = 30.0,
-    max_routes: int = 50,
-) -> str:
-    """Planning-state picture: tiles shaded by buffer usage, wires drawn
-    tile-center to tile-center, blocked region hatched gray."""
-    canvas = SvgCanvas(graph.die, pixels_per_mm)
-    canvas.rect(graph.die, fill="white", stroke="black", stroke_width=2)
-    if floorplan is not None:
-        for block in floorplan.blocks:
-            canvas.rect(block.rect(), fill="#eef0f5", stroke="#99a")
-    for tile in graph.tiles():
-        sites = graph.site_count(tile)
-        used = graph.used_site_count(tile)
-        if sites == 0:
-            continue
-        if used:
-            level = min(1.0, used / sites)
-            shade = int(255 - 160 * level)
-            canvas.rect(
-                graph.tile_rect(tile),
-                fill=f"rgb(255,{shade},{shade})",
-                stroke="none",
-                opacity=0.8,
-                title=f"{tile}: {used}/{sites} sites",
-            )
-    for tile in blocked or ():
-        canvas.rect(graph.tile_rect(tile), fill="#999", stroke="none",
-                    opacity=0.6)
-    if routes:
-        for i, name in enumerate(sorted(routes)):
-            if i >= max_routes:
-                break
-            tree = routes[name]
-            for u, v in tree.edges():
-                canvas.line(
-                    graph.tile_center(u),
-                    graph.tile_center(v),
-                    stroke="#36c",
-                    stroke_width=0.8,
-                )
-    return canvas.render()

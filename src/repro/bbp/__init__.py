@@ -19,20 +19,8 @@ implements a feasible-region buffer-block planner for two-pin nets:
 
 from repro.bbp.feasible_region import FeasibleRegion, ideal_buffer_points, feasible_region_for
 from repro.bbp.planner import BbpConfig, BbpPlanner, BbpResult, max_tile_area_pct
-from repro.bbp.stations import (
-    BufferStation,
-    StationAssigner,
-    StationAssignment,
-    stations_from_bbp,
-    stations_from_points,
-)
 
 __all__ = [
-    "BufferStation",
-    "StationAssigner",
-    "StationAssignment",
-    "stations_from_bbp",
-    "stations_from_points",
     "FeasibleRegion",
     "ideal_buffer_points",
     "feasible_region_for",

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.benchmarks.emit import append_trajectory_entry, load_trajectory
+from repro.benchmarks.emit import append_trajectory_entry
 from repro.bounds import (
     BoundOptions,
     bound_scenario,
@@ -208,10 +208,6 @@ def append_bounds_entry(
         },
         extra=extra,
     )
-
-
-def load_bounds_trajectory(path: str) -> dict:
-    return load_trajectory(path)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -22,7 +22,7 @@ import json
 import os
 from typing import Any, Dict, Optional
 
-from repro.benchmarks.emit import append_trajectory_entry, load_trajectory
+from repro.benchmarks.emit import append_trajectory_entry
 from repro.workloads import TraceOptions, run_workload_trace
 
 #: Default location of the trajectory file, relative to the repo root.
@@ -100,10 +100,6 @@ def append_streaming_entry(
         workers=workers,
         extra=extra,
     )
-
-
-def load_streaming_trajectory(path: str) -> dict:
-    return load_trajectory(path)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

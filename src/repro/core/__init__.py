@@ -32,18 +32,8 @@ from repro.core.rabid import (
     StageMetrics,
     measure_plan,
 )
-from repro.core.layers import (
-    LayerAssignment,
-    LayerSpec,
-    assign_layers,
-    default_layer_stack,
-)
 
 __all__ = [
-    "LayerSpec",
-    "LayerAssignment",
-    "assign_layers",
-    "default_layer_stack",
     "buffer_site_cost",
     "UsageProbability",
     "driven_lengths",

@@ -13,8 +13,9 @@ inspection; ``run`` simply chains them and snapshots metrics in between.
 
 from __future__ import annotations
 
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar, Dict, List, Tuple
 
 from repro.core.assignment import assign_buffers_to_net, run_buffer_walk
@@ -33,6 +34,48 @@ from repro.technology import LIBRARY_NAMES, TECH_180NM, Technology, resolve_libr
 from repro.tilegraph.congestion import buffer_density_stats, wire_congestion_stats
 from repro.tilegraph.graph import TileGraph
 from repro.timing.elmore import delay_summary
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value: object) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_str(value: object) -> bool:
+    return isinstance(value, str)
+
+
+def _is_map(value: object, check) -> bool:
+    """A dict from strings to values passing ``check``."""
+    return isinstance(value, dict) and all(
+        _is_str(k) and check(v) for k, v in value.items()
+    )
+
+
+def _is_technology(value: object) -> bool:
+    """Every :class:`Technology` field: ``name`` a string, the rest numbers."""
+    names = {f.name for f in fields(Technology)}
+    return (
+        isinstance(value, dict)
+        and set(value) == names
+        and _is_str(value["name"])
+        and all(_is_real(value[n]) for n in names - {"name"})
+    )
+
+
+#: How :meth:`RabidConfig.from_dict` checks a JSON value, by field type.
+_JSON_CHECKS = {
+    "int": _is_int,
+    "float": _is_real,
+    "bool": lambda v: isinstance(v, bool),
+    "str": _is_str,
+    "Dict[str, int]": lambda v: _is_map(v, _is_int),
+    "Dict[str, str]": lambda v: _is_map(v, _is_str),
+    "Technology": _is_technology,
+}
 
 
 @dataclass
@@ -143,8 +186,6 @@ class RabidConfig:
         The technology is expanded to its parameter set so a config round-
         trips exactly even for a custom process node.
         """
-        from dataclasses import asdict, fields
-
         out: Dict[str, object] = {}
         for f in fields(self):
             value = getattr(self, f.name)
@@ -156,26 +197,32 @@ class RabidConfig:
 
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "RabidConfig":
-        """Inverse of :meth:`as_dict`; unknown keys are rejected.
+        """Inverse of :meth:`as_dict`; unknown keys and values of the
+        wrong JSON type are rejected.
 
         The removed Stage-2/3 worker knobs, which plan files, checkpoints
         and job configs written by older versions carry, are dropped:
         they only ever chose how the sequential walk was executed, never
         its output.
         """
-        from dataclasses import fields
-
+        if not isinstance(d, dict):
+            raise ConfigurationError(f"a RabidConfig must be an object, not {d!r}")
         retired = ("workers", "stage3_workers", "parallel_backend")
-        known = {f.name for f in fields(cls)}
+        types = {f.name: f.type for f in fields(cls)}
         kwargs = {k: v for k, v in d.items() if k not in retired}
-        unknown = set(kwargs) - known
+        unknown = set(kwargs) - set(types)
         if unknown:
             raise ConfigurationError(
-                f"unknown RabidConfig fields {sorted(unknown)!r}"
+                f"unknown RabidConfig fields {sorted(map(str, unknown))!r}"
             )
-        tech = kwargs.get("technology")
-        if isinstance(tech, dict):
-            kwargs["technology"] = Technology(**tech)
+        for name, value in kwargs.items():
+            if not _JSON_CHECKS[types[name]](value):
+                raise ConfigurationError(
+                    f"RabidConfig field {name!r} must be {types[name]}, "
+                    f"not {value!r}"
+                )
+        if "technology" in kwargs:
+            kwargs["technology"] = Technology(**kwargs["technology"])
         return cls(**kwargs)
 
 

@@ -8,7 +8,7 @@ geometry, site budget) and reports the realized %chip-area of the sites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.benchmarks import BENCHMARK_SPECS, BenchmarkInstance, load_benchmark
 from repro.experiments.formatting import render_table
@@ -81,20 +81,3 @@ def format_table1(rows: List[Table1Row]) -> str:
         for r in rows
     ]
     return render_table(headers, cells)
-
-
-def paper_table1() -> Dict[str, Dict[str, float]]:
-    """The paper's Table I values, for EXPERIMENTS.md comparisons."""
-    return {
-        name: {
-            "cells": spec.cells,
-            "nets": spec.nets,
-            "pads": spec.pads,
-            "sinks": spec.sinks,
-            "tile_area": spec.tile_area_mm2,
-            "L": spec.length_limit,
-            "sites": spec.buffer_sites,
-            "pct": spec.chip_area_pct,
-        }
-        for name, spec in BENCHMARK_SPECS.items()
-    }

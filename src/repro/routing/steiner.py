@@ -64,8 +64,3 @@ def remove_overlaps(tree: GeometricTree, max_rounds: int = 10_000) -> GeometricT
         tree.connect(s, a)
         tree.connect(s, b)
     return tree
-
-
-def steiner_tree(tree: GeometricTree) -> GeometricTree:
-    """Alias for :func:`remove_overlaps` kept for API clarity."""
-    return remove_overlaps(tree)

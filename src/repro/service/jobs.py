@@ -105,6 +105,53 @@ def _is_int(value: Any) -> bool:
 
 
 @dataclass(frozen=True)
+class _ListOf:
+    """Shape of a list (or tuple) of any length whose items fit ``item``."""
+
+    item: Any
+
+
+def _fits(value: Any, shape: Any) -> bool:
+    """Whether JSON ``value`` has ``shape``.
+
+    ``int`` matches what :func:`_is_int` accepts and ``str`` a string; a
+    list of shapes matches a list or tuple of as many items, each
+    fitting its shape; :class:`_ListOf` matches a list of any length.
+    """
+    if shape is int:
+        return _is_int(value)
+    if shape is str:
+        return isinstance(value, str)
+    if not isinstance(value, (list, tuple)):
+        return False
+    if isinstance(shape, _ListOf):
+        return all(_fits(v, shape.item) for v in value)
+    return len(value) == len(shape) and all(map(_fits, value, shape))
+
+
+def _shape_text(shape: Any) -> str:
+    if shape in (int, str):
+        return shape.__name__
+    if isinstance(shape, _ListOf):
+        return f"a list of {_shape_text(shape.item)}"
+    return "[" + ", ".join(_shape_text(s) for s in shape) + "]"
+
+
+def _check_fields(d: Dict[str, Any], shapes: Dict[str, Any], what: str) -> None:
+    """Refuse a value in ``d`` that does not fit its key's shape."""
+    for key, value in d.items():
+        shape = shapes.get(key)
+        if shape is not None and not _fits(value, shape):
+            raise ConfigurationError(
+                f"{what} field {key!r} must be {_shape_text(shape)}, "
+                f"not {value!r}"
+            )
+
+
+_TILE = [int, int]
+
+
+@dataclass(frozen=True)
 class MacroSpec:
     """A blocked rectangle of tiles (no buffer sites inside)."""
 
@@ -307,10 +354,16 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "ScenarioSpec":
+        if not isinstance(d, dict):
+            raise ConfigurationError(f"a scenario must be an object, not {d!r}")
         if d.get("version") != JOB_SCHEMA_VERSION:
             raise ConfigurationError(
                 f"unsupported scenario schema {d.get('version')!r}"
             )
+        missing = [k for k in _SCENARIO_REQUIRED if k not in d]
+        if missing:
+            raise ConfigurationError(f"scenario is missing fields {missing}")
+        _check_fields(d, _SCENARIO_SHAPES, "scenario")
         return cls(
             grid=d["grid"],
             num_nets=d["num_nets"],
@@ -339,6 +392,26 @@ class ScenarioSpec:
         )
 
 
+#: The JSON shape of each scenario field; the integer ones are required.
+_SCENARIO_SHAPES = {
+    "grid": int,
+    "num_nets": int,
+    "capacity": int,
+    "seed": int,
+    "length_limit": int,
+    "total_sites": int,
+    "site_seed": int,
+    "macros": _ListOf([int, int, int, int]),
+    "added_nets": _ListOf([str, _TILE, _ListOf(_TILE)]),
+    "removed_nets": _ListOf(str),
+    "length_limits": _ListOf([str, int]),
+    "site_overrides": _ListOf([_TILE, int]),
+    "capacity_overrides": _ListOf([_TILE, _TILE, int]),
+    "buffer_library": str,
+}
+_SCENARIO_REQUIRED = [k for k, shape in _SCENARIO_SHAPES.items() if shape is int]
+
+
 # --------------------------------------------------------------------- #
 # Deltas                                                                #
 # --------------------------------------------------------------------- #
@@ -351,6 +424,19 @@ DELTA_KINDS = {
     "add_net": ("name", "source", "sinks"),
     "remove_net": ("name",),
     "set_length_limit": ("name", "limit"),
+}
+
+#: The JSON shape of each delta field, whatever the op's kind.
+_DELTA_SHAPES = {
+    "index": int,
+    "x": int,
+    "y": int,
+    "tiles": _ListOf([int, int, int]),
+    "edges": _ListOf([int, int, int, int, int]),
+    "name": str,
+    "source": _TILE,
+    "sinks": _ListOf(_TILE),
+    "limit": int,
 }
 
 
@@ -372,12 +458,15 @@ class DeltaOp:
             raise ConfigurationError(
                 f"delta op {self.kind!r} is missing fields {missing}"
             )
+        _check_fields(self.args, _DELTA_SHAPES, f"delta op {self.kind!r}")
 
     def to_dict(self) -> Dict[str, Any]:
         return {"kind": self.kind, **self.args}
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "DeltaOp":
+        if not isinstance(d, dict):
+            raise ConfigurationError(f"a delta op must be an object, not {d!r}")
         d = dict(d)
         kind = d.pop("kind", None)
         if not isinstance(kind, str):
@@ -433,11 +522,16 @@ class DeltaSpec:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "DeltaSpec":
+        if not isinstance(d, dict):
+            raise ConfigurationError(f"a delta must be an object, not {d!r}")
         if d.get("version") != JOB_SCHEMA_VERSION:
             raise ConfigurationError(
                 f"unsupported delta schema {d.get('version')!r}"
             )
-        return cls(ops=tuple(DeltaOp.from_dict(op) for op in d.get("ops", ())))
+        ops = d.get("ops", ())
+        if not isinstance(ops, (list, tuple)):
+            raise ConfigurationError(f"delta 'ops' must be a list, not {ops!r}")
+        return cls(ops=tuple(DeltaOp.from_dict(op) for op in ops))
 
 
 def _canonical_edge(u: Tile, v: Tile) -> Tuple[Tile, Tile]:
@@ -553,6 +647,8 @@ class Job:
         if self.kind == "delta":
             if not self.baseline_id or self.delta is None:
                 raise ProtocolError("delta job needs baseline_id and delta")
+            if not isinstance(self.baseline_id, str):
+                raise ProtocolError("delta job baseline_id must be a string")
             if not isinstance(self.delta, DeltaSpec):
                 raise ProtocolError(
                     "job delta must be a DeltaSpec (wrap single ops in "

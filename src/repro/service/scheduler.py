@@ -668,8 +668,13 @@ class PlanningService:
         Raises :class:`QueueFullError` when the tenant's queue is full
         (the ``SHED`` record keeps the id free for a resubmit),
         :class:`UnknownJobError` for a delta against an unknown baseline,
-        and :class:`ShuttingDownError` once shutdown has begun.
+        :class:`ShuttingDownError` once shutdown has begun, and
+        :class:`ConfigurationError` for a baseline's bad config, which is
+        parsed before anything is registered or queued.
         """
+        config = self.config
+        if job.kind == "baseline" and job.config is not None:
+            config = RabidConfig.from_dict(job.config)
         with self._cond:
             if self._shutting_down:
                 raise ShuttingDownError(
@@ -709,9 +714,6 @@ class PlanningService:
             }
             if job.kind == "baseline":
                 self._next_shard += 1
-                config = self.config
-                if job.config is not None:
-                    config = RabidConfig.from_dict(job.config)
                 self._baselines[baseline_id] = BaselineRecord(
                     baseline_id=baseline_id,
                     shard=shard,

@@ -18,7 +18,6 @@ from repro.tilegraph.hierarchy import (
     CHANNELS,
     SiteDemand,
     block_budgets,
-    distribute_sites_by_budget,
     unconstrained_site_demand,
 )
 
@@ -26,7 +25,6 @@ __all__ = [
     "CHANNELS",
     "SiteDemand",
     "block_budgets",
-    "distribute_sites_by_budget",
     "unconstrained_site_demand",
     "PlacedBuffer",
     "SitePlacement",

@@ -8,24 +8,20 @@ is the library form of that recipe:
 * :func:`unconstrained_site_demand` — run RABID against a saturated site
   supply and census the per-block buffer usage;
 * :func:`block_budgets` — turn the census into per-block budgets with a
-  headroom factor;
-* :func:`distribute_sites_by_budget` — realize the budgets on a tile
-  graph: each block's budget scatters over its own tiles, a channel
-  budget over free-space tiles.
+  headroom factor.
+
+``examples/site_budgeting.py`` runs the recipe on ami33.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
-
-import numpy as np
+from typing import Dict
 
 from repro.errors import ConfigurationError
 from repro.floorplan import Floorplan
 from repro.netlist import Netlist
-from repro.tilegraph.graph import Tile, TileGraph
-from repro.utils.rng import make_rng
+from repro.tilegraph.graph import TileGraph
 
 #: Census key for buffers landing outside every block.
 CHANNELS = "<channels>"
@@ -33,10 +29,14 @@ CHANNELS = "<channels>"
 
 @dataclass(frozen=True)
 class SiteDemand:
-    """Per-block buffer demand from an unconstrained allocation run."""
+    """Per-block buffer demand from an unconstrained allocation run.
+
+    ``fails`` is the run's final count of nets missing their length rule.
+    """
 
     per_block: Dict[str, int]
     total: int
+    fails: int = 0
 
     def demand_for(self, block_name: str) -> int:
         return self.per_block.get(block_name, 0)
@@ -67,7 +67,7 @@ def unconstrained_site_demand(
         stage4_iterations=stage4_iterations,
         window_margin=10,
     )
-    RabidPlanner(graph, netlist, config).run()
+    result = RabidPlanner(graph, netlist, config).run()
 
     census: Dict[str, int] = {}
     for tile in graph.tiles():
@@ -77,7 +77,11 @@ def unconstrained_site_demand(
         block = floorplan.block_at(graph.tile_center(tile))
         key = block.name if block is not None else CHANNELS
         census[key] = census.get(key, 0) + used
-    return SiteDemand(per_block=census, total=sum(census.values()))
+    return SiteDemand(
+        per_block=census,
+        total=sum(census.values()),
+        fails=result.final_metrics.num_fails,
+    )
 
 
 def block_budgets(
@@ -96,43 +100,3 @@ def block_budgets(
         name: max(minimum, int(round(count * headroom)))
         for name, count in demand.per_block.items()
     }
-
-
-def distribute_sites_by_budget(
-    graph: TileGraph,
-    floorplan: Floorplan,
-    budgets: Dict[str, int],
-    seed: "int | np.random.Generator | None" = 0,
-) -> None:
-    """Scatter per-block budgets over each block's own tiles.
-
-    A tile belongs to the block covering its center; the ``CHANNELS``
-    budget scatters over uncovered tiles. Blocks flagged
-    ``allows_buffer_sites=False`` raise if budgeted.
-    """
-    rng = make_rng(seed)
-    tiles_of: Dict[str, List[Tile]] = {CHANNELS: []}
-    for tile in graph.tiles():
-        block = floorplan.block_at(graph.tile_center(tile))
-        key = block.name if block is not None else CHANNELS
-        tiles_of.setdefault(key, []).append(tile)
-
-    graph.sites[:] = 0
-    try:
-        for name, budget in sorted(budgets.items()):
-            if budget <= 0:
-                continue
-            if name != CHANNELS:
-                block = floorplan.get(name)
-                if not block.allows_buffer_sites:
-                    raise ConfigurationError(
-                        f"block {name!r} does not allow buffer sites"
-                    )
-            tiles = tiles_of.get(name, [])
-            if not tiles:
-                raise ConfigurationError(f"no tiles belong to {name!r}")
-            counts = rng.multinomial(budget, [1.0 / len(tiles)] * len(tiles))
-            for tile, count in zip(tiles, counts):
-                graph.sites[tile] += int(count)
-    finally:
-        graph._notify_all_sites_changed()

@@ -16,16 +16,8 @@ from repro.timing.van_ginneken import (
     rebuffer_net_timing_driven,
     timing_driven_buffering,
 )
-from repro.timing.slew import (
-    length_limit_for_slew,
-    max_driven_length_mm,
-    stage_slew,
-)
 
 __all__ = [
-    "stage_slew",
-    "max_driven_length_mm",
-    "length_limit_for_slew",
     "DelayReport",
     "elmore_sink_delays",
     "net_delay",

@@ -21,12 +21,3 @@ def make_rng(seed: "int | np.random.Generator | None") -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def derive_rng(rng: np.random.Generator, salt: int) -> np.random.Generator:
-    """A child generator whose stream is independent of its siblings.
-
-    Used when one top-level seed must fan out to several components whose
-    draw counts may change independently without perturbing each other.
-    """
-    return np.random.default_rng(rng.integers(0, 2**63 - 1) + salt)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.svg import SvgCanvas, floorplan_svg, planning_svg
+from repro.analysis.svg import SvgCanvas, floorplan_svg
 from repro.floorplan import Block, Floorplan
 from repro.geometry import Point, Rect
 
@@ -55,29 +55,3 @@ class TestFloorplanSvg:
     def test_buffer_dots(self, plan):
         out = floorplan_svg(plan, buffer_points=[Point(4, 4), Point(9, 1)])
         assert out.count("<circle") == 2
-
-
-class TestPlanningSvg:
-    def test_renders_state(self, graph10_sites, plan):
-        graph10_sites.use_site((2, 2), 2)
-        out = planning_svg(graph10_sites, floorplan=plan, blocked=[(7, 7)])
-        assert out.startswith("<svg")
-        assert "rgb(255," in out  # shaded used tile
-        assert out.count("<rect") > 3
-
-    def test_routes_drawn(self, graph10_sites):
-        from repro.routing.maze import route_net_on_tiles
-
-        tree = route_net_on_tiles(graph10_sites, (0, 0), [(5, 5)])
-        out = planning_svg(graph10_sites, routes={"n": tree})
-        assert out.count("<line") == tree.num_edges()
-
-    def test_route_cap(self, graph10_sites):
-        from repro.routing.maze import route_net_on_tiles
-
-        routes = {
-            f"n{i}": route_net_on_tiles(graph10_sites, (0, i), [(5, i)])
-            for i in range(4)
-        }
-        out = planning_svg(graph10_sites, routes=routes, max_routes=2)
-        assert out.count("<line") == 10  # 2 nets x 5 edges

@@ -4,10 +4,10 @@ import json
 
 from repro.benchmarks.bounds_kernel import (
     append_bounds_entry,
-    load_bounds_trajectory,
     main,
     run_bounds_kernel,
 )
+from repro.benchmarks.emit import load_trajectory
 
 
 class TestKernel:
@@ -34,7 +34,7 @@ class TestKernel:
         )
         for result in results:
             append_bounds_entry(out, "t", result)
-        data = load_bounds_trajectory(out)
+        data = load_trajectory(out)
         assert len(data["entries"]) == 2
         labels = {e["label"] for e in data["entries"]}
         assert labels == {"t-eps0.5", "t-eps0.25"}
@@ -56,7 +56,7 @@ class TestKernel:
 
 class TestRecordedTrajectory:
     def test_shipped_file_has_gap_vs_epsilon(self):
-        data = load_bounds_trajectory("benchmarks/BENCH_bounds.json")
+        data = load_trajectory("benchmarks/BENCH_bounds.json")
         entries = data["entries"]
         epsilons = {e["params"]["epsilon"] for e in entries}
         assert len(epsilons) >= 2

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.rabid import RabidConfig
 from repro.errors import ConfigurationError, ProtocolError
 from repro.service.jobs import (
     DeltaOp,
@@ -208,23 +209,24 @@ class TestTypedTiles:
     SPEC = ScenarioSpec(grid=8, num_nets=10, total_sites=50)
 
     @pytest.mark.parametrize(
-        "op",
+        "build",
         [
-            set_sites([(1.5, 0, 3)]),  # once a bare IndexError in build_graph
-            set_sites([("a", 0, 3)]),  # once a bare TypeError
-            set_sites([(True, 0, 3)]),  # once read as tile (1, 0)
-            set_sites([(1, 0, 2.5)]),
-            set_capacity([(0, 0, 1, 0, 2.5)]),  # once stored as 2
-            add_net("x", (0, 0.5), [(3, 3)]),
+            lambda: set_sites([(1.5, 0, 3)]),  # once a bare IndexError in build_graph
+            lambda: set_sites([("a", 0, 3)]),  # once a bare TypeError
+            lambda: set_sites([(True, 0, 3)]),  # once read as tile (1, 0)
+            lambda: set_sites([(1, 0, 2.5)]),
+            lambda: set_capacity([(0, 0, 1, 0, 2.5)]),  # once stored as 2
+            lambda: add_net("x", (0, 0.5), [(3, 3)]),
         ],
         ids=[
             "sites-float-tile", "sites-str-tile", "sites-bool-tile",
             "sites-float-count", "capacity-float", "net-float-pin",
         ],
     )
-    def test_delta_rejected(self, op):
+    def test_delta_rejected(self, build):
+        # Built inside the check: the op itself refuses these fields.
         with pytest.raises(ConfigurationError):
-            apply_delta(self.SPEC, DeltaSpec((op,)))
+            apply_delta(self.SPEC, DeltaSpec((build(),)))
 
     def test_numpy_integers_accepted(self):
         x, count = np.int64(3), np.int32(4)
@@ -269,6 +271,71 @@ class TestNegativeCounts:
         )))
         assert out.effective_sites()[1, 1] == 0
         assert ((1, 1), (2, 1), 0) in out.capacity_overrides
+
+
+PROBE_SPEC = ScenarioSpec(
+    grid=8, num_nets=10, total_sites=50, macros=(MacroSpec(1, 1, 2, 2),)
+)
+
+
+def _delta_probe(ops):
+    return lambda: apply_delta(
+        PROBE_SPEC, DeltaSpec.from_dict({"version": 1, "ops": ops})
+    )
+
+
+def _scenario_probe(**fields):
+    return lambda: ScenarioSpec.from_dict({**PROBE_SPEC.to_dict(), **fields})
+
+
+#: Malformed job input, each once a bare exception (named) or accepted.
+PROBES = {
+    "sites-str": _delta_probe([{"kind": "set_sites", "tiles": "abc"}]),  # ValueError
+    "sites-short": _delta_probe([{"kind": "set_sites", "tiles": [[1, 1]]}]),  # ValueError
+    "capacity-short": _delta_probe(
+        [{"kind": "set_capacity", "edges": [[0, 0, 1, 0]]}]
+    ),  # ValueError
+    "limit-str": _delta_probe(
+        [{"kind": "set_length_limit", "name": "net1", "limit": "x"}]
+    ),  # TypeError
+    "macro-index-str": _delta_probe(
+        [{"kind": "move_macro", "index": "z", "x": 0, "y": 0}]
+    ),  # TypeError
+    "net-sinks-int": _delta_probe(
+        [{"kind": "add_net", "name": "x", "source": [0, 0], "sinks": 7}]
+    ),  # TypeError
+    "op-int": _delta_probe([5]),  # TypeError
+    "ops-str": _delta_probe("nope"),  # ValueError
+    "remove-name-list": _delta_probe(
+        [{"kind": "remove_net", "name": ["a"]}]
+    ),  # TypeError
+    "net-name-int": _delta_probe(
+        [{"kind": "add_net", "name": 5, "source": [0, 0], "sinks": [[1, 1]]}]
+    ),  # accepted
+    "delta-list": lambda: DeltaSpec.from_dict([]),  # AttributeError
+    "scenario-list": lambda: ScenarioSpec.from_dict([]),  # AttributeError
+    "scenario-no-grid": lambda: ScenarioSpec.from_dict({"version": 1}),  # KeyError
+    "scenario-macro-short": _scenario_probe(macros=[[1]]),  # TypeError
+    "config-list": lambda: RabidConfig.from_dict([]),  # AttributeError
+    "config-limits-int": lambda: RabidConfig.from_dict(
+        {"length_limits": 5}
+    ),  # AttributeError
+    "config-limit-str": lambda: RabidConfig.from_dict(
+        {"length_limit": "a"}
+    ),  # TypeError
+    "config-technology-int": lambda: RabidConfig.from_dict(
+        {"technology": 5}
+    ),  # accepted
+}
+
+
+class TestTypedJobInput:
+    """Malformed job input raises ConfigurationError at parse time."""
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    def test_refused(self, probe):
+        with pytest.raises(ConfigurationError):
+            PROBES[probe]()
 
 
 class TestJobs:

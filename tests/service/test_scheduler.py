@@ -267,6 +267,33 @@ class TestEndToEnd:
 
         run(scenario())
 
+    def test_refused_config_leaves_the_shard_working(self):
+        # A refused config must leave no record or queue item behind: a
+        # queued job without its baseline kills the shard's dispatcher,
+        # and every later job on that shard would wait forever.
+        small = ScenarioSpec(grid=8, num_nets=10, total_sites=50)
+
+        async def scenario():
+            service = PlanningService(options=SchedulerOptions(workers=1))
+            await service.start()
+            try:
+                with pytest.raises(ConfigurationError, match="bogus"):
+                    service.submit(
+                        Job("b1", "baseline", scenario=small, config={"bogus": 1})
+                    )
+                with pytest.raises(UnknownJobError):
+                    service.record("b1")
+                service.submit(Job("b1", "baseline", scenario=small))
+                service.submit(Job("b2", "baseline", scenario=small))
+                for job_id in ("b1", "b2"):
+                    record = await asyncio.wait_for(service.wait(job_id), 60)
+                    assert record.status is JobStatus.DONE
+                    assert record.shard == 0
+            finally:
+                await service.stop()
+
+        run(scenario())
+
 
 class TestBaselineIds:
     @pytest.mark.parametrize("scheduler", ["single", "fleet"])

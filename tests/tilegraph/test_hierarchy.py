@@ -11,7 +11,6 @@ from repro.tilegraph.hierarchy import (
     CHANNELS,
     SiteDemand,
     block_budgets,
-    distribute_sites_by_budget,
     unconstrained_site_demand,
 )
 
@@ -52,6 +51,15 @@ class TestDemandCensus:
         # must land inside at least one block.
         assert demand.demand_for("left") + demand.demand_for("right") > 0
 
+    def test_fails_come_from_the_census_run(self):
+        graph, plan, netlist = _setup()
+        demand = unconstrained_site_demand(
+            graph, plan, netlist, length_limit=3, sites_per_tile=0
+        )
+        # No site anywhere: every net spans 11 tiles against L=3.
+        assert demand.total == 0
+        assert demand.fails == len(netlist) == 6
+
 
 class TestBudgets:
     def test_headroom_scaling(self):
@@ -66,64 +74,3 @@ class TestBudgets:
     def test_bad_headroom(self):
         with pytest.raises(ConfigurationError):
             block_budgets(SiteDemand({}, 0), headroom=0.5)
-
-
-class TestDistribution:
-    def test_budgets_land_in_their_blocks(self):
-        graph, plan, _ = _setup()
-        distribute_sites_by_budget(
-            graph, plan, {"left": 30, "right": 12, CHANNELS: 8}, seed=1
-        )
-        totals = {"left": 0, "right": 0, CHANNELS: 0}
-        for tile in graph.tiles():
-            block = plan.block_at(graph.tile_center(tile))
-            key = block.name if block else CHANNELS
-            totals[key] += graph.site_count(tile)
-        assert totals == {"left": 30, "right": 12, CHANNELS: 8}
-
-    def test_no_site_block_rejected(self):
-        die = Rect(0, 0, 10, 10)
-        graph = TileGraph(die, 10, 10)
-        plan = Floorplan(
-            die=die,
-            blocks=[
-                Block(
-                    name="cache", width=4, height=4, x=3, y=3,
-                    allows_buffer_sites=False,
-                )
-            ],
-        )
-        with pytest.raises(ConfigurationError):
-            distribute_sites_by_budget(graph, plan, {"cache": 5})
-
-    def test_deterministic(self):
-        graph_a, plan, _ = _setup()
-        graph_b = TileGraph(plan.die, 12, 12, CapacityModel.uniform(8))
-        distribute_sites_by_budget(graph_a, plan, {"left": 9, CHANNELS: 3}, seed=4)
-        distribute_sites_by_budget(graph_b, plan, {"left": 9, CHANNELS: 3}, seed=4)
-        assert (graph_a.sites == graph_b.sites).all()
-
-    def test_end_to_end_budgeted_plan_works(self):
-        # The full §I-B loop: census, budget, redistribute, replan. More
-        # headroom must help (fewer or equal failures), and the budgeted
-        # plan must respect site capacity — the exact fail count depends
-        # on where the random scatter leaves row gaps (Table III behaviour).
-        from repro.core import RabidConfig, RabidPlanner
-        from repro.tilegraph import buffer_density_stats
-
-        fails_by_headroom = {}
-        for headroom in (1.0, 6.0):
-            graph, plan, netlist = _setup()
-            demand = unconstrained_site_demand(graph, plan, netlist, length_limit=3)
-            budgets = block_budgets(demand, headroom=headroom, minimum=4)
-            graph.reset_usage()
-            distribute_sites_by_budget(graph, plan, budgets, seed=0)
-            result = RabidPlanner(
-                graph,
-                netlist,
-                RabidConfig(length_limit=3, stage4_iterations=2, window_margin=12),
-            ).run()
-            fails_by_headroom[headroom] = len(result.failed_nets)
-            assert buffer_density_stats(graph).overflow == 0
-        assert fails_by_headroom[6.0] <= fails_by_headroom[1.0]
-        assert fails_by_headroom[6.0] <= 1

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.utils.rng import derive_rng, make_rng
+from repro.utils.rng import make_rng
 
 
 class TestMakeRng:
@@ -22,11 +22,3 @@ class TestMakeRng:
 
     def test_none_gives_generator(self):
         assert isinstance(make_rng(None), np.random.Generator)
-
-
-class TestDeriveRng:
-    def test_children_are_independent_streams(self):
-        parent = make_rng(0)
-        a = derive_rng(parent, 1)
-        b = derive_rng(parent, 2)
-        assert a.integers(0, 10**9) != b.integers(0, 10**9)
