@@ -5,8 +5,8 @@ net is maze-routed once, buffer sites are scattered with the paper's
 recipe (a 9x9 blocked region plus a uniform scatter), and
 :func:`run_buffering_kernel` runs the Stage-3 walk
 (:func:`repro.core.assignment.run_buffer_walk`) over every net in name
-order — the Eq. (2) cost evaluation, the per-net strategy, the greedy
-fallback for DP-infeasible nets, and the ``p(v)`` bookkeeping.
+order — the Eq. (2) cost evaluation, the Fig. 9 DP and its kind sizing,
+the greedy fallback for DP-infeasible nets, and the ``p(v)`` bookkeeping.
 
 Nothing here is timed. The buffering goldens
 (``tests/golden/buffering_kernel_*`` and
@@ -102,16 +102,15 @@ class BufferingKernelResult:
 def run_buffering_kernel(
     instance: BufferingScenario,
     tracer=None,
-    solver: str = "dp",
     library: str = "single",
 ) -> BufferingKernelResult:
     """Run the Stage-3 walk over the whole instance in name order.
 
-    ``solver``/``library`` select the per-net strategy and the buffer
-    library it sizes over (``multi_type`` only); the defaults reproduce
-    the ``dp`` goldens exactly.
+    ``library`` names the buffer library the walk sizes over; the
+    default one-kind library reproduces the ``buffering_kernel_*``
+    goldens exactly.
     """
-    config = RabidConfig(stage3_solver=solver, buffer_library=library)
+    config = RabidConfig(buffer_library=library)
     limits = {name: instance.length_limit for name in instance.routes}
     outcomes = run_buffer_walk(
         instance.graph,

@@ -53,12 +53,10 @@ from repro.experiments.formatting import render_table
 def _capabilities() -> dict:
     """The pluggable engine registries, for ``--version``/``list --json``."""
     from repro.bounds.oracle import BOUND_MODES
-    from repro.core.solver import SOLVER_NAMES
     from repro.technology import LIBRARY_NAMES
 
     return {
         "routers": ["pd", "mcf"],
-        "stage3_solvers": list(SOLVER_NAMES),
         "bound_modes": list(BOUND_MODES),
         "buffer_libraries": list(LIBRARY_NAMES),
     }
@@ -88,14 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run RABID on one benchmark")
     run.add_argument("circuit", choices=sorted(BENCHMARK_SPECS))
     run.add_argument(
-        "--stage3-solver", default="dp",
-        help="Stage-3 buffering strategy (dp, single_sink, greedy, "
-        "van_ginneken, multi_type)",
-    )
-    run.add_argument(
         "--buffer-library", default="single",
-        help="buffer library the multi_type strategy sizes over "
-        "(single, tech)",
+        help="buffer library (single, tech); with more than one kind, "
+        "every placed buffer is sized over it",
     )
     run.add_argument("--maps", action="store_true", help="print ASCII maps")
     run.add_argument(
@@ -1002,7 +995,6 @@ def _cmd_run(args) -> int:
         length_limit=bench.spec.length_limit,
         window_margin=10,
         stage4_iterations=args.stage4_iterations,
-        stage3_solver=args.stage3_solver,
         buffer_library=args.buffer_library,
     )
     tracer = None
@@ -1068,7 +1060,7 @@ def _dispatch(args) -> int:
             import json
 
             # The leading meta row carries the engine registries
-            # (routers, stage3 solvers, bound modes); benchmark rows
+            # (routers, bound modes, buffer libraries); benchmark rows
             # follow, all sharing the name/kind/nets/sinks shape.
             rows = [
                 {

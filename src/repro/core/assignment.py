@@ -2,10 +2,11 @@
 
 The per-net pipeline is *solve then commit*:
 
-* **solve** — a :class:`repro.core.solver.BufferingSolver` strategy
-  (Fig. 9 DP by default) proposes buffer specs against a vectorized
-  Eq. (2) cost gather. Solvers are pure: they never mutate the graph or
-  the tree.
+* **solve** — :func:`solve_net` runs the Fig. 9 DP over a vectorized
+  Eq. (2) cost gather (:class:`Stage3CostField`) and, when the plan's
+  buffer library has more than one kind, sizes each placed buffer with
+  Li & Shi's kind assignment. Solving is pure: it never mutates the
+  graph or the tree.
 * **commit** — the specs are booked through the graph's transactional
   :class:`repro.tilegraph.ledger.SiteLedger`. A proposal that would push
   a tile past ``B(v)`` is rolled back (counted as
@@ -13,11 +14,13 @@ The per-net pipeline is *solve then commit*:
   in its place; exceptions anywhere inside a net's scope unwind its site
   bookings automatically.
 
-:func:`run_buffer_walk` is the one Stage-3 walk. Nets are visited
-strictly in order: each net's solve sees the bookings of every net
-committed before it. RABID walks in descending delay, as the paper
-does; the service's ``full_plan`` and incremental replay walk in name
-order and replay cached :class:`NetOutcome` records where they can.
+Stage 3's walk (:func:`run_buffer_walk`), Stage 4's reinsertion and the
+rescue pass (both through :func:`assign_buffers_to_net`) buffer every net
+this way. Nets are visited strictly in order: each net's solve sees the
+bookings of every net committed before it. RABID walks in descending
+delay, as the paper does; the service's ``full_plan`` and incremental
+replay walk in name order and replay cached :class:`NetOutcome` records
+where they can.
 
 The plan signature (:func:`buffering_signature`, a SHA-256 over every
 net's buffer specs, the ``b(v)`` grid and the failed-net list) pins
@@ -32,31 +35,62 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.candidates import INF, oversubscribes
+import numpy as np
+
+from repro.core.candidates import INF
 from repro.core.fallback import greedy_buffering
 from repro.core.length_rule import net_meets_length_rule
+from repro.core.multi_sink import DPResult, insert_buffers_multi_sink
+from repro.core.multi_type import assign_buffer_kinds
 from repro.core.probability import UsageProbability
-from repro.core.solver import (
-    BufferingSolver,
-    MultiSinkDPSolver,
-    SolveOutcome,
-    SolveRequest,
-    Stage3CostField,
-    make_solver_lookup,
-)
 from repro.errors import PreemptedError
 from repro.obs import NULL_TRACER
 from repro.routing.tree import BufferSpec, RouteTree
-from repro.tilegraph.graph import TileGraph
+from repro.technology import TECH_180NM, BufferLibrary, Technology, resolve_library
+from repro.tilegraph.graph import Tile, TileGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.rabid import RabidConfig
 
-#: The oversubscription test, shared engine-wide (see
-#: :func:`repro.core.candidates.oversubscribes`). Kept under its
-#: historical name; the ``freed`` parameter accounts for sites a net
-#: itself releases when it is re-buffered.
-_oversubscribes = oversubscribes
+
+class Stage3CostField:
+    """Vectorized per-net Eq. (2) costs with the ``p(v)`` term.
+
+        q(v) = (b(v) + p(v) + 1) / (B(v) - b(v))   when b(v)/B(v) < 1
+               infinity                            otherwise
+
+    One gather over the net's memoized flat tile indices (the routing
+    kernel's ``x * ny + y`` scheme) replaces a scalar
+    ``buffer_site_cost``/``p(v)`` probe per DP node, and is bit-identical
+    to it: both are IEEE-754 double ops on exactly represented integers.
+    The map is rebuilt per net, so it always reflects the bookings of
+    every previously committed net.
+    """
+
+    def __init__(self, graph: TileGraph, probability=None) -> None:
+        self._graph = graph
+        self._sites = graph.sites_flat
+        self._used = graph.used_sites_flat
+        self._p = probability.field_flat if probability is not None else None
+
+    def cost_map(self, tree: RouteTree) -> Dict[Tile, float]:
+        """``{tile: q(v)}`` over the tree's tiles, freshly gathered."""
+        idx = tree.tile_indices(self._graph.ny)
+        sites = self._sites[idx]
+        used = self._used[idx]
+        numerator = used + self._p[idx] + 1.0 if self._p is not None else used + 1.0
+        q = np.full(len(idx), INF)
+        np.divide(
+            numerator,
+            sites - used,
+            out=q,
+            where=(sites > 0) & (used < sites),
+        )
+        return dict(zip(tree.nodes, q.tolist()))
+
+    def cost_fn(self, tree: RouteTree) -> Callable[[Tile], float]:
+        """The ``cost_of`` callable of one net's DP."""
+        return self.cost_map(tree).__getitem__
 
 
 @dataclass(frozen=True)
@@ -105,34 +139,44 @@ def buffering_signature(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _solve_net(
+def solve_net(
     graph: TileGraph,
     tree: RouteTree,
     length_limit: int,
     cost_field: Stage3CostField,
-    solver: BufferingSolver,
+    technology: Technology = TECH_180NM,
+    library: "BufferLibrary | None" = None,
     tracer=None,
-) -> SolveOutcome:
-    """Run one net's strategy (read-only: nothing is booked)."""
-    return solver.solve(
-        SolveRequest(
-            graph=graph,
-            tree=tree,
-            length_limit=length_limit,
-            cost_of=cost_field.cost_fn(tree),
-            tracer=tracer,
-        )
+) -> DPResult:
+    """Propose one net's buffers (read-only: nothing is booked).
+
+    The Fig. 9 DP places buffers at the least total Eq. (2) cost of
+    ``cost_field`` under the length rule. When ``library`` has more than
+    one kind, :func:`repro.core.multi_type.assign_buffer_kinds` then picks
+    each placed buffer's kind to cut the worst Elmore sink delay under
+    ``technology``; positions, cost and feasibility stay the DP's. With a
+    one-kind library (or none) every buffer is the default repeater.
+    """
+    result = insert_buffers_multi_sink(
+        tree, cost_field.cost_fn(tree), length_limit, tracer=tracer
     )
+    # An infeasible DP proposes no buffers, so only a legal placement is
+    # ever sized.
+    if library is not None and len(library.kinds) > 1 and result.buffers:
+        result.buffers = assign_buffer_kinds(
+            tree, graph, technology, library, result.buffers, tracer=tracer
+        )
+    return result
 
 
 def _commit_outcome(
     graph: TileGraph,
     tree: RouteTree,
     length_limit: int,
-    outcome: SolveOutcome,
+    outcome: DPResult,
     tracer=None,
 ) -> "tuple[bool, bool, float]":
-    """Book a solver proposal under a ledger scope; fall back to greedy.
+    """Book a proposal under a ledger scope; fall back to greedy.
 
     The proposal's sites are booked inside a nested transaction; if any
     of its tiles ends up past ``B(v)`` the booking is rolled back (the
@@ -141,7 +185,7 @@ def _commit_outcome(
     respects free-site counts — takes over.
     """
     ledger = graph.ledger()
-    specs, cost = outcome.specs, outcome.cost
+    specs, cost = outcome.buffers, outcome.cost
     with ledger.transaction():
         committed = False
         if outcome.feasible:
@@ -172,10 +216,11 @@ def assign_buffers_to_net(
     length_limit: int,
     probability: "UsageProbability | None" = None,
     tracer=None,
-    solver: "BufferingSolver | None" = None,
+    technology: Technology = TECH_180NM,
+    library: "BufferLibrary | None" = None,
     rebuffer: bool = False,
 ) -> "tuple[bool, bool, float]":
-    """Buffer one net: strategy first, greedy fallback when infeasible.
+    """Buffer one net: :func:`solve_net`, greedy fallback when infeasible.
 
     Applies the chosen buffers to the tree annotations and the graph's
     ``b(v)`` counters. The whole operation is one ledger transaction:
@@ -187,29 +232,30 @@ def assign_buffers_to_net(
         length_limit: the net's ``L_i``.
         probability: optional ``p(v)`` source for the Eq. (2) costs.
         tracer: optional :class:`repro.obs.Tracer`.
-        solver: buffering strategy; default Fig. 9 multi-sink DP.
+        technology: electrical parameters the kind sizing delays use.
+        library: the plan's buffer library; with more than one kind the
+            placed buffers are sized over it.
         rebuffer: the tree's current annotations are booked on the graph
             and should be released first (the rip-up-and-recompute flow) —
-            the solver and the oversubscription test then both see the
-            sites this net itself frees.
+            the DP and the oversubscription test then both see the sites
+            this net itself frees.
 
     Returns:
-        ``(meets_rule, solver_was_feasible, cost)``.
+        ``(meets_rule, dp_was_feasible, cost)``.
     """
-    if solver is None:
-        solver = MultiSinkDPSolver()
     ledger = graph.ledger()
     with ledger.transaction():
         if rebuffer:
             for tile, kinds in tree.buffer_kind_counts().items():
                 for kind, count in kinds.items():
                     graph.use_site(tile, -count, kind)
-        outcome = _solve_net(
+        outcome = solve_net(
             graph,
             tree,
             length_limit,
             Stage3CostField(graph, probability),
-            solver,
+            technology,
+            library,
             tracer=tracer,
         )
         return _commit_outcome(graph, tree, length_limit, outcome, tracer=tracer)
@@ -230,12 +276,13 @@ def run_buffer_walk(
 
     ``p(v)`` is seeded from every net in ``order`` when
     ``config.use_probability`` is set, and each net's own contribution
-    is removed just before its turn; the net is then solved with the
-    strategy ``config`` names for it and committed under ``B(v)``.
+    is removed just before its turn; the net is then solved
+    (:func:`solve_net`, sized over ``config.buffer_library``) and
+    committed under ``B(v)``.
 
     When ``replay`` returns a cached :class:`NetOutcome` for a net, its
     specs are *booked* (use-site + annotations) without re-running the
-    solver; because the walk reconstructs the same prefix ``b(v)``/
+    DP; because the walk reconstructs the same prefix ``b(v)``/
     ``p(v)`` state the original run saw, replayed and re-solved nets
     compose into a plan identical to a from-scratch walk. ``on_solved``
     is called after each solved (not replayed) net.
@@ -263,7 +310,8 @@ def run_buffer_walk(
         for name in order:
             probability.add_net(routes[name], limits[name])
     cost_field = Stage3CostField(graph, probability)
-    solver_for = make_solver_lookup(config)
+    technology = config.technology
+    library = resolve_library(config.buffer_library, technology)
     outcomes: Dict[str, NetOutcome] = {}
     ledger = graph.ledger()
     with ledger.transaction():
@@ -284,12 +332,13 @@ def run_buffer_walk(
                 if tracer.enabled:
                     tracer.count("stage3.nets_replayed")
                 continue
-            outcome = _solve_net(
+            outcome = solve_net(
                 graph,
                 tree,
                 limits[name],
                 cost_field,
-                solver_for(name),
+                technology,
+                library,
                 tracer=tracer,
             )
             meets, dp_ok, cost = _commit_outcome(

@@ -12,7 +12,8 @@ This module holds the pieces those walks share — the K-array recurrence
 of the length DPs (advance one tile / buffer at the node), first-minimum
 selection, Pareto pruning, and the oversubscription test — so each
 strategy module carries only its own objective. Keeping the helpers here
-(below both the solvers and ``assignment``) avoids import cycles.
+(below both the buffering modules and ``assignment``) avoids import
+cycles.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Multi-type buffer kind assignment (the ``multi_type`` Stage-3 strategy).
+"""Multi-type buffer kind assignment (Stage 3's sizing step).
 
 Li & Shi ("An O(bn^2) Time Algorithm for Optimal Buffer Insertion with b
 Buffer Types") make van Ginneken-style insertion scale to a *library* of b
@@ -7,13 +7,13 @@ buffer kinds by keeping the per-kind candidate lists sorted by
 the lists stay O(b) instead of O(bn).
 
 This module applies that pruning discipline to the planner's two-phase
-``multi_type`` strategy:
+Stage-3 buffering (:func:`repro.core.assignment.solve_net`):
 
 * **Phase A (placement)** is the paper's Fig. 9 length DP, unchanged: it
   chooses *where* buffers go, minimizing the Eq. (2) site cost under the
-  length rule. Sharing the exact placement recurrence is what makes
-  ``multi_type`` with a single-kind library byte-identical to the ``dp``
-  strategy — positions, cost, feasibility, and site bookings all match.
+  length rule. Phase B never moves a buffer, so positions, cost,
+  feasibility, and site bookings are the DP's whatever the library; a
+  one-kind library skips Phase B altogether.
 * **Phase B (sizing)** — :func:`assign_buffer_kinds` below — fixes those
   positions and runs a bottom-up (cap, delay) candidate DP choosing each
   buffer's *kind* from the library to minimize the worst Elmore sink

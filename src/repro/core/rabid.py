@@ -20,7 +20,6 @@ from typing import ClassVar, Dict, List, Tuple
 
 from repro.core.assignment import assign_buffers_to_net, run_buffer_walk
 from repro.core.length_rule import net_meets_length_rule
-from repro.core.solver import SOLVER_NAMES, make_solver_lookup
 from repro.core.two_path import optimize_two_paths
 from repro.errors import ConfigurationError
 from repro.netlist import Net, Netlist
@@ -73,7 +72,6 @@ _JSON_CHECKS = {
     "bool": lambda v: isinstance(v, bool),
     "str": _is_str,
     "Dict[str, int]": lambda v: _is_map(v, _is_int),
-    "Dict[str, str]": lambda v: _is_map(v, _is_str),
     "Technology": _is_technology,
 }
 
@@ -97,17 +95,14 @@ class RabidConfig:
         rescue_failing: after the Stage-4 iterations, attempt a whole-net
             bufferable re-route for nets still violating the length rule
             (an extension of Stage 4's goal; see repro.core.rescue).
-        stage3_solver: default buffering strategy for Stage 3, one of
-            :data:`repro.core.solver.SOLVER_NAMES` (``"dp"`` is the
-            paper's Fig. 9 multi-sink DP).
-        stage3_solvers: per-net strategy overrides (net name -> solver
-            name).
         buffer_library: named buffer library
-            (:data:`repro.technology.LIBRARY_NAMES`) the ``multi_type``
-            strategy sizes over: ``"single"`` (default) is the planning
-            repeater alone, ``"tech"`` the three-strength BUF_X1/X2/X4
-            library derived from the technology table. Strategies other
-            than ``multi_type`` only ever place the default repeater.
+            (:data:`repro.technology.LIBRARY_NAMES`) of the plan:
+            ``"single"`` (default) is the planning repeater alone,
+            ``"tech"`` the three-strength BUF_X1/X2/X4 library derived
+            from the technology table. Stages 3 and 4 and the rescue pass
+            place buffers with the paper's Fig. 9 DP; when the library
+            has more than one kind they then size each placed buffer over
+            it (Li & Shi), and every delay is measured with its kinds.
         bound: lower-bound oracle mode, one of
             :data:`repro.bounds.BOUND_MODES`, or ``""`` (default) to
             skip the oracle. When set, explore sweeps run the certified
@@ -128,8 +123,6 @@ class RabidConfig:
     use_probability: bool = True
     router: str = "pd"
     rescue_failing: bool = True
-    stage3_solver: str = "dp"
-    stage3_solvers: Dict[str, str] = field(default_factory=dict)
     buffer_library: str = "single"
     bound: str = ""
     bound_epsilon: float = 0.25
@@ -147,17 +140,6 @@ class RabidConfig:
                 )
         if not 0 < self.bound_epsilon <= 1:
             raise ConfigurationError("bound_epsilon must be in (0, 1]")
-        if self.stage3_solver not in SOLVER_NAMES:
-            raise ConfigurationError(
-                f"unknown buffering solver {self.stage3_solver!r}; "
-                f"expected one of {SOLVER_NAMES}"
-            )
-        for net, name in self.stage3_solvers.items():
-            if name not in SOLVER_NAMES:
-                raise ConfigurationError(
-                    f"unknown buffering solver {name!r} for net {net!r}; "
-                    f"expected one of {SOLVER_NAMES}"
-                )
         if self.buffer_library not in LIBRARY_NAMES:
             raise ConfigurationError(
                 f"unknown buffer library {self.buffer_library!r}; "
@@ -177,9 +159,6 @@ class RabidConfig:
     def limit_for(self, net_name: str) -> int:
         return self.length_limits.get(net_name, self.length_limit)
 
-    def solver_name_for(self, net_name: str) -> str:
-        return self.stage3_solvers.get(net_name, self.stage3_solver)
-
     def as_dict(self) -> Dict[str, object]:
         """JSON-able snapshot of every field (used by ``repro.io``).
 
@@ -190,9 +169,8 @@ class RabidConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             out[f.name] = asdict(value) if f.name == "technology" else value
-        # Copies, so mutating the dict cannot alias the config.
+        # A copy, so mutating the dict cannot alias the config.
         out["length_limits"] = dict(self.length_limits)
-        out["stage3_solvers"] = dict(self.stage3_solvers)
         return out
 
     @classmethod
@@ -200,14 +178,21 @@ class RabidConfig:
         """Inverse of :meth:`as_dict`; unknown keys and values of the
         wrong JSON type are rejected.
 
-        The removed Stage-2/3 worker knobs, which plan files, checkpoints
-        and job configs written by older versions carry, are dropped:
-        they only ever chose how the sequential walk was executed, never
-        its output.
+        Plan files, checkpoints and job configs written by older versions
+        carry retired keys, which are dropped. The Stage-2/3 worker knobs
+        only ever chose how the sequential walk was executed, never its
+        output. ``stage3_solver`` and the per-net ``stage3_solvers`` named
+        a buffering strategy: ``"multi_type"`` is the one Stage-3 solver,
+        and so is ``"dp"`` under a one-kind library; any other name (or
+        ``"dp"`` with a multi-kind library) planned differently, so it is
+        refused rather than silently re-planned.
         """
         if not isinstance(d, dict):
             raise ConfigurationError(f"a RabidConfig must be an object, not {d!r}")
-        retired = ("workers", "stage3_workers", "parallel_backend")
+        retired = (
+            "workers", "stage3_workers", "parallel_backend",
+            "stage3_solver", "stage3_solvers",
+        )
         types = {f.name: f.type for f in fields(cls)}
         kwargs = {k: v for k, v in d.items() if k not in retired}
         unknown = set(kwargs) - set(types)
@@ -223,7 +208,21 @@ class RabidConfig:
                 )
         if "technology" in kwargs:
             kwargs["technology"] = Technology(**kwargs["technology"])
-        return cls(**kwargs)
+        config = cls(**kwargs)
+        solvers = d.get("stage3_solvers", {})
+        names = list(solvers.values()) if isinstance(solvers, dict) else [solvers]
+        if "stage3_solver" in d:
+            names.append(d["stage3_solver"])
+        library = resolve_library(config.buffer_library, config.technology)
+        kept = ("multi_type",) if len(library.kinds) > 1 else ("multi_type", "dp")
+        for name in names:
+            if name not in kept:
+                raise ConfigurationError(
+                    f"retired stage3_solver {name!r} with buffer library "
+                    f"{config.buffer_library!r}: Stage 3 now runs only the "
+                    "Fig. 9 DP, sized when the library has several kinds"
+                )
+        return config
 
 
 @dataclass(frozen=True)
@@ -432,6 +431,8 @@ class RabidPlanner:
                         limits,
                         window_margin=self.config.window_margin,
                         tracer=self.tracer,
+                        technology=self.config.technology,
+                        library=self.library,
                     )
             self._snapshot(4, time.perf_counter() - start)
 
@@ -442,7 +443,6 @@ class RabidPlanner:
         order = reroute_order_by_delay(delays, ascending=True)
         failed: List[str] = []
         ledger = self.graph.ledger()
-        solver_for = make_solver_lookup(self.config)
 
         for name in order:
             tree = self.routes[name]
@@ -463,7 +463,7 @@ class RabidPlanner:
                 )
                 meets, _, _ = assign_buffers_to_net(
                     self.graph, tree, limit, None, tracer=tracer,
-                    solver=solver_for(name),
+                    technology=self.config.technology, library=self.library,
                 )
             if not meets:
                 failed.append(name)

@@ -7,9 +7,10 @@ after the regular Stage-4 iterations: it rips the entire net and rebuilds
 its tree with the buffer-aware ``(tile, j)`` wavefront — the source-to-
 first-sink path and every subsequent sink-to-tree attachment are all
 chosen from *bufferable* paths, so the new topology naturally detours
-around site-starved territory. The Stage-3 DP then re-inserts buffers; if
-the rebuilt net still has no legal buffering (or is worse), the original
-route is restored.
+around site-starved territory. Stage 3's buffering (the DP, sized over the
+plan's library when it has several kinds) then re-inserts buffers; if the
+rebuilt net still has no legal buffering (or is worse), the original route
+is restored.
 
 This is an extension of the paper's Stage 4 in its spirit ("reduce ... the
 number of nets which, up until now, have failed to meet their length
@@ -25,6 +26,7 @@ from repro.core.length_rule import length_violations
 from repro.core import two_path
 from repro.routing.maze import _search_window
 from repro.routing.tree import RouteTree
+from repro.technology import TECH_180NM, BufferLibrary, Technology
 from repro.tilegraph.graph import Tile, TileGraph
 
 
@@ -68,13 +70,16 @@ def rescue_net(
     tree: RouteTree,
     length_limit: int,
     window_margin: int = 10,
+    technology: Technology = TECH_180NM,
+    library: "BufferLibrary | None" = None,
 ) -> Tuple[RouteTree, bool]:
     """Attempt a whole-net bufferable re-route.
 
     Preconditions: the tree's wire *and* buffer usage are recorded on the
     graph. On success returns ``(new_tree, True)`` with usage transferred;
     on failure the original tree and its usage are untouched and
-    ``(tree, False)`` is returned.
+    ``(tree, False)`` is returned. The new tree's buffers are sized over
+    ``library`` (under ``technology``) when it has more than one kind.
 
     The whole attempt — rip, candidate wires, buffer reinsertion — runs
     inside one :class:`SiteLedger` transaction; a non-improvement (or an
@@ -97,7 +102,10 @@ def rescue_net(
             txn.rollback()  # re-adds the original tree's usage
             return tree, False
         candidate.add_usage(graph)  # wires only; no buffers annotated yet
-        meets, _, _ = assign_buffers_to_net(graph, candidate, length_limit, None)
+        assign_buffers_to_net(
+            graph, candidate, length_limit, None,
+            technology=technology, library=library,
+        )
         new_violations = length_violations(candidate, length_limit)
         if new_violations < old_violations:
             return candidate, True  # scope exit commits the transfer
@@ -112,8 +120,13 @@ def rescue_failing_nets(
     length_limits: Dict[str, int],
     window_margin: int = 10,
     tracer=None,
+    technology: Technology = TECH_180NM,
+    library: "BufferLibrary | None" = None,
 ) -> List[str]:
     """Rescue every failing net; returns the names still failing after.
+
+    ``technology`` and ``library`` are the plan's: a rescued net is sized
+    over a multi-kind library like every Stage-3 and Stage-4 net.
 
     With a ``tracer``, every whole-net re-route emits a ``rescued`` event
     (or ``failed`` when the net still violates its rule) and bumps the
@@ -123,7 +136,9 @@ def rescue_failing_nets(
     for name in sorted(failing):
         tree = routes[name]
         limit = length_limits[name]
-        new_tree, changed = rescue_net(graph, tree, limit, window_margin)
+        new_tree, changed = rescue_net(
+            graph, tree, limit, window_margin, technology, library
+        )
         routes[name] = new_tree
         still_fails = length_violations(new_tree, limit) > 0
         if still_fails:

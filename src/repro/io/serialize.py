@@ -269,9 +269,10 @@ def _instance_from_dict(d: Dict[str, Any]):
 def config_to_dict(config) -> Dict[str, Any]:
     """Serialize a full :class:`repro.core.RabidConfig`.
 
-    Every field round-trips — per-net length limits, ``stage3_solver`` and
-    the per-net ``stage3_solvers`` overrides, and the expanded technology
-    parameters.
+    Every field round-trips — per-net length limits, the buffer library
+    and the expanded technology parameters. Loading goes through
+    :meth:`RabidConfig.from_dict`, which drops or refuses the keys of
+    retired fields.
     """
     return {"version": PLAN_SCHEMA_VERSION, "config": config.as_dict()}
 

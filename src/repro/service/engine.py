@@ -178,16 +178,12 @@ def full_plan(
     tracer = tracer if tracer is not None else NULL_TRACER
     config = config or RabidConfig()
     if scenario.buffer_library:
-        # A scenario-pinned library turns on the multi-type sizing pass;
-        # with buffer_library == "" the config is untouched, so legacy
+        # A scenario-pinned library replaces the config's; with
+        # buffer_library == "" the config is untouched, so legacy
         # scenarios plan byte-identically to before the field existed.
         from dataclasses import replace
 
-        config = replace(
-            config,
-            buffer_library=scenario.buffer_library,
-            stage3_solver="multi_type",
-        )
+        config = replace(config, buffer_library=scenario.buffer_library)
     start = time.perf_counter()
     with tracer.span("service.full_plan", nets=scenario.num_nets):
         graph = build_graph(scenario)

@@ -199,10 +199,11 @@ class ScenarioSpec:
         capacity_overrides: per-edge ``W(e)`` overrides, keyed by the
             canonical ``(u, v)`` tile pair (``u < v``).
         buffer_library: named buffer library
-            (:data:`repro.technology.LIBRARY_NAMES`) Stage 3 sizes over
-            with the ``multi_type`` strategy; ``""`` keeps the config's
-            library (and solver) untouched. Omitted from the JSON form
-            when empty so legacy scenario keys are unchanged.
+            (:data:`repro.technology.LIBRARY_NAMES`) that replaces the
+            config's: Stage 3 sizes its placed buffers over it when it
+            has more than one kind. ``""`` keeps the config's library.
+            Omitted from the JSON form when empty so legacy scenario keys
+            are unchanged.
     """
 
     grid: int = 16
@@ -257,6 +258,12 @@ class ScenarioSpec:
         for name, source, sinks in self.added_nets:
             for pin in (source, *sinks):
                 self._check_tile(pin, f"net {name!r} pin")
+        for name, limit in self.length_limits:
+            if not _is_int(limit) or limit < 1:
+                raise ConfigurationError(
+                    f"length limit {limit!r} of net {name!r} is not an "
+                    "integer >= 1"
+                )
         if self.buffer_library:
             from repro.technology import LIBRARY_NAMES
 

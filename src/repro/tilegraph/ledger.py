@@ -23,7 +23,7 @@ the Eq. (2) cost
            infinity                     otherwise
 
 (the ``p(v) = 0`` form — Stage 3 adds the probability term on top, see
-``repro.core.solver``) for every tile as a plain Python list, recomputed
+``repro.core.assignment.Stage3CostField``) for every tile as a plain Python list, recomputed
 vectorized over only the tiles whose ``b(v)`` or ``B(v)`` changed. Both
 classes subscribe to the graph's site-observer hook
 (:meth:`TileGraph.register_site_observer`), which mirrors the cost-cache

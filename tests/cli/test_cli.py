@@ -35,6 +35,13 @@ class TestCli:
         assert "failure diagnosis" in out
         assert "summary:" in out
 
+    def test_buffer_library_alone_sizes(self, capsys):
+        """The library is the one sizing knob: ``--buffer-library tech``
+        sizes every placed buffer over its three kinds."""
+        assert main(["run", "apte", "--buffer-library", "tech", "--metrics"]) == 0
+        out = capsys.readouterr().out
+        assert "dp.kinds = 3\n" in out
+
     def test_unknown_circuit_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "nonesuch"])

@@ -63,7 +63,7 @@ class TestCapabilities:
         meta = next(r for r in rows if r["kind"] == "meta")
         assert "gk" in meta["bound_modes"]
         assert "mcf" in meta["routers"]
-        assert meta["stage3_solvers"]
+        assert meta["buffer_libraries"] == ["single", "tech"]
 
     def test_list_text_mentions_bound_modes(self, capsys):
         assert main(["list"]) == 0

@@ -1,4 +1,5 @@
-"""CLI --workers clamping and --seed / --stage3-solver validation."""
+"""CLI --workers clamping, --seed validation, and the retired
+--stage3-solver flag."""
 
 import pytest
 
@@ -7,10 +8,14 @@ from repro.cli import main
 
 class TestStage3SolverFlag:
     def test_unknown_stage3_solver_exits_2(self, capsys):
+        """Stage 3 has one solver, so the flag is gone: even the old
+        default is an unrecognized argument."""
         with pytest.raises(SystemExit) as exc:
-            main(["run", "apte", "--stage3-solver", "quantum"])
+            main(["run", "apte", "--stage3-solver", "dp"])
         assert exc.value.code == 2
-        assert "solver" in capsys.readouterr().err
+        assert "unrecognized arguments: --stage3-solver" in (
+            capsys.readouterr().err
+        )
 
 
 class TestWorkerClamping:

@@ -123,7 +123,7 @@ class TestStage3Fault:
         planner = RabidPlanner(graph, netlist, RabidConfig(length_limit=3))
         planner.stage1()
         before = graph.used_sites.copy()
-        real_solve = assignment._solve_net
+        real_solve = assignment.solve_net
         solves = []
 
         def solve_then_fail(*args, **kwargs):
@@ -132,7 +132,7 @@ class TestStage3Fault:
                 raise RuntimeError("injected solve failure")
             return real_solve(*args, **kwargs)
 
-        monkeypatch.setattr(assignment, "_solve_net", solve_then_fail)
+        monkeypatch.setattr(assignment, "solve_net", solve_then_fail)
         with pytest.raises(RuntimeError, match="injected"):
             planner.stage3()
         assert len(solves) == 4

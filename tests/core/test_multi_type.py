@@ -1,22 +1,18 @@
-"""The multi_type strategy: Li–Shi kind sizing over fixed placements.
+"""Li–Shi kind sizing over the Fig. 9 DP's placements.
 
-Covers the tentpole contract from both sides: with a single-kind library
-the strategy is indistinguishable from ``dp`` (same specs, all default
-kind), and with the 3-kind ``tech`` library it keeps the placements but
-re-sizes buffers to cut Elmore delay, with the O(b) candidate-list bound
-visible in the counters.
+Covers the one Stage-3 solver (:func:`solve_net`) from both sides: with
+a single-kind library it is the plain Fig. 9 DP (same specs, all
+default kind), and with the 3-kind ``tech`` library it keeps the
+placements but re-sizes buffers to cut Elmore delay, with the O(b)
+candidate-list bound visible in the counters.
 """
 
 import pytest
 
+from repro.core import RabidConfig, run_buffer_walk
+from repro.core.assignment import Stage3CostField, solve_net
+from repro.core.multi_sink import insert_buffers_multi_sink
 from repro.core.multi_type import assign_buffer_kinds
-from repro.core.solver import (
-    MultiSinkDPSolver,
-    MultiTypeDPSolver,
-    SolveRequest,
-    Stage3CostField,
-    make_solver,
-)
 from repro.errors import ConfigurationError
 from repro.obs import Tracer
 from repro.routing.tree import BufferSpec, RouteTree
@@ -38,72 +34,73 @@ def _fork_tree():
     return RouteTree.from_parent_map((0, 0), parent, [(4, 0), (2, 2)], net_name="f")
 
 
-def _request(graph, tree, limit=3, tracer=None):
-    field = Stage3CostField(graph)
-    return SolveRequest(
-        graph=graph, tree=tree, length_limit=limit,
-        cost_of=field.cost_fn(tree), tracer=tracer,
+def _dp(graph, tree, limit=3):
+    """The plain Fig. 9 DP over the net's Eq. (2) gather."""
+    cost_of = Stage3CostField(graph).cost_fn(tree)
+    return insert_buffers_multi_sink(tree, cost_of, limit)
+
+
+def _solve(graph, tree, library="single", limit=3, tracer=None):
+    return solve_net(
+        graph, tree, limit, Stage3CostField(graph), TECH_180NM,
+        resolve_library(library, TECH_180NM), tracer=tracer,
     )
 
 
 class TestConstruction:
-    def test_needs_technology(self):
-        with pytest.raises(ConfigurationError):
-            make_solver("multi_type")
-
     def test_unknown_library_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_solver(
-                "multi_type", technology=TECH_180NM, buffer_library="sram"
-            )
+            resolve_library("sram", TECH_180NM)
+        with pytest.raises(ConfigurationError):
+            RabidConfig(buffer_library="sram")
 
-    def test_registry_constructs_with_library(self):
-        solver = make_solver(
-            "multi_type", technology=TECH_180NM, buffer_library="tech"
+    def test_registry_constructs_with_library(self, graph10_sites):
+        """The walk sizes over the library its config names."""
+        tree = _path_tree([(i, 0) for i in range(9)])
+        tracer = Tracer()
+        run_buffer_walk(
+            graph10_sites, {"n": tree}, {"n": 3}, ["n"],
+            RabidConfig(buffer_library="tech"), tracer=tracer,
         )
-        assert solver.name == "multi_type"
-        assert len(solver.library.kinds) == 3
+        assert tracer.metrics.value("dp.kinds") == 3
 
 
 class TestSingleKindReduction:
-    """b = 1 must reduce to the dp strategy exactly."""
+    """b = 1 must reduce to the plain Fig. 9 DP exactly."""
 
     @pytest.mark.parametrize("tree_of", [
         lambda: _path_tree([(i, 0) for i in range(9)]),
         _fork_tree,
     ])
     def test_specs_equal_dp(self, graph10_sites, tree_of):
-        dp = MultiSinkDPSolver().solve(_request(graph10_sites, tree_of()))
-        mt = MultiTypeDPSolver(TECH_180NM).solve(
-            _request(graph10_sites, tree_of())
-        )
+        dp = _dp(graph10_sites, tree_of())
+        mt = _solve(graph10_sites, tree_of())
         assert dp.feasible and mt.feasible
-        assert mt.specs == dp.specs
+        assert mt.buffers == dp.buffers
         assert mt.cost == dp.cost
-        assert all(s.kind == "" for s in mt.specs)
+        assert all(s.kind == "" for s in mt.buffers)
 
     def test_infeasible_passthrough(self, graph10):
-        # No sites anywhere: the placement DP fails and multi_type must
-        # report exactly what dp reports.
+        # No sites anywhere: the placement DP fails and the sized solve
+        # must report exactly what the DP reports.
         tree = _path_tree([(i, 0) for i in range(9)])
-        dp = MultiSinkDPSolver().solve(_request(graph10, tree))
-        mt = MultiTypeDPSolver(TECH_180NM).solve(_request(graph10, tree))
+        dp = _dp(graph10, tree)
+        mt = _solve(graph10, tree, "tech")
         assert not dp.feasible and not mt.feasible
-        assert mt.specs == dp.specs
+        assert mt.buffers == dp.buffers
 
 
 class TestKindAssignment:
     def _solved(self, graph, tree, tracer=None):
         library = resolve_library("tech", TECH_180NM)
-        solver = MultiTypeDPSolver(TECH_180NM, library=library)
-        return library, solver.solve(_request(graph, tree, tracer=tracer))
+        return library, _solve(graph, tree, "tech", tracer=tracer)
 
     def test_positions_unchanged(self, graph10_sites):
         tree = _path_tree([(i, 0) for i in range(9)])
-        dp = MultiSinkDPSolver().solve(_request(graph10_sites, tree))
+        dp = _dp(graph10_sites, tree)
         _, mt = self._solved(graph10_sites, tree)
-        assert [(s.tile, s.drives_child) for s in mt.specs] == [
-            (s.tile, s.drives_child) for s in dp.specs
+        assert [(s.tile, s.drives_child) for s in mt.buffers] == [
+            (s.tile, s.drives_child) for s in dp.buffers
         ]
         assert mt.cost == dp.cost
 
@@ -112,7 +109,7 @@ class TestKindAssignment:
             graph10_sites, _path_tree([(i, 0) for i in range(9)])
         )
         names = {k.name for k in library.kinds}
-        for spec in out.specs:
+        for spec in out.buffers:
             assert spec.kind == "" or spec.kind in names
 
     def test_delay_no_worse_than_default_kinds(self, graph10_sites):
@@ -120,10 +117,10 @@ class TestKindAssignment:
         only improve the worst Elmore sink delay."""
         tree = _path_tree([(i, 0) for i in range(9)])
         library, out = self._solved(graph10_sites, tree)
-        tree.apply_buffers(out.specs)
+        tree.apply_buffers(out.buffers)
         sized = net_delay(tree, graph10_sites, TECH_180NM, library).max_delay
         tree.apply_buffers(
-            [BufferSpec(s.tile, s.drives_child) for s in out.specs]
+            [BufferSpec(s.tile, s.drives_child) for s in out.buffers]
         )
         default = net_delay(tree, graph10_sites, TECH_180NM, library).max_delay
         assert sized <= default + 1e-15

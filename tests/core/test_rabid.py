@@ -143,7 +143,6 @@ class TestMeasurePlan:
         config = RabidConfig(
             length_limit=bench.spec.length_limit,
             window_margin=10,
-            stage3_solver="multi_type",
             buffer_library="tech",
         )
         result = RabidPlanner(bench.graph, bench.netlist, config).run()

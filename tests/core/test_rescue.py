@@ -7,8 +7,11 @@ from repro.core.length_rule import length_violations
 from repro.core.rescue import rescue_failing_nets, rescue_net
 from repro.geometry import Point, Rect
 from repro.netlist import Net, Netlist, Pin
-from repro.routing.tree import RouteTree
+from repro.obs import Tracer
+from repro.routing.tree import BufferSpec, RouteTree
+from repro.technology import TECH_180NM, resolve_library
 from repro.tilegraph import CapacityModel, TileGraph, wire_congestion_stats
+from repro.timing.elmore import net_delay
 
 
 def _graph_with_dead_band(size=14, band_x=(5, 9), sites=2, capacity=8):
@@ -89,6 +92,34 @@ class TestRescueNet:
         assert changed
         assert calls == [(13, 2)]
 
+    def test_rescued_net_sized_over_the_library(self):
+        """A rescued net is buffered like a Stage-3 or Stage-4 net: sized
+        over the plan's multi-kind library, never slower than with every
+        buffer the default kind, and its kinds booked on the graph."""
+        g = _graph_with_dead_band()
+        tree = _straight_net_tree(g)
+        tree.add_usage(g)
+        from repro.core.assignment import assign_buffers_to_net
+
+        assign_buffers_to_net(g, tree, 3, None)
+        routes = {"n": tree}
+        library = resolve_library("tech", TECH_180NM)
+        residue = rescue_failing_nets(
+            g, routes, ["n"], {"n": 3}, window_margin=12,
+            technology=TECH_180NM, library=library,
+        )
+        assert residue == []
+        rescued = routes["n"]
+        assert rescued is not tree
+        specs = rescued.buffer_specs()
+        kinded = [s for s in specs if s.kind]
+        assert kinded
+        assert sum(g.kind_used.values()) == len(kinded)
+        sized = net_delay(rescued, g, TECH_180NM, library).max_delay
+        rescued.apply_buffers([BufferSpec(s.tile, s.drives_child) for s in specs])
+        default = net_delay(rescued, g, TECH_180NM, library).max_delay
+        assert sized <= default
+
     def test_noop_when_already_legal(self, graph10_sites):
         tiles = [(i, 0) for i in range(4)]
         parent = {b: a for a, b in zip(tiles, tiles[1:])}
@@ -149,6 +180,22 @@ class TestPlannerIntegration:
         from repro.tilegraph import buffer_density_stats
 
         assert buffer_density_stats(g).overflow == 0
+
+    def test_planner_passes_its_library_to_rescue(self):
+        """With no Stage-4 passes every failing Stage-3 net goes straight
+        to rescue; under the ``tech`` library each rescued net is sized."""
+        g, nl = self._design()
+        tracer = Tracer()
+        result = RabidPlanner(
+            g, nl,
+            RabidConfig(length_limit=3, window_margin=12, stage4_iterations=0,
+                        buffer_library="tech"),
+            tracer=tracer,
+        ).run()
+        rescued = [e.net for e in tracer.events if e.kind == "rescued"]
+        assert rescued and result.failed_nets == []
+        for name in rescued:
+            assert any(s.kind for s in result.routes[name].buffer_specs())
 
     def test_rescue_failing_nets_returns_residue(self):
         g = TileGraph(Rect(0, 0, 14, 14), 14, 14, CapacityModel.uniform(8))

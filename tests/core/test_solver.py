@@ -1,28 +1,22 @@
-"""The unified buffering-solver interface and its strategies."""
+"""Stage 3's one solver (:func:`solve_net`), its Eq. (2) gather, and the
+retired strategy registry's config keys."""
 
 import math
 
 import pytest
 
-from repro.core.assignment import assign_buffers_to_net
+from repro.core import RabidConfig
+from repro.core.assignment import Stage3CostField, assign_buffers_to_net, solve_net
 from repro.core.candidates import oversubscribes
 from repro.core.costs import buffer_site_cost
+from repro.core.multi_sink import insert_buffers_multi_sink
 from repro.core.probability import UsageProbability
-from repro.core.solver import (
-    SOLVER_NAMES,
-    GreedySolver,
-    MultiSinkDPSolver,
-    SingleSinkDPSolver,
-    SolveRequest,
-    Stage3CostField,
-    VanGinnekenSolver,
-    _as_path,
-    make_solver,
-    make_solver_lookup,
-)
+from repro.core.single_sink import insert_buffers_single_sink
 from repro.errors import ConfigurationError
+from repro.obs import Tracer
 from repro.routing.tree import BufferSpec, RouteTree
-from repro.technology import TECH_180NM
+from repro.technology import TECH_180NM, resolve_library
+from repro.timing.van_ginneken import timing_driven_buffering
 
 
 def _path_tree(tiles, name="n"):
@@ -41,86 +35,88 @@ def _fork_tree():
 
 
 class TestRegistry:
+    """The strategy registry is retired; ``RabidConfig.from_dict`` loads
+    its names where the one solver reproduces their plans and refuses
+    the rest."""
+
     def test_every_name_constructs(self):
-        for name in SOLVER_NAMES:
-            solver = make_solver(name, technology=TECH_180NM)
-            assert solver.name == name
+        for name in ("dp", "multi_type"):
+            config = RabidConfig.from_dict({"stage3_solver": name})
+            assert config == RabidConfig()
+        for name in ("single_sink", "greedy", "van_ginneken"):
+            with pytest.raises(ConfigurationError, match=name):
+                RabidConfig.from_dict({"stage3_solver": name})
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_solver("simulated_annealing")
+            RabidConfig.from_dict({"stage3_solver": "simulated_annealing"})
 
-    def test_van_ginneken_requires_technology(self):
-        with pytest.raises(ConfigurationError):
-            make_solver("van_ginneken")
+    def test_dp_refused_with_a_multi_kind_library(self):
+        """Under ``tech`` the ``dp`` strategy placed unsized buffers; the
+        one solver would size them, so such a config cannot load."""
+        tech = {"buffer_library": "tech"}
+        with pytest.raises(ConfigurationError, match="dp"):
+            RabidConfig.from_dict({**tech, "stage3_solver": "dp"})
+        with pytest.raises(ConfigurationError, match="dp"):
+            RabidConfig.from_dict({**tech, "stage3_solvers": {"a": "dp"}})
+        config = RabidConfig.from_dict({**tech, "stage3_solver": "multi_type"})
+        assert config == RabidConfig(buffer_library="tech")
 
-    def test_lookup_honors_overrides_and_caches_per_strategy(self):
-        from repro.core import RabidConfig
+    def test_per_net_entries_retired(self):
+        config = RabidConfig.from_dict(
+            {"stage3_solvers": {"a": "dp", "b": "multi_type"}}
+        )
+        assert config == RabidConfig()
+        for bad in ({"a": "greedy"}, {"a": "van_ginneken"}, ["dp"], {"a": 3}):
+            with pytest.raises(ConfigurationError):
+                RabidConfig.from_dict({"stage3_solvers": bad})
 
-        config = RabidConfig(stage3_solvers={"a": "greedy"})
-        lookup = make_solver_lookup(config)
-        assert lookup("a").name == "greedy"
-        assert lookup("b").name == "dp"
-        assert lookup("c") is lookup("b")
-        assert make_solver_lookup(config)("b") is not lookup("b")
-
-
-class TestAsPath:
-    def test_chain_is_a_path(self):
-        tiles = [(i, 0) for i in range(5)]
-        assert _as_path(_path_tree(tiles)) == tiles
-
-    def test_fork_is_not(self):
-        assert _as_path(_fork_tree()) is None
-
-    def test_single_tile(self):
-        tree = RouteTree.from_parent_map((0, 0), {}, [(0, 0)], net_name="n")
-        assert _as_path(tree) == [(0, 0)]
+    def test_config_has_no_solver_fields(self):
+        written = RabidConfig().as_dict()
+        assert "stage3_solver" not in written
+        assert "stage3_solvers" not in written
 
 
 class TestStrategies:
-    def _request(self, graph, tree, limit=3):
-        field = Stage3CostField(graph)
-        return SolveRequest(
-            graph=graph, tree=tree, length_limit=limit, cost_of=field.cost_fn(tree)
-        )
-
     def test_dp_and_single_sink_agree_on_chains(self, graph10_sites):
-        tree = _path_tree([(i, 0) for i in range(9)])
-        dp = MultiSinkDPSolver().solve(self._request(graph10_sites, tree))
-        ss = SingleSinkDPSolver().solve(self._request(graph10_sites, tree))
-        assert dp.feasible and ss.feasible
-        assert dp.cost == pytest.approx(ss.cost)
-        assert len(dp.specs) == len(ss.specs)
-        assert ss.solver == "single_sink"
-
-    def test_single_sink_delegates_on_forks(self, graph10_sites):
-        out = SingleSinkDPSolver().solve(
-            self._request(graph10_sites, _fork_tree())
+        """The Fig. 6 path DP and the Fig. 9 tree DP price a chain alike."""
+        tiles = [(i, 0) for i in range(9)]
+        tree = _path_tree(tiles)
+        cost_of = Stage3CostField(graph10_sites).cost_fn(tree)
+        dp = insert_buffers_multi_sink(tree, cost_of, 3)
+        ss_cost, ss_specs, ss_feasible = insert_buffers_single_sink(
+            tiles, cost_of, 3
         )
-        assert out.solver == "dp"
-        assert out.feasible
-
-    def test_greedy_defers_to_commit_path(self, graph10_sites):
-        out = GreedySolver().solve(
-            self._request(graph10_sites, _path_tree([(i, 0) for i in range(9)]))
-        )
-        assert not out.feasible and out.specs == []
+        assert dp.feasible and ss_feasible
+        assert dp.cost == pytest.approx(ss_cost)
+        assert len(dp.buffers) == len(ss_specs)
 
     def test_solvers_do_not_mutate(self, graph10_sites):
         tree = _path_tree([(i, 0) for i in range(9)])
-        MultiSinkDPSolver().solve(self._request(graph10_sites, tree))
-        assert graph10_sites.total_used_sites == 0
-        assert tree.buffer_count() == 0
+        for library in ("single", "tech"):
+            out = solve_net(
+                graph10_sites, tree, 3, Stage3CostField(graph10_sites),
+                TECH_180NM, resolve_library(library, TECH_180NM),
+            )
+            assert out.feasible and out.buffers
+            assert graph10_sites.total_used_sites == 0
+            assert tree.buffer_count() == 0
 
-    def test_greedy_via_assignment_books_sites(self, graph10_sites):
-        tree = _path_tree([(i, 0) for i in range(9)])
+    def test_greedy_via_assignment_books_sites(self, graph10):
+        """A proposal that stacks a tile past ``B(v)`` is rolled back and
+        the greedy fallback books within the free sites instead."""
+        tree = _fork_tree()
+        graph10.set_sites((2, 0), 1)
+        proposal = solve_net(graph10, tree, 2, Stage3CostField(graph10))
+        assert [s.tile for s in proposal.buffers] == [(2, 0), (2, 0)]
+        tracer = Tracer()
         meets, dp_ok, cost = assign_buffers_to_net(
-            graph10_sites, tree, 3, solver=GreedySolver()
+            graph10, tree, 2, tracer=tracer
         )
-        assert meets and not dp_ok
+        assert dp_ok and not meets
         assert cost == float("inf")
-        assert graph10_sites.total_used_sites == tree.buffer_count() > 0
+        assert tracer.metrics.value("stage3.ledger_rollbacks") == 1
+        assert graph10.total_used_sites == tree.buffer_count() == 1
 
 
 class TestCostField:
@@ -145,10 +141,9 @@ class TestCostField:
 
 
 class TestVanGinnekenParity:
-    """Satellite check: on uniform single-sink chains the delay-optimal
-    van Ginneken solution and the length-based DP at L=3 (the 0.18um
-    optimal repeater spacing on 1mm tiles) insert the same number of
-    buffers."""
+    """On uniform single-sink chains the delay-optimal van Ginneken
+    solution and the length-based Fig. 6 DP at L=3 (the 0.18um optimal
+    repeater spacing on 1mm tiles) insert the same number of buffers."""
 
     @pytest.mark.parametrize("n", [4, 7, 10, 13, 19, 24])
     def test_buffer_counts_agree_on_chains(self, n):
@@ -162,21 +157,12 @@ class TestVanGinnekenParity:
             graph.set_sites(tile, 3)
         tiles = [(i, 0) for i in range(n)]
         tree = _path_tree(tiles)
-        field = Stage3CostField(graph)
-        vg = VanGinnekenSolver(TECH_180NM).solve(
-            SolveRequest(
-                graph=graph, tree=tree, length_limit=3,
-                cost_of=field.cost_fn(tree),
-            )
+        _, vg_specs = timing_driven_buffering(tree, graph, TECH_180NM)
+        _, dp_specs, feasible = insert_buffers_single_sink(
+            tiles, Stage3CostField(graph).cost_fn(tree), 3
         )
-        dp = SingleSinkDPSolver().solve(
-            SolveRequest(
-                graph=graph, tree=tree, length_limit=3,
-                cost_of=field.cost_fn(tree),
-            )
-        )
-        assert vg.feasible and dp.feasible
-        assert len(vg.specs) == len(dp.specs)
+        assert feasible
+        assert len(vg_specs) == len(dp_specs)
 
 
 class TestOversubscribes:

@@ -1,13 +1,10 @@
-"""multi_type golden pins.
+"""Multi-kind golden pin.
 
-Two pins, per the tentpole acceptance criteria:
-
-* ``multi_type`` with the single-kind library reproduces the recorded
-  ``dp`` buffering goldens (32x32 and 64x64) byte for byte — the
-  typed-buffer refactor is invisible until a real library is selected.
-* ``multi_type`` with the 3-kind ``tech`` library is itself pinned by its
-  own golden (kinded specs, signature, per-kind bookings) — kind
-  assignment is deterministic.
+The Stage-3 walk with the 3-kind ``tech`` library is pinned by its own
+golden (kinded specs, signature, per-kind bookings): kind assignment is
+deterministic. With the one-kind default library the same walk is the
+plain Fig. 9 DP, pinned by ``test_golden_buffering``'s 32x32 and 64x64
+goldens.
 """
 
 import json
@@ -28,7 +25,7 @@ def load_golden(name):
         return json.load(fh)
 
 
-def run_golden(golden, solver="multi_type", library="single", tracer=None):
+def run_golden(golden, library, tracer=None):
     spec = golden["scenario"]
     instance = make_buffering_scenario(
         grid=spec["grid"],
@@ -39,28 +36,8 @@ def run_golden(golden, solver="multi_type", library="single", tracer=None):
         total_sites=spec["total_sites"],
         site_seed=spec["site_seed"],
     )
-    result = run_buffering_kernel(
-        instance, tracer=tracer, solver=solver, library=library
-    )
+    result = run_buffering_kernel(instance, tracer=tracer, library=library)
     return instance, result
-
-
-class TestSingleKindMatchesDpGolden32:
-    def test_signature_byte_identical(self):
-        golden = load_golden("buffering_kernel_32x32_seed0.json")
-        _, result = run_golden(golden)
-        assert result.signature == golden["signature"]
-        assert result.buffers_inserted == golden["buffers_inserted"]
-        assert result.num_fails == golden["num_fails"]
-
-
-class TestSingleKindMatchesDpGolden64:
-    def test_sequential(self):
-        golden = load_golden("buffering_kernel_64x64_seed0.json")
-        _, result = run_golden(golden)
-        assert result.signature == golden["signature"]
-        assert result.buffers_inserted == golden["buffers_inserted"]
-        assert result.num_fails == golden["num_fails"]
 
 
 class TestTechLibraryGolden:
@@ -105,7 +82,7 @@ class TestTechLibraryGolden:
         """The Li-Shi O(bn^2) witness on the traced walk.
 
         ``dp.kind_list_max`` is a last-write gauge: it holds the largest
-        surviving candidate list of the last net the multi-type DP sized.
+        surviving candidate list of the last net the walk sized.
         """
         golden = load_golden(self.GOLDEN)
         tracer = Tracer()

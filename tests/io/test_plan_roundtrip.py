@@ -1,7 +1,7 @@
 """Plan / config / ledger payload round-trips (the service's file layer).
 
 These close the serialization gaps the planning service depends on:
-the FULL RabidConfig (per-net limits, per-net solvers, technology) and
+the FULL RabidConfig (per-net limits, buffer library, technology) and
 the SiteLedger state must survive plan -> JSON -> plan exactly, and
 version fields must gate every payload kind.
 """
@@ -45,8 +45,7 @@ def non_default_config() -> RabidConfig:
         pd_tradeoff=0.7,
         stage4_iterations=5,
         use_probability=False,
-        stage3_solver="greedy",
-        stage3_solvers={"netA": "dp"},
+        buffer_library="tech",
         technology=replace(TECH_180NM, buffer_delay=2.5e-11, sink_cap=9e-15),
     )
 
@@ -58,7 +57,7 @@ class TestConfigRoundTrip:
         assert restored.as_dict() == config.as_dict()
         assert restored.limit_for("netA") == 3
         assert restored.limit_for("other") == 7
-        assert restored.stage3_solvers == {"netA": "dp"}
+        assert restored.buffer_library == "tech"
         assert restored.technology.buffer_delay == 2.5e-11
         assert restored.technology.sink_cap == 9e-15
 
@@ -163,3 +162,17 @@ class TestPlanRoundTrip:
         graph, routes, config = plan_from_dict(legacy)
         assert config.as_dict() == planned.config.as_dict()
         assert plan_to_dict(graph, routes, config) == payload
+
+    def test_plan_with_retired_solver_keys_loads(self, planned):
+        """A plan saved while Stage 3 had a strategy registry carries
+        ``stage3_solver``/``stage3_solvers``: the defaults load and re-save
+        without them, and a strategy the one solver does not reproduce is
+        refused."""
+        payload = plan_to_dict(planned.graph, planned.routes, planned.config)
+        legacy = json.loads(json.dumps(payload))
+        legacy["config"]["config"].update(stage3_solver="dp", stage3_solvers={})
+        graph, routes, config = plan_from_dict(legacy)
+        assert plan_to_dict(graph, routes, config) == payload
+        legacy["config"]["config"]["stage3_solvers"] = {"net1": "greedy"}
+        with pytest.raises(ConfigurationError, match="greedy"):
+            plan_from_dict(legacy)

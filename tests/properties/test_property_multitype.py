@@ -1,11 +1,11 @@
-"""Property: ``multi_type`` with a single-kind library IS the ``dp``
-strategy, byte for byte, on arbitrary random nets.
+"""Property: Stage 3's one solver (:func:`solve_net`) with a single-kind
+library IS the plain Fig. 9 DP, byte for byte, on arbitrary random nets.
 
-This is the tentpole invariant of the typed-buffer refactor: threading a
-``BufferKind`` through the stack must be invisible until a real multi-kind
-library is selected. The strategies must agree on specs (including kind
-fields), cost, and feasibility — not approximately, exactly — because the
-plan signature hashes exactly these.
+This is the invariant of the typed-buffer design: threading a
+``BufferKind`` through the stack must be invisible until a real
+multi-kind library is selected. The two must agree on specs (including
+kind fields), cost, and feasibility — not approximately, exactly —
+because the plan signature hashes exactly these.
 
 A second property pins the tech library's soundness: kind sizing never
 moves a buffer and never makes the worst Elmore sink delay worse than the
@@ -15,12 +15,8 @@ all-default assignment.
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.solver import (
-    MultiSinkDPSolver,
-    MultiTypeDPSolver,
-    SolveRequest,
-    Stage3CostField,
-)
+from repro.core.assignment import Stage3CostField, solve_net
+from repro.core.multi_sink import insert_buffers_multi_sink
 from repro.geometry import Rect
 from repro.routing.tree import BufferSpec, RouteTree
 from repro.technology import TECH_180NM, resolve_library
@@ -78,11 +74,15 @@ def _build(parent, sinks, sites):
     return graph, tree
 
 
-def _request(graph, tree, L):
-    field = Stage3CostField(graph)
-    return SolveRequest(
-        graph=graph, tree=tree, length_limit=L, cost_of=field.cost_fn(tree)
+def _dp(graph, tree, L):
+    """The plain Fig. 9 DP over the net's Eq. (2) gather."""
+    return insert_buffers_multi_sink(
+        tree, Stage3CostField(graph).cost_fn(tree), L
     )
+
+
+def _solve(graph, tree, L, library):
+    return solve_net(graph, tree, L, Stage3CostField(graph), TECH_180NM, library)
 
 
 class TestSingleKindIsDp:
@@ -91,13 +91,11 @@ class TestSingleKindIsDp:
     def test_byte_identical_outcome(self, instance):
         parent, sinks, sites, L = instance
         graph, tree = _build(parent, sinks, sites)
-        dp = MultiSinkDPSolver().solve(_request(graph, tree, L))
+        dp = _dp(graph, tree, L)
         graph2, tree2 = _build(parent, sinks, sites)
-        mt = MultiTypeDPSolver(
-            TECH_180NM, library=resolve_library("single", TECH_180NM)
-        ).solve(_request(graph2, tree2, L))
+        mt = _solve(graph2, tree2, L, resolve_library("single", TECH_180NM))
         assert mt.feasible == dp.feasible
-        assert mt.specs == dp.specs  # BufferSpec equality includes kind
+        assert mt.buffers == dp.buffers  # BufferSpec equality includes kind
         if dp.feasible:
             assert mt.cost == dp.cost
 
@@ -109,20 +107,19 @@ class TestTechLibrarySoundness:
         parent, sinks, sites, L = instance
         graph, tree = _build(parent, sinks, sites)
         library = resolve_library("tech", TECH_180NM)
-        dp = MultiSinkDPSolver().solve(_request(graph, tree, L))
-        mt = MultiTypeDPSolver(TECH_180NM, library=library).solve(
-            _request(graph, tree, L)
-        )
+        dp = _dp(graph, tree, L)
+        mt = _solve(graph, tree, L, library)
         assert mt.feasible == dp.feasible
         if not dp.feasible:
             return
-        assert [(s.tile, s.drives_child) for s in mt.specs] == [
-            (s.tile, s.drives_child) for s in dp.specs
+        assert [(s.tile, s.drives_child) for s in mt.buffers] == [
+            (s.tile, s.drives_child) for s in dp.buffers
         ]
-        tree.apply_buffers(mt.specs)
+        assert mt.cost == dp.cost
+        tree.apply_buffers(mt.buffers)
         sized = net_delay(tree, graph, TECH_180NM, library).max_delay
         tree.apply_buffers(
-            [BufferSpec(s.tile, s.drives_child) for s in dp.specs]
+            [BufferSpec(s.tile, s.drives_child) for s in dp.buffers]
         )
         default = net_delay(tree, graph, TECH_180NM, library).max_delay
         assert sized <= default * (1 + 1e-12) + 1e-18

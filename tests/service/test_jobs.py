@@ -84,6 +84,20 @@ class TestScenarioSpec:
         limits = spec.limits(["net00", "net01"])
         assert limits == {"net00": spec.length_limit, "net01": 9}
 
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_per_net_limit_below_one_refused(self, limit):
+        """As ``apply_delta`` refuses ``set_length_limit`` with it, so the
+        spec itself refuses a per-net limit below 1, from any source."""
+        with pytest.raises(ConfigurationError, match="net1"):
+            ScenarioSpec(
+                grid=8, num_nets=10, total_sites=50,
+                length_limits=(("net1", limit),),
+            )
+        d = ScenarioSpec(grid=8, num_nets=10, total_sites=50).to_dict()
+        d["length_limits"] = [["net1", limit]]
+        with pytest.raises(ConfigurationError, match="net1"):
+            ScenarioSpec.from_dict(d)
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ScenarioSpec(grid=1)

@@ -207,18 +207,14 @@ class TestMultiTypeKernel:
     def test_multi_type_solver_parity_on_single_sink_paths(self):
         """The two multi-type implementations must order correctly on
         single-sink paths: the van Ginneken kernel optimizes positions AND
-        kinds jointly, so its delay lower-bounds the Stage-3 ``multi_type``
-        strategy (whose positions are fixed by the length DP) — and both
-        beat the single-kind Stage-3 assignment."""
-        from repro.core.solver import (
-            MultiSinkDPSolver,
-            MultiTypeDPSolver,
-            SolveRequest,
-            Stage3CostField,
-        )
+        kinds jointly, so its delay lower-bounds Stage 3's sized solve
+        (whose positions are fixed by the length DP) — and both beat the
+        single-kind Stage-3 assignment."""
+        from repro.core.assignment import Stage3CostField, solve_net
         from repro.technology import resolve_library
 
         library = resolve_library("tech", TECH_180NM)
+        single = resolve_library("single", TECH_180NM)
         for n in (7, 13, 19):
             g = _graph(size=max(n, 20))
             tree = _path_tree([(i, 0) for i in range(n)])
@@ -226,16 +222,12 @@ class TestMultiTypeKernel:
                 tree, g, TECH_180NM, library=library
             )
             field = Stage3CostField(g)
-            request = SolveRequest(
-                graph=g, tree=tree, length_limit=3,
-                cost_of=field.cost_fn(tree),
-            )
-            mt = MultiTypeDPSolver(TECH_180NM, library=library).solve(request)
+            mt = solve_net(g, tree, 3, field, TECH_180NM, library)
             assert mt.feasible
-            tree.apply_buffers(mt.specs)
+            tree.apply_buffers(mt.buffers)
             mt_delay = net_delay(tree, g, TECH_180NM, library).max_delay
-            dp = MultiSinkDPSolver().solve(request)
-            tree.apply_buffers(dp.specs)
+            dp = solve_net(g, tree, 3, field, TECH_180NM, single)
+            tree.apply_buffers(dp.buffers)
             dp_delay = net_delay(tree, g, TECH_180NM, library).max_delay
             assert vg_delay <= mt_delay * (1 + 1e-12)
             assert mt_delay <= dp_delay * (1 + 1e-12)
