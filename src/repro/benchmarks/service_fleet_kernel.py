@@ -43,9 +43,7 @@ class FleetArmResult:
 
     workers: int
     report: LoadReport
-    preemptions: int = 0
     rebuilds: int = 0
-    aged_promotions: int = 0
 
 
 def _run_arm(trace: LoadTrace, workers: int, job_timeout: float) -> FleetArmResult:
@@ -64,13 +62,7 @@ def _run_arm(trace: LoadTrace, workers: int, job_timeout: float) -> FleetArmResu
             await service.stop()
 
     report, stats = asyncio.run(arm())
-    return FleetArmResult(
-        workers=workers,
-        report=report,
-        preemptions=stats["preemptions"],
-        rebuilds=stats["rebuilds"],
-        aged_promotions=stats["aged_promotions"],
-    )
+    return FleetArmResult(workers=workers, report=report, rebuilds=stats["rebuilds"])
 
 
 def run_fleet_kernel(
@@ -155,7 +147,6 @@ def append_fleet_entry(
             "jobs_shed": report.jobs_shed,
             "jobs_failed": report.jobs_failed,
             "signatures_match": signatures_match,
-            "preemptions": arm.preemptions,
             "rebuilds": arm.rebuilds,
         },
         workers=arm.workers,
@@ -205,7 +196,7 @@ def main(argv=None) -> int:
             f"{r.wall_seconds:.2f}s -> {r.jobs_per_sec:.2f} jobs/s, "
             f"p50 {r.latency_p50 * 1e3:.1f}ms p95 {r.latency_p95 * 1e3:.1f}ms "
             f"p99 {r.latency_p99 * 1e3:.1f}ms "
-            f"(preempt={arm.preemptions} rebuild={arm.rebuilds})"
+            f"(rebuild={arm.rebuilds})"
         )
     print(f"signatures_match={match}")
     if not match:

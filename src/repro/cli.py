@@ -154,16 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="seconds to drain in-flight jobs on SIGTERM/SIGINT before "
         "checkpointing and exiting",
     )
-    serve.add_argument(
-        "--aging-threshold", type=float, default=30.0, metavar="S",
-        help="promote jobs queued longer than S seconds to absolute "
-        "priority",
-    )
-    serve.add_argument(
-        "--preempt-after", type=float, default=0.2, metavar="S",
-        help="a full plan running longer than S seconds may be "
-        "preempted by a waiting incremental job",
-    )
 
     loadgen = sub.add_parser(
         "loadgen",
@@ -851,8 +841,6 @@ def _cmd_serve(args) -> int:
             max_queue=args.max_queue,
             job_timeout=args.job_timeout,
             verify_fraction=args.verify_fraction,
-            aging_threshold=args.aging_threshold,
-            preempt_after=args.preempt_after,
         ),
     )
 

@@ -11,8 +11,8 @@ The per-net pipeline is *solve then commit*:
   :class:`repro.tilegraph.ledger.SiteLedger`. A proposal that would push
   a tile past ``B(v)`` is rolled back (counted as
   ``stage3.ledger_rollbacks``) and the greedy best-effort fallback runs
-  in its place; exceptions anywhere inside a net's scope unwind its site
-  bookings automatically.
+  in its place, its buffers sized like the DP's; exceptions anywhere
+  inside a net's scope unwind its site bookings automatically.
 
 Stage 3's walk (:func:`run_buffer_walk`), Stage 4's reinsertion and the
 rescue pass (both through :func:`assign_buffers_to_net`) buffer every net
@@ -43,7 +43,7 @@ from repro.core.length_rule import net_meets_length_rule
 from repro.core.multi_sink import DPResult, insert_buffers_multi_sink
 from repro.core.multi_type import assign_buffer_kinds
 from repro.core.probability import UsageProbability
-from repro.errors import PreemptedError
+from repro.errors import DeadlineError
 from repro.obs import NULL_TRACER
 from repro.routing.tree import BufferSpec, RouteTree
 from repro.technology import TECH_180NM, BufferLibrary, Technology, resolve_library
@@ -162,11 +162,23 @@ def solve_net(
     )
     # An infeasible DP proposes no buffers, so only a legal placement is
     # ever sized.
-    if library is not None and len(library.kinds) > 1 and result.buffers:
-        result.buffers = assign_buffer_kinds(
-            tree, graph, technology, library, result.buffers, tracer=tracer
-        )
+    result.buffers = _sized(tree, graph, result.buffers, technology, library, tracer)
     return result
+
+
+def _sized(
+    tree: RouteTree,
+    graph: TileGraph,
+    specs: List[BufferSpec],
+    technology: Technology,
+    library: "BufferLibrary | None",
+    tracer=None,
+) -> List[BufferSpec]:
+    """``specs`` with each buffer's kind picked over ``library`` when it
+    has more than one kind (:func:`assign_buffer_kinds`), else as given."""
+    if library is None or len(library.kinds) <= 1 or not specs:
+        return specs
+    return assign_buffer_kinds(tree, graph, technology, library, specs, tracer=tracer)
 
 
 def _commit_outcome(
@@ -174,6 +186,8 @@ def _commit_outcome(
     tree: RouteTree,
     length_limit: int,
     outcome: DPResult,
+    technology: Technology,
+    library: "BufferLibrary | None",
     tracer=None,
 ) -> "tuple[bool, bool, float]":
     """Book a proposal under a ledger scope; fall back to greedy.
@@ -182,7 +196,8 @@ def _commit_outcome(
     of its tiles ends up past ``B(v)`` the booking is rolled back (the
     DP prices each buffer at the same pre-net ``q(v)`` and so can stack
     a tile past its free sites) and the greedy pass — which always
-    respects free-site counts — takes over.
+    respects free-site counts — takes over. Its buffers are sized over
+    ``library`` as the DP's would have been.
     """
     ledger = graph.ledger()
     specs, cost = outcome.buffers, outcome.cost
@@ -202,10 +217,17 @@ def _commit_outcome(
                 ledger.commit(txn)
                 committed = True
         if not committed:
-            specs = greedy_buffering(tree, graph, length_limit)
+            specs = _sized(
+                tree,
+                graph,
+                greedy_buffering(tree, graph, length_limit),
+                technology,
+                library,
+                tracer,
+            )
             cost = INF
             for spec in specs:
-                graph.use_site(spec.tile, 1)
+                graph.use_site(spec.tile, 1, spec.kind)
         tree.apply_buffers(specs)
     return net_meets_length_rule(tree, length_limit), outcome.feasible, cost
 
@@ -258,7 +280,9 @@ def assign_buffers_to_net(
             library,
             tracer=tracer,
         )
-        return _commit_outcome(graph, tree, length_limit, outcome, tracer=tracer)
+        return _commit_outcome(
+            graph, tree, length_limit, outcome, technology, library, tracer=tracer
+        )
 
 
 def run_buffer_walk(
@@ -289,10 +313,9 @@ def run_buffer_walk(
 
     The whole walk runs inside one :class:`SiteLedger` transaction, so
     an exception anywhere unwinds every site booking made so far.
-    ``abort_check`` is the scheduler's deadline and preemption hook:
-    polled between nets, a True return raises
-    :class:`repro.errors.PreemptedError` and the graph is left
-    untouched.
+    ``abort_check`` is the caller's deadline hook: polled between nets,
+    a True return raises :class:`repro.errors.DeadlineError` and the
+    graph is left untouched.
 
     Traced, each solved net emits a ``buffered`` or ``failed`` event
     (``stage="3"``), adds its buffers to ``buffer_sites_used`` and
@@ -317,9 +340,7 @@ def run_buffer_walk(
     with ledger.transaction():
         for name in order:
             if abort_check is not None and abort_check():
-                raise PreemptedError(
-                    f"buffer walk preempted before net {name!r}"
-                )
+                raise DeadlineError(f"buffer walk aborted before net {name!r}")
             tree = routes[name]
             if probability is not None:
                 probability.remove_net(tree)
@@ -342,7 +363,7 @@ def run_buffer_walk(
                 tracer=tracer,
             )
             meets, dp_ok, cost = _commit_outcome(
-                graph, tree, limits[name], outcome, tracer=tracer
+                graph, tree, limits[name], outcome, technology, library, tracer=tracer
             )
             outcomes[name] = NetOutcome(
                 specs=tuple(tree.buffer_specs()),

@@ -72,6 +72,7 @@ def rescue_net(
     window_margin: int = 10,
     technology: Technology = TECH_180NM,
     library: "BufferLibrary | None" = None,
+    tracer=None,
 ) -> Tuple[RouteTree, bool]:
     """Attempt a whole-net bufferable re-route.
 
@@ -79,7 +80,8 @@ def rescue_net(
     graph. On success returns ``(new_tree, True)`` with usage transferred;
     on failure the original tree and its usage are untouched and
     ``(tree, False)`` is returned. The new tree's buffers are sized over
-    ``library`` (under ``technology``) when it has more than one kind.
+    ``library`` (under ``technology``) when it has more than one kind,
+    and ``tracer`` sees the buffering as it sees every Stage-3 net's.
 
     The whole attempt — rip, candidate wires, buffer reinsertion — runs
     inside one :class:`SiteLedger` transaction; a non-improvement (or an
@@ -104,7 +106,7 @@ def rescue_net(
         candidate.add_usage(graph)  # wires only; no buffers annotated yet
         assign_buffers_to_net(
             graph, candidate, length_limit, None,
-            technology=technology, library=library,
+            tracer=tracer, technology=technology, library=library,
         )
         new_violations = length_violations(candidate, length_limit)
         if new_violations < old_violations:
@@ -130,14 +132,14 @@ def rescue_failing_nets(
 
     With a ``tracer``, every whole-net re-route emits a ``rescued`` event
     (or ``failed`` when the net still violates its rule) and bumps the
-    ``nets_rescued`` counter.
+    ``nets_rescued`` counter, and each re-route's buffering reports to it.
     """
     still_failing: List[str] = []
     for name in sorted(failing):
         tree = routes[name]
         limit = length_limits[name]
         new_tree, changed = rescue_net(
-            graph, tree, limit, window_margin, technology, library
+            graph, tree, limit, window_margin, technology, library, tracer
         )
         routes[name] = new_tree
         still_fails = length_violations(new_tree, limit) > 0

@@ -68,14 +68,6 @@ class QueueFullError(ServiceError):
     """
 
 
-class JobTimeoutError(ServiceError):
-    """A job exceeded its per-job wall-clock budget."""
-
-
-class JobFailedError(ServiceError):
-    """A job exhausted its retry budget without completing."""
-
-
 class UnknownJobError(ServiceError):
     """A job or baseline id was referenced that the service does not hold."""
 
@@ -94,14 +86,13 @@ class ShuttingDownError(ServiceError):
     """
 
 
-class PreemptedError(ServiceError):
-    """A planning attempt was cooperatively aborted mid-run.
+class DeadlineError(ServiceError):
+    """A planning attempt passed its deadline and stopped mid-run.
 
     Raised by the engine when an ``abort_check`` callback reports that
-    the attempt's deadline has passed or that the scheduler wants the
-    shard back (a cheap incremental job is waiting behind a long full
-    plan). The partial plan is discarded; a preempted job is requeued,
-    a timed-out one ends ``TIMEOUT``.
+    the attempt's deadline has passed. The partial plan is discarded:
+    the service ends the job ``TIMEOUT`` and a sweep records the
+    scenario as ``timeout``.
     """
 
 

@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.candidates import INF
 from repro.core.rabid import RabidConfig
-from repro.errors import ConfigurationError, PreemptedError, ReproError
+from repro.errors import ConfigurationError, DeadlineError, ReproError
 from repro.explore.space import (
     AdaptiveBisection,
     ParameterSpace,
@@ -125,7 +125,7 @@ def evaluate_scenario(
     ``via`` is ``"incremental"`` when the scenario was a recognized delta
     of ``base`` and the replay succeeded, else ``"full"``. The planner
     polls ``abort_check`` between nets and raises
-    :class:`~repro.errors.PreemptedError` once it fires.
+    :class:`~repro.errors.DeadlineError` once it fires.
 
     When ``config.bound`` is set, the certified lower-bound oracle runs
     after the plan and merges its per-scenario metrics
@@ -169,7 +169,7 @@ def _plan_metrics(
                     },
                 )
                 return metrics, "incremental"
-            except PreemptedError:
+            except DeadlineError:
                 raise
             except ReproError:
                 pass  # fall through to the scratch plan
@@ -254,7 +254,7 @@ def _evaluate_task(payload, ctx):
         metrics, via = evaluate_scenario(
             scenario, config, base=base, abort_check=abort_check
         )
-    except PreemptedError:
+    except DeadlineError:
         return {"status": "timeout"}
     return {
         "status": "ok",

@@ -59,7 +59,6 @@ SERVICE_COUNTERS = (
     "service.nets_searched",
     "service.nets_rerouted",
     "fleet.dispatches",
-    "fleet.preemptions",
     "fleet.rebuilds",
     "fleet.respawns",
 )

@@ -1,8 +1,8 @@
 """One attempt primitive for every worker: ``call``.
 
 Two kinds of worker run named handlers, and both offer the same
-blocking method, ``call(handler, payload, deadline, poll=None) ->
-(status, value)``:
+blocking method, ``call(handler, payload, deadline) -> (status,
+value)``:
 
 * :class:`InlineWorker` runs the handler in the caller's thread. The
   handler stops itself at the deadline (the engine's ``abort_check``);
@@ -125,15 +125,11 @@ class InlineWorker:
         self._handlers: Dict[str, Callable] = {}
 
     def call(
-        self,
-        handler: str,
-        payload: Any,
-        deadline: Optional[float] = None,
-        poll: Optional[Callable[[], None]] = None,
+        self, handler: str, payload: Any, deadline: Optional[float] = None
     ) -> Tuple[str, Any]:
         """Run one handler: ``("ok", value)`` or ``("error", message)``.
 
-        ``deadline`` and ``poll`` are accepted for symmetry with
+        ``deadline`` is accepted for symmetry with
         :meth:`PoolWorker.call`: nothing else runs while the handler
         does, so the handler itself watches the deadline.
         """
@@ -173,17 +169,13 @@ class PoolWorker:
         self.seq = 0  # sequence number of the last frame sent
 
     def call(
-        self,
-        handler: str,
-        payload: Any,
-        deadline: Optional[float] = None,
-        poll: Optional[Callable[[], None]] = None,
+        self, handler: str, payload: Any, deadline: Optional[float] = None
     ) -> Tuple[str, Any]:
         """Send one frame and wait for its reply: ``(status, value)``.
 
         ``deadline`` is a :func:`time.monotonic` instant (``None``: no
-        limit); ``poll`` runs between waits of :data:`POLL_INTERVAL`
-        seconds. On EOF, a dead process, an overrun deadline, or a reply
+        limit), checked between waits of :data:`POLL_INTERVAL` seconds.
+        On EOF, a dead process, an overrun deadline, or a reply
         that is garbled, oversized or out of sequence, the process is
         killed and re-forked before ``"crashed"`` or ``"timeout"``
         returns. A worker that was shut down raises
@@ -205,8 +197,6 @@ class PoolWorker:
                 return self._respawn("timeout", "worker overran the deadline")
             if not self.proc.is_alive():
                 return self._respawn("crashed", "worker process died")
-            if poll is not None:
-                poll()
 
     def _respawn(self, status: str, message: str) -> Tuple[str, str]:
         self.kill()

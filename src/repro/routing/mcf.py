@@ -26,8 +26,8 @@ and to compare against the Prim-Dijkstra + rip-up default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.netlist import Net, Netlist
@@ -43,7 +43,7 @@ class McfOptions:
     """Fractional-routing parameters.
 
     Attributes:
-        iterations: fractional rounds; more rounds, better duals.
+        iterations: fractional rounds; more rounds spread demand further.
         epsilon: length-update aggressiveness (0 < epsilon <= 1).
         window_margin: Dijkstra search-window margin in tiles.
         seed: rounding tie-break seed; candidates tied on the
@@ -61,38 +61,6 @@ class McfOptions:
             raise ConfigurationError("MCF needs at least one iteration")
         if not 0 < self.epsilon <= 1:
             raise ConfigurationError("epsilon must be in (0, 1]")
-
-
-@dataclass
-class McfResult:
-    """The fractional router's full output.
-
-    Beyond the rounded trees, the result surfaces the dual state the
-    length updates converged to — the raw material for lower-bound
-    oracles (:mod:`repro.bounds`) and congestion diagnostics:
-
-    ``edge_lengths``
-        final exponential length per flat edge id (``inf`` on
-        zero-capacity edges).
-    ``congestion_duals``
-        normalized dual weight ``l(e) * W(e) / sum`` per flat edge id —
-        a probability vector over edges; mass concentrates on the cuts
-        the fractional flow fought over.
-    """
-
-    routes: Dict[str, RouteTree]
-    edge_lengths: List[float] = field(repr=False)
-    congestion_duals: List[float] = field(repr=False)
-
-    def top_congested_edges(self, count: int = 10) -> List[Tuple[int, float]]:
-        """The ``count`` highest-dual flat edge ids, heaviest first."""
-        order = sorted(
-            range(len(self.congestion_duals)),
-            key=lambda eid: (-self.congestion_duals[eid], eid),
-        )
-        return [
-            (eid, self.congestion_duals[eid]) for eid in order[:count]
-        ]
 
 
 class McfRouter:
@@ -129,11 +97,6 @@ class McfRouter:
 
         Returns the selected tree per net; ``graph`` usage reflects them.
         """
-        return self.route_all_result(netlist).routes
-
-    def route_all_result(self, netlist: Netlist) -> McfResult:
-        """Like :meth:`route_all` but returns the full :class:`McfResult`
-        (rounded trees plus final edge lengths and congestion duals)."""
         candidates: Dict[str, List[RouteTree]] = {n.name: [] for n in netlist}
         pins: Dict[str, Tuple[Tile, List[Tile]]] = {}
         for net in netlist:
@@ -169,30 +132,7 @@ class McfRouter:
                         if self.tracer.enabled:
                             self.tracer.count("mcf_candidate_trees")
         with self.tracer.span("mcf.rounding"):
-            routes = self._round(netlist, candidates)
-        return McfResult(
-            routes=routes,
-            edge_lengths=list(self._lengths),
-            congestion_duals=self.congestion_duals(),
-        )
-
-    def congestion_duals(self) -> List[float]:
-        """Normalized dual weight ``l(e) * W(e)`` per flat edge id.
-
-        Sums to 1 over positive-capacity edges (all zeros before any
-        capacity exists); heavy entries mark the cuts the length updates
-        penalized hardest.
-        """
-        raw = [
-            length * cap if cap > 0 else 0.0
-            for length, cap in zip(
-                self._lengths, self.graph.edge_capacity.tolist()
-            )
-        ]
-        total = sum(raw)
-        if total <= 0:
-            return raw
-        return [value / total for value in raw]
+            return self._round(netlist, candidates)
 
     def _round(
         self,

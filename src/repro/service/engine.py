@@ -169,11 +169,11 @@ def full_plan(
 ) -> PlanState:
     """Plan a scenario from scratch; the incremental path's reference.
 
-    ``abort_check`` (the scheduler's deadline and preemption hook) is
-    polled between routed nets and between buffered nets; a True return
-    abandons the partial plan by raising
-    :class:`repro.errors.PreemptedError`. The plan is built on a fresh
-    graph, so an abort leaves no shared state to undo.
+    ``abort_check`` (the caller's deadline hook) is polled between
+    routed nets and between buffered nets; a True return abandons the
+    partial plan by raising :class:`repro.errors.DeadlineError`. The
+    plan is built on a fresh graph, so an abort leaves no shared state
+    to undo.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     config = config or RabidConfig()
@@ -192,11 +192,9 @@ def full_plan(
         routes: Dict[str, RouteTree] = {}
         for name in order:
             if abort_check is not None and abort_check():
-                from repro.errors import PreemptedError
+                from repro.errors import DeadlineError
 
-                raise PreemptedError(
-                    f"full plan preempted before routing net {name!r}"
-                )
+                raise DeadlineError(f"full plan aborted before routing net {name!r}")
             source, sinks = nets[name]
             tree = route_one(graph, name, source, sinks, config, tracer=tracer)
             tree.add_usage(graph)

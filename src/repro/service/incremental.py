@@ -68,7 +68,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.assignment import NetOutcome, buffering_signature, run_buffer_walk
-from repro.errors import PreemptedError
+from repro.errors import DeadlineError
 from repro.obs import NULL_TRACER
 from repro.routing.tree import RouteTree
 from repro.service.engine import PlanState, route_one
@@ -191,9 +191,9 @@ def incremental_replan(
     On success ``state`` holds the new plan (scenario, routes, outcomes,
     graph usage, signature). On any exception the backup is restored and
     the exception propagates — the baseline is never left half-planned.
-    ``abort_check`` (the scheduler's deadline and preemption hook) is
-    polled between nets of both phases; a True return raises
-    :class:`repro.errors.PreemptedError`, so the backup is restored.
+    ``abort_check`` (the caller's deadline hook) is polled between nets
+    of both phases; a True return raises
+    :class:`repro.errors.DeadlineError`, so the backup is restored.
     Traced, the replan counts ``service.nets_searched`` and
     ``service.nets_rerouted``.
     """
@@ -268,7 +268,7 @@ def _replay(
     searched = 0
     for name in sorted(new_nets.keys() | removed):
         if abort_check is not None and abort_check():
-            raise PreemptedError(f"replan aborted before routing net {name!r}")
+            raise DeadlineError(f"replan aborted before routing net {name!r}")
         cached = old_routes.get(name)
         if name in removed:
             dirty_edges.book(_edge_ids(graph, cached), _NO_EDGES)

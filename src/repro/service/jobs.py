@@ -671,9 +671,9 @@ class Job:
 class JobRecord:
     """Mutable job lifecycle state kept by the scheduler.
 
-    ``shard`` is the shard of the job's baseline, ``preemptions`` counts
-    the attempts a cheap job preempted, and ``rebuilt`` says whether the
-    committed attempt first rebuilt the baseline's plan from its chain.
+    ``shard`` is the shard of the job's baseline, and ``rebuilt`` says
+    whether the committed attempt first rebuilt the baseline's plan from
+    its chain.
     """
 
     job: Job
@@ -685,7 +685,6 @@ class JobRecord:
     started_at: float = 0.0
     finished_at: float = 0.0
     shard: int = 0
-    preemptions: int = 0
     rebuilt: bool = False
 
     @property
@@ -708,6 +707,4 @@ class JobRecord:
             out["error"] = self.error
         out["tenant"] = self.job.tenant
         out["shard"] = self.shard
-        if self.preemptions:
-            out["preemptions"] = self.preemptions
         return out

@@ -14,8 +14,8 @@ an ``op``:
   persist baselines (optionally only those mutated since last save).
 * ``{"op": "shutdown", "deadline": 30}`` — graceful shutdown: further
   submits are rejected with ``ShuttingDownError``, in-flight jobs drain
-  under the deadline, dirty baselines are checkpointed, then serve
-  exits.
+  under the deadline (seconds, a finite number >= 0), dirty baselines
+  are checkpointed, then serve exits.
 
 Jobs may carry a ``"tenant"`` name; the scheduler
 (:mod:`repro.service.scheduler`) queues each tenant's jobs separately
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from typing import Any, Dict, Optional
 
 from repro.errors import ProtocolError, ReproError
@@ -259,10 +260,25 @@ class ProtocolServer:
         if op == "shutdown":
             deadline = request.get("deadline")
             if deadline is not None:
-                self.shutdown_deadline = float(deadline)
+                self.shutdown_deadline = _drain_seconds(deadline)
             self.request_shutdown()
             return {"ok": True, "shutting_down": True}
         raise ProtocolError(f"unknown op {op!r}")
+
+
+def _drain_seconds(value: Any) -> float:
+    """A shutdown ``deadline`` from the wire: a finite number >= 0."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ProtocolError(f"shutdown 'deadline' must be a number, got {value!r}")
+    try:
+        seconds = float(value)
+    except OverflowError:  # an integer too large for a float
+        seconds = math.inf
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise ProtocolError(
+            f"shutdown 'deadline' must be a finite number >= 0, got {value!r}"
+        )
+    return seconds
 
 
 async def request_over_stream(

@@ -5,9 +5,10 @@ per-tenant queues and the shards. Each baseline lives on one shard
 (assigned round-robin when it is submitted or installed); every job for
 it runs there, one attempt at a time, in submission order. One
 dispatcher thread per shard pops the shard's work from
-:class:`repro.service.tenant.TenantQueues` (bounded per-tenant queues,
-stride fair selection, starvation aging, and at most one queued job
-per baseline eligible at a time).
+:class:`repro.service.tenant.TenantQueues` (a bounded FIFO per tenant,
+stride fair selection across tenants, and at most one queued job per
+baseline eligible at a time). A job runs once: it starts a second
+attempt only when the first errored or crashed.
 
 Every attempt runs the same job body, :func:`run_job`: the shard keeps
 each baseline's materialized :class:`~repro.service.engine.PlanState` in
@@ -34,17 +35,11 @@ A shard runs each attempt through its worker's ``call``
 
 How an attempt ends. The engine polls an ``abort_check`` hook between
 nets; the hook fires once the attempt's deadline (``job_timeout``) has
-passed, or once the shard's preemption flag is up. The flag goes up
-when a full plan has run ``preempt_after`` seconds and the next job its
-shard would run is a cheap incremental one: the aborted attempt commits
-nothing and the job is requeued at its tenant's head, at most
-:data:`MAX_PREEMPTIONS` times. In-process, the hook itself applies that
-rule, because no dispatcher is free to watch; a forked worker's
-``call`` applies it between waits for the reply, and kills and
-re-forks a worker that overruns the deadline. An attempt past its
-deadline ends the job ``TIMEOUT`` without retry. A handler error or a
-crashed worker (respawned first) retries at once, up to ``retries``
-times, then the job ends ``FAILED``. No thread is ever abandoned.
+passed. A forked worker's ``call`` also kills and re-forks a worker
+that overruns the deadline. An attempt past its deadline ends the job
+``TIMEOUT`` without retry. A handler error or a crashed worker
+(respawned first) retries at once, up to ``retries`` times, then the
+job ends ``FAILED``. No thread is ever abandoned.
 
 Nothing a failed attempt did survives it: a baseline or full plan is
 built on a fresh graph, :func:`~repro.service.incremental.incremental_replan`
@@ -57,7 +52,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import multiprocessing
 import random
 import threading
 import time
@@ -69,7 +63,7 @@ from repro.core.rabid import RabidConfig
 from repro.errors import (
     CheckpointError,
     ConfigurationError,
-    PreemptedError,
+    DeadlineError,
     QueueFullError,
     ServiceError,
     ShuttingDownError,
@@ -95,9 +89,6 @@ _TERMINAL = (JobStatus.DONE, JobStatus.FAILED, JobStatus.TIMEOUT, JobStatus.SHED
 #: Handler spec every shard's worker resolves (worker protocol).
 JOB_HANDLER = "repro.service.scheduler:run_job"
 
-#: Preemptions per job, after which it runs to completion.
-MAX_PREEMPTIONS = 2
-
 #: Seed of the verification sampling stream, so a service replays the
 #: same verification schedule across restarts.
 VERIFY_SEED = 0
@@ -112,7 +103,6 @@ _TRACE_COUNTERS = {
     "verified": "service.jobs_verified",
     "mismatches": "service.verify_mismatches",
     "dispatches": "fleet.dispatches",
-    "preemptions": "fleet.preemptions",
     "rebuilds": "fleet.rebuilds",
     "respawns": "fleet.respawns",
 }
@@ -131,10 +121,6 @@ class SchedulerOptions:
             (timeouts are not retried).
         verify_fraction: fraction of incremental jobs re-checked against
             a scratch full plan (0 disables, 1 checks every job).
-        aging_threshold: seconds after which a queued job is promoted to
-            absolute priority (starvation bound).
-        preempt_after: seconds a full plan must have run before a waiting
-            incremental job may preempt it.
     """
 
     workers: int = 1
@@ -142,8 +128,6 @@ class SchedulerOptions:
     job_timeout: float = 300.0
     retries: int = 1
     verify_fraction: float = 0.0
-    aging_threshold: float = 30.0
-    preempt_after: float = 0.2
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -156,10 +140,6 @@ class SchedulerOptions:
             raise ConfigurationError("retries must be >= 0")
         if not 0.0 <= self.verify_fraction <= 1.0:
             raise ConfigurationError("verify_fraction must be in [0, 1]")
-        if self.aging_threshold <= 0:
-            raise ConfigurationError("aging_threshold must be > 0")
-        if self.preempt_after < 0:
-            raise ConfigurationError("preempt_after must be >= 0")
 
 
 @dataclass
@@ -197,22 +177,10 @@ def _baseline_of(job: Job) -> str:
 # --------------------------------------------------------------------- #
 
 
-def _abort_check(payload: Dict[str, Any], context: Dict[str, Any]) -> Callable[[], bool]:
-    """The engine's hook for this attempt: deadline passed or flag up."""
+def _abort_check(payload: Dict[str, Any]) -> Callable[[], bool]:
+    """The engine's hook for this attempt: has its deadline passed?"""
     deadline = payload["deadline"]
-    ctl, shard, poll = context["ctl"], context["shard"], context["poll"]
-    preemptible = payload["preemptible"]
-
-    def check() -> bool:
-        if time.monotonic() > deadline:
-            return True
-        if not preemptible:
-            return False
-        if poll is not None:
-            poll()
-        return bool(ctl[shard])
-
-    return check
+    return lambda: time.monotonic() > deadline
 
 
 def _materialize(entry: Dict[str, Any], context: Dict[str, Any], abort):
@@ -322,14 +290,12 @@ def run_job(payload: Dict[str, Any], ctx: WorkerContext) -> Dict[str, Any]:
 
     ``ctx.context`` is the shard's: ``plans`` (baseline id -> committed
     version and :class:`PlanState`), ``full_plan`` and ``replan`` (the
-    service's functions), ``tracer``, the preemption flags ``ctl`` with
-    the shard's index ``shard``, and ``poll`` (in-process only: applies
-    the preemption rule). Ops:
+    service's functions) and ``tracer``. Ops:
 
     * ``plan`` — run a baseline, incremental or full-mode job. Replies
       ``{"status": "ok", "signature", "summary", "result", "rebuilt"}``,
-      or ``{"status": "timeout"}`` / ``{"status": "preempted"}`` when the
-      abort hook ended the attempt; nothing was committed then.
+      or ``{"status": "timeout"}`` when the attempt's deadline passed;
+      nothing was committed then.
     * ``checkpoint`` — serialize the named baselines' committed plans.
 
     Either op replies ``{"status": "miss"}`` when a plan it needs is not
@@ -350,10 +316,9 @@ def run_job(payload: Dict[str, Any], ctx: WorkerContext) -> Dict[str, Any]:
             )
         return {"status": "ok", "checkpoints": checkpoints}
     try:
-        return _plan(payload, context, _abort_check(payload, context))
-    except PreemptedError:
-        timed_out = time.monotonic() > payload["deadline"]
-        return {"status": "timeout" if timed_out else "preempted"}
+        return _plan(payload, context, _abort_check(payload))
+    except DeadlineError:
+        return {"status": "timeout"}
 
 
 # --------------------------------------------------------------------- #
@@ -369,8 +334,7 @@ class _Shard:
     :class:`~repro.parallel.pool.InlineWorker` runs :func:`run_job` on
     this thread, a forked :class:`~repro.parallel.pool.PoolWorker` ships
     the payload over the pipe and waits for the reply under the
-    attempt's deadline, applying the preemption rule (:meth:`_poll`)
-    while it waits.
+    attempt's deadline.
     """
 
     def __init__(self, service: "PlanningService", index: int) -> None:
@@ -378,13 +342,10 @@ class _Shard:
         self.index = index
         forked = service.options.workers > 1
         context = {
-            "shard": index,
-            "ctl": service._ctl,
             "plans": service._plans,
             "full_plan": service._full_plan,
             "replan": service._replan,
             "tracer": NULL_TRACER if forked else service.tracer,
-            "poll": None if forked else self._poll,
         }
         self.worker = PoolWorker(context) if forked else InlineWorker(context)
         self.thread = threading.Thread(
@@ -392,11 +353,6 @@ class _Shard:
         )
         # The running job, guarded by the service condition.
         self.running: Optional[JobRecord] = None
-        self.running_since = 0.0
-        self.preemptible = False
-
-    def _poll(self) -> None:
-        self.service._maybe_preempt(self, time.monotonic())
 
     def close(self) -> None:
         self.worker.shutdown()
@@ -431,9 +387,7 @@ class _Shard:
         return status, value
 
     def _send(self, payload: Dict[str, Any]) -> Tuple[str, Any]:
-        status, value = self.worker.call(
-            JOB_HANDLER, payload, payload["deadline"], poll=self._poll
-        )
+        status, value = self.worker.call(JOB_HANDLER, payload, payload["deadline"])
         if status in ("crashed", "timeout"):  # the worker was re-forked
             self.service._count("respawns")
         return status, value
@@ -443,28 +397,22 @@ class _Shard:
         record: JobRecord = item.payload["record"]
         try:
             with svc._cond:
-                now = time.monotonic()
-                first = not record.started_at
-                if first:
-                    record.started_at = now
+                record.started_at = time.monotonic()
                 record.status = JobStatus.RUNNING
                 try:
                     payload = svc._job_payload(item)
                 except ServiceError as exc:
                     svc._finish(record, JobStatus.FAILED, error=str(exc))
                     return
-                self.running_since = now
-                self.preemptible = payload["preemptible"]
-            if first and svc.tracer.enabled:
+            if svc.tracer.enabled:
                 svc.tracer.observe("service.queue_wait_seconds", record.queue_wait)
-            self._attempts(item, record, payload)
+            self._attempts(record, payload)
         finally:
             with svc._cond:
                 self.running = None
-                svc._ctl[self.index] = 0
                 svc._cond.notify_all()
 
-    def _attempts(self, item: QueuedItem, record: JobRecord, payload) -> None:
+    def _attempts(self, record: JobRecord, payload) -> None:
         svc = self.service
         options = svc.options
         for attempt in range(options.retries + 1):
@@ -476,9 +424,6 @@ class _Shard:
                 status = reply["status"]
             if status == "ok":
                 svc._commit(record, reply)
-                return
-            if status == "preempted":
-                svc._requeue(item, record, self.index)
                 return
             if status == "timeout":
                 svc._finish(
@@ -545,17 +490,13 @@ class PlanningService:
         self._full_plan = full_plan_fn
         self._replan = replan_fn
         self._cond = threading.Condition()
-        self._queues = TenantQueues(
-            max_per_tenant=self.options.max_queue,
-            aging_threshold=self.options.aging_threshold,
-        )
+        self._queues = TenantQueues(max_per_tenant=self.options.max_queue)
         self._records: Dict[str, JobRecord] = {}
         self._baselines: Dict[str, BaselineRecord] = {}
         # The plan cache the job body reads (baseline id -> committed
         # version and plan): the in-process shard's own; a forked shard
         # inherits a copy at fork.
         self._plans: Dict[str, Tuple[int, PlanState]] = {}
-        self._ctl: Any = None
         self._shards: List[_Shard] = []
         self._verify_rng = random.Random(VERIFY_SEED)
         self._next_shard = 0
@@ -565,7 +506,7 @@ class PlanningService:
         self._counters = dict.fromkeys(
             (
                 "submitted", "shed", "done", "failed", "timeout", "verified",
-                "mismatches", "preemptions", "rebuilds", "respawns",
+                "mismatches", "rebuilds", "respawns",
             ),
             0,
         )
@@ -583,15 +524,7 @@ class PlanningService:
         if self._started:
             return
         self._started = True
-        workers = self.options.workers
-        # Preemption flags, made before the first fork so every shard
-        # worker (respawns included) shares them.
-        self._ctl = (
-            multiprocessing.get_context("fork").RawArray("b", workers)
-            if workers > 1
-            else [0]
-        )
-        self._shards = [_Shard(self, i) for i in range(workers)]
+        self._shards = [_Shard(self, i) for i in range(self.options.workers)]
         for shard in self._shards:
             shard.thread.start()
 
@@ -705,7 +638,6 @@ class PlanningService:
                 self._count("shed")
                 raise
             cheap = job.kind == "delta" and job.mode == "incremental"
-            item.cost_class = "cheap" if cheap else "heavy"
             item.payload = {
                 "type": "job",
                 "record": record,
@@ -783,7 +715,6 @@ class PlanningService:
         with self._cond:
             return {
                 **self._counters,
-                "aged_promotions": self._queues.aged_promotions,
                 "queue_depth": len(self._queues),
                 "queue_depths": self._queues.depths(),
                 "baselines": len(self._baselines),
@@ -837,33 +768,8 @@ class PlanningService:
             scenario=baseline.scenario.to_dict() if heavy else None,
             delta=job.delta.to_dict() if job.delta is not None else None,
             verify=item.payload["verify"],
-            preemptible=heavy and record.preemptions < MAX_PREEMPTIONS,
         )
         return payload
-
-    def _maybe_preempt(self, shard: _Shard, now: float) -> None:
-        """Raise the shard's flag when a cheap job is next in line behind
-        its running full plan."""
-        with self._cond:
-            if (
-                shard.running is None
-                or not shard.preemptible
-                or self._ctl[shard.index]
-                or now - shard.running_since < self.options.preempt_after
-            ):
-                return
-            nxt = self._queues.peek_eligible(shard.index)
-            if nxt is not None and nxt.cost_class == "cheap":
-                self._ctl[shard.index] = 1
-
-    def _requeue(self, item: QueuedItem, record: JobRecord, index: int) -> None:
-        with self._cond:
-            record.preemptions += 1
-            record.status = JobStatus.QUEUED
-            self._count("preemptions")
-            self._ctl[index] = 0
-            self._queues.push_front(item)
-            self._cond.notify_all()
 
     def _finish(
         self,

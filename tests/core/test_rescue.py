@@ -197,6 +197,27 @@ class TestPlannerIntegration:
         for name in rescued:
             assert any(s.kind for s in result.routes[name].buffer_specs())
 
+    def test_planner_passes_its_tracer_to_rescue(self, monkeypatch):
+        """Every buffering of a rescue re-route reports to the plan's tracer."""
+        import repro.core.rescue as rescue_module
+
+        seen = []
+        real = rescue_module.assign_buffers_to_net
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("tracer"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rescue_module, "assign_buffers_to_net", spy)
+        g, nl = self._design()
+        tracer = Tracer()
+        RabidPlanner(
+            g, nl,
+            RabidConfig(length_limit=3, window_margin=12, stage4_iterations=0),
+            tracer=tracer,
+        ).run()
+        assert seen and all(t is tracer for t in seen)
+
     def test_rescue_failing_nets_returns_residue(self):
         g = TileGraph(Rect(0, 0, 14, 14), 14, 14, CapacityModel.uniform(8))
         tree = _straight_net_tree(g)

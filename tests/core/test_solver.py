@@ -10,12 +10,14 @@ from repro.core.assignment import Stage3CostField, assign_buffers_to_net, solve_
 from repro.core.candidates import oversubscribes
 from repro.core.costs import buffer_site_cost
 from repro.core.multi_sink import insert_buffers_multi_sink
+from repro.core.multi_type import assign_buffer_kinds
 from repro.core.probability import UsageProbability
 from repro.core.single_sink import insert_buffers_single_sink
 from repro.errors import ConfigurationError
 from repro.obs import Tracer
 from repro.routing.tree import BufferSpec, RouteTree
 from repro.technology import TECH_180NM, resolve_library
+from repro.timing.elmore import net_delay
 from repro.timing.van_ginneken import timing_driven_buffering
 
 
@@ -117,6 +119,28 @@ class TestStrategies:
         assert cost == float("inf")
         assert tracer.metrics.value("stage3.ledger_rollbacks") == 1
         assert graph10.total_used_sites == tree.buffer_count() == 1
+
+    def test_greedy_fallback_sized_over_the_library(self, graph10):
+        """Under ``tech`` the greedy fallback's buffers carry the kinds
+        :func:`assign_buffer_kinds` picks at their positions, booked by
+        kind; the worst sink delay is no worse than all-default buffers'."""
+        tree = _fork_tree()
+        graph10.set_sites((2, 0), 1)
+        library = resolve_library("tech", TECH_180NM)
+        meets, dp_ok, cost = assign_buffers_to_net(
+            graph10, tree, 2, technology=TECH_180NM, library=library
+        )
+        assert dp_ok and not meets and cost == float("inf")
+        specs = tree.buffer_specs()
+        unsized = [BufferSpec(s.tile, s.drives_child) for s in specs]
+        assert specs == assign_buffer_kinds(
+            tree, graph10, TECH_180NM, library, unsized
+        )
+        assert [s.kind for s in specs] == ["BUF_X2"]
+        assert graph10.kind_used == {(graph10.ny * 2, "BUF_X2"): 1}
+        sized = net_delay(tree, graph10, TECH_180NM, library).max_delay
+        tree.apply_buffers(unsized)
+        assert sized <= net_delay(tree, graph10, TECH_180NM, library).max_delay
 
 
 class TestCostField:

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.errors import ConfigurationError, PreemptedError
+from repro.errors import ConfigurationError, DeadlineError
 from repro.explore import (
     Dimension,
     ParameterSpace,
@@ -372,7 +372,7 @@ class TestInlineTimeout:
             give_up = time.monotonic() + 3.0
             while time.monotonic() < give_up:
                 if abort_check is not None and abort_check():
-                    raise PreemptedError("deadline passed")
+                    raise DeadlineError("deadline passed")
                 time.sleep(0.01)
             return full_plan(spec, config)
 

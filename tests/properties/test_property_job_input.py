@@ -4,16 +4,20 @@ Jobs reach the service from protocol clients, checkpoints and plan
 files. ``DeltaSpec.from_dict`` (then ``apply_delta``),
 ``ScenarioSpec.from_dict``, ``RabidConfig.from_dict`` and
 ``job_from_dict`` must each return or raise a :class:`ReproError`, never
-a bare exception. The tests only parse and apply: nothing calls
-``nets()``, ``build_graph`` or a planner, so a fuzzed ``grid`` of 10**9
-allocates nothing.
+a bare exception, and every protocol reply is ``ok`` or names a
+:class:`ReproError` subclass. The tests only parse and apply: nothing
+calls ``nets()``, ``build_graph`` or a planner, so a fuzzed ``grid`` of
+10**9 allocates nothing.
 """
 
+import asyncio
+import json
 from dataclasses import fields
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import repro.errors
 from repro.core.rabid import RabidConfig
 from repro.errors import ReproError
 from repro.service.jobs import (
@@ -23,7 +27,8 @@ from repro.service.jobs import (
     ScenarioSpec,
     apply_delta,
 )
-from repro.service.protocol import job_from_dict
+from repro.service.protocol import ProtocolServer, job_from_dict
+from repro.service.scheduler import PlanningService
 from repro.technology import Technology
 
 SPEC = ScenarioSpec(
@@ -146,3 +151,46 @@ def test_config_from_dict(config):
 @given(job=jobs)
 def test_job_from_dict(job):
     returns_or_raises_typed(lambda: job_from_dict(job))
+
+
+PROTOCOL_OPS = [
+    "submit", "status", "wait", "baselines", "stats", "checkpoint", "shutdown",
+]
+requests = st.fixed_dictionaries(
+    {"op": st.sampled_from(PROTOCOL_OPS) | JSON},
+    optional={
+        "job": jobs,
+        "job_id": st.text(max_size=4) | JSON,
+        "directory": JSON,
+        "only_dirty": JSON,
+        "deadline": st.floats() | st.integers() | JSON,
+    },
+) | st.dictionaries(keys, JSON, max_size=4)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(request=requests)
+@example(request={"op": "shutdown", "deadline": "abc"})
+@example(request={"op": "shutdown", "deadline": [1]})
+@example(request={"op": "shutdown", "deadline": -1})
+@example(request={"op": "shutdown", "deadline": True})
+@example(request={"op": "shutdown", "deadline": float("inf")})
+def test_protocol_replies_ok_or_typed(request, tmp_path):
+    """The service is never started, so a submit that parses is refused
+    with ``ServiceError`` and nothing plans; a string ``directory`` is
+    pointed at ``tmp_path`` so a checkpoint writes nowhere else."""
+    if isinstance(request.get("directory"), str):
+        request["directory"] = str(tmp_path)
+    server = ProtocolServer(PlanningService())
+    reply = asyncio.run(server._dispatch_line(json.dumps(request).encode()))
+    if reply["ok"]:
+        return
+    error = getattr(repro.errors, reply["error"], None)
+    assert isinstance(error, type) and issubclass(error, ReproError), reply
+    if request.get("op") == "shutdown":
+        assert error is repro.errors.ProtocolError, reply
+        assert server.shutdown_deadline == 30.0

@@ -109,44 +109,23 @@ class TestRouting:
         assert results[0] == results[1]
 
 
-class TestResultObject:
-    def test_route_all_result_surfaces_duals(self):
+class TestLengthUpdate:
+    def test_route_all_bumps_used_edge_lengths(self):
         graph = _graph(capacity=2)
         netlist = _netlist([((0.5, 0.5), (7.5, 0.5))])
         router = McfRouter(graph, McfOptions(iterations=1, epsilon=0.5))
-        result = router.route_all_result(netlist)
-        assert set(result.routes) == {"n0"}
-        assert len(result.edge_lengths) == len(graph.edge_capacity)
+        routes = router.route_all(netlist)
+        assert set(routes) == {"n0"}
         # Used edges were bumped once: 0.5 * (1 + 0.5/2) = 0.625;
         # untouched edges still carry the initial 1/W = 0.5.
-        used = {
-            graph.edge_id(u, v) for u, v in result.routes["n0"].edges()
-        }
+        used = {graph.edge_id(u, v) for u, v in routes["n0"].edges()}
         for eid in used:
-            assert result.edge_lengths[eid] == pytest.approx(0.625)
+            assert router._lengths[eid] == pytest.approx(0.625)
         unused = next(
             eid for eid in range(len(graph.edge_capacity))
             if eid not in used
         )
-        assert result.edge_lengths[unused] == pytest.approx(0.5)
-
-    def test_congestion_duals_are_a_distribution(self):
-        graph = _graph(capacity=2)
-        netlist = _netlist([((0.5, 0.5), (7.5, 6.5))])
-        result = McfRouter(graph).route_all_result(netlist)
-        assert sum(result.congestion_duals) == pytest.approx(1.0)
-        assert all(d >= 0 for d in result.congestion_duals)
-        top = result.top_congested_edges(5)
-        assert len(top) == 5
-        assert top == sorted(top, key=lambda t: (-t[1], t[0]))
-
-    def test_route_all_matches_result_routes(self):
-        netlist = _netlist([((0.5, 0.5), (7.5, 6.5)), ((0.5, 6.5), (7.5, 0.5))])
-        routes = McfRouter(_graph(capacity=3)).route_all(netlist)
-        result = McfRouter(_graph(capacity=3)).route_all_result(netlist)
-        assert {n: sorted(t.edges()) for n, t in routes.items()} == {
-            n: sorted(t.edges()) for n, t in result.routes.items()
-        }
+        assert router._lengths[unused] == pytest.approx(0.5)
 
 
 class TestRounding:

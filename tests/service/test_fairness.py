@@ -1,4 +1,4 @@
-"""Service-level fairness: flooding vs trickle tenants, aging bound.
+"""Service-level fairness: flooding vs trickle tenants, no starvation.
 
 The pure scheduling invariants live in ``test_tenant_queues``; these
 tests drive a real one-shard service so the guarantees are checked
@@ -6,8 +6,8 @@ end-to-end from the record timestamps the scheduler itself emits:
 
 * a tenant flooding its queue must not inflate a trickle tenant's
   queue wait — the flood queues behind itself;
-* no queued job waits past the aging threshold while younger cheap work
-  keeps arriving ahead of it.
+* a full-mode job is not overtaken by cheap jobs of its own tenant
+  submitted after it.
 
 Assertions are *relative* (trickle vs flood percentiles from the same
 run) so they hold on slow single-core CI machines.
@@ -96,30 +96,20 @@ def test_trickle_tenant_queue_wait_bounded_under_flood():
 
 
 def test_no_starvation_past_aging_threshold():
-    """Aging bounds the one unfair preference the scheduler has.
+    """A heavy job is never passed over by later cheap jobs.
 
-    Within a tenant, cheap (incremental) jobs bypass older heavy ones —
-    the preemption contract requires it — so a full-mode job queued
-    behind a continuous cheap stream would starve indefinitely without
-    the aging bound. Here a heavy job enters behind a 20-deep cheap
-    backlog on the same tenant: it must be promoted once its age
-    crosses the threshold rather than waiting for the backlog to drain.
+    Within a tenant the oldest eligible job leaves first, whatever its
+    cost, so a full-mode job queued ahead of a 20-deep cheap stream
+    finishes before any job of the stream starts. This holds by FIFO
+    order alone: no threshold, no timing assumption.
     """
 
     async def body():
-        options = SchedulerOptions(
-            workers=1,
-            job_timeout=60.0,
-            aging_threshold=0.02,
-        )
+        options = SchedulerOptions(workers=1, job_timeout=60.0)
         with PlanningService(options=options) as svc:
             await _plan_baselines(svc, "cheap-b", "heavy-b")
-            # The blocker occupies the worker so the heavy job is
-            # *queued* (not dispatched) when the cheap stream arrives
-            # behind it; the stream then bypasses it via cheap
-            # preference until aging kicks in. All three submissions
-            # happen before the blocker's ~ms execution completes, so
-            # the ordering is not racy.
+            # The blocker occupies the worker so the heavy job and the
+            # cheap stream are queued behind it, the heavy job first.
             svc.submit(
                 Job(
                     "blocker",
@@ -157,11 +147,8 @@ def test_no_starvation_past_aging_threshold():
             assert record.status is JobStatus.DONE, record.error
             for job_id in cheap_ids:
                 assert svc.record(job_id).status is JobStatus.DONE
-            assert svc.stats()["aged_promotions"] >= 1
-            cheap_tail = max(
-                svc.record(j).finished_at for j in cheap_ids
-            )
-            assert record.finished_at < cheap_tail
-            assert record.queue_wait < 60.0
+            # Not one cheap job started before the heavy one finished.
+            first_cheap_start = min(svc.record(j).started_at for j in cheap_ids)
+            assert record.finished_at <= first_cheap_start
 
     asyncio.run(body())

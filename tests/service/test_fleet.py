@@ -1,11 +1,11 @@
-"""PlanningService shards: sharding, exactness, containment, preemption.
+"""PlanningService shards: sharding, exactness, containment, one attempt.
 
 ``workers=1`` runs the one shard in-process; above that every shard is a
 forked worker, which the containment tests crash, kill and signal. Small
 grids keep every test in the low seconds. Exactness is asserted against
 the engine directly — the service's signatures must be byte-identical to
 an in-process :func:`full_plan`/:func:`incremental_replan` of the same
-scenario, whatever sharding, retries, or preemption did on the way.
+scenario, whatever sharding or retries did on the way.
 No pytest-asyncio in the environment — tests drive ``asyncio.run``.
 """
 
@@ -16,6 +16,7 @@ import pytest
 
 from repro.errors import (
     ConfigurationError,
+    DeadlineError,
     QueueFullError,
     ServiceError,
     ShuttingDownError,
@@ -70,8 +71,6 @@ class TestOptions:
             {"max_queue": 0},
             {"job_timeout": 0},
             {"retries": -1},
-            {"aging_threshold": 0},
-            {"preempt_after": -0.1},
         ],
     )
     def test_rejects_bad_options(self, kwargs):
@@ -328,92 +327,62 @@ class TestContainment:
         run(body())
 
 
-HEAVY_SPEC = ScenarioSpec(
-    grid=24, num_nets=260, total_sites=1400, macros=(MacroSpec(3, 3, 6, 6),)
-)
-HEAVY_DELTA = DeltaSpec((move_macro(0, 14, 14),))
+def slow_full_plan(scenario, config=None, tracer=None, abort_check=None):
+    """:func:`full_plan` after 0.5 s of polling ``abort_check``, so
+    every full plan outlasts a cheap job's arrival on any host."""
+    until = time.monotonic() + 0.5
+    while time.monotonic() < until:
+        if abort_check is not None and abort_check():
+            raise DeadlineError("slow full plan aborted")
+        time.sleep(0.01)
+    return full_plan(scenario, config, tracer=tracer, abort_check=abort_check)
 
 
-async def cheap_delta_preempts_full_plan(svc, fast_reference):
-    """Start a full plan of ``heavy``, then queue a cheap delta on
-    ``light`` behind it; the full plan must be preempted, and both jobs
-    must still land on their reference signatures."""
-    svc.submit(
-        Job(
-            "slow",
-            "delta",
-            baseline_id="heavy",
-            delta=HEAVY_DELTA,
-            mode="full",
-            tenant="batch",
+class TestOneAttempt:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cheap_delta_waits_for_running_full_plan(self, workers):
+        """A cheap delta queued behind a running full-mode job on its
+        shard waits for it; the full-mode job runs once. At two workers
+        ``other`` takes shard 1, so ``heavy`` and ``light`` share shard 0."""
+        light_spec = ScenarioSpec(
+            grid=8, num_nets=24, total_sites=160, macros=(MacroSpec(4, 4, 2, 2),)
         )
-    )
-    # Wait for the full plan to actually be on the worker.
-    deadline = time.monotonic() + 30.0
-    while svc.record("slow").status is JobStatus.QUEUED:
-        assert time.monotonic() < deadline
-        await asyncio.sleep(0.005)
-    svc.submit(
-        Job(
-            "fast",
-            "delta",
-            baseline_id="light",
-            delta=DELTA,
-            tenant="interactive",
-        )
-    )
-    fast = await svc.wait("fast")
-    slow = await svc.wait("slow")
-    assert fast.status is JobStatus.DONE, fast.error
-    assert slow.status is JobStatus.DONE, slow.error
-
-    # Preemption happened, was bounded, and did not change either
-    # signature.
-    assert slow.preemptions >= 1
-    assert slow.preemptions <= 2
-    assert svc.stats()["preemptions"] >= 1
-    assert fast.result["signature"] == fast_reference
-    evolved = apply_delta(HEAVY_SPEC, HEAVY_DELTA)
-    assert slow.result["signature"] == full_plan(evolved).signature
-
-
-class TestPreemption:
-    def test_cheap_delta_preempts_running_full_plan(self):
-        """In-process: the abort hook itself applies the preemption rule."""
 
         async def body():
-            with fleet(workers=1, preempt_after=0.0) as svc:
-                await plan_baseline(svc, "heavy", spec=HEAVY_SPEC)
-                await plan_baseline(svc, "light", spec=SPEC)
-                reference = incremental_replan(full_plan(SPEC), DELTA)
-                await cheap_delta_preempts_full_plan(svc, reference.signature)
-
-        run(body())
-
-    def test_respawned_worker_still_preempts(self):
-        """Forked: the control array reaches a worker forked after a
-        crash. ``other`` takes shard 1, so ``heavy`` and ``light`` share
-        shard 0."""
-        probe = DeltaSpec((move_macro(0, 2, 2),))
-
-        async def body():
-            with fleet(workers=2, preempt_after=0.0) as svc:
-                await plan_baseline(svc, "heavy", spec=HEAVY_SPEC)
-                await plan_baseline(svc, "other", spec=SPEC)
-                await plan_baseline(svc, "light", spec=SPEC)
+            svc = PlanningService(
+                options=SchedulerOptions(workers=workers, job_timeout=60.0),
+                full_plan_fn=slow_full_plan,
+            )
+            with svc:
+                await plan_baseline(svc, "heavy", spec=SPEC)
+                if workers == 2:
+                    await plan_baseline(svc, "other", spec=SPEC)
+                await plan_baseline(svc, "light", spec=light_spec)
                 assert svc.baseline("light").shard == svc.baseline("heavy").shard
-                svc._shards[0].worker.proc.kill()
                 svc.submit(
-                    Job("probe", "delta", baseline_id="light", delta=probe)
+                    Job("slow", "delta", baseline_id="heavy", delta=DELTA,
+                        mode="full", tenant="batch")
                 )
-                record = await svc.wait("probe")
-                assert record.status is JobStatus.DONE, record.error
-                assert svc.stats()["respawns"] == 1
-
-                reference = full_plan(SPEC)
-                incremental_replan(reference, probe)
-                incremental_replan(reference, DELTA)
-                await cheap_delta_preempts_full_plan(svc, reference.signature)
+                # Wait for the full plan to actually be on the worker.
+                deadline = time.monotonic() + 30.0
+                while svc.record("slow").status is JobStatus.QUEUED:
+                    assert time.monotonic() < deadline
+                    await asyncio.sleep(0.005)
+                cheap = DeltaSpec((move_macro(0, 1, 1),))
+                svc.submit(
+                    Job("fast", "delta", baseline_id="light", delta=cheap,
+                        tenant="interactive")
+                )
+                fast = await svc.wait("fast")
+                slow = await svc.wait("slow")
+            assert slow.status is JobStatus.DONE, slow.error
+            assert fast.status is JobStatus.DONE, fast.error
+            assert slow.attempts == 1
+            assert fast.started_at >= slow.finished_at
+            evolved = apply_delta(SPEC, DELTA)
+            assert slow.result["signature"] == full_plan(evolved).signature
+            reference = incremental_replan(full_plan(light_spec), cheap)
+            assert fast.result["signature"] == reference.signature
 
         run(body())
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.rabid import RabidConfig
-from repro.errors import PreemptedError
+from repro.errors import DeadlineError
 from repro.obs import Tracer
 from repro.obs.report import SERVICE_COUNTERS, render_summary
 from repro.service import (
@@ -221,7 +221,7 @@ def test_failed_replan_rolls_back(baseline):
         polls.append(None)
         return len(polls) > len(SPEC.nets()) + 20
 
-    with pytest.raises(PreemptedError, match="buffer walk"):
+    with pytest.raises(DeadlineError, match="buffer walk"):
         incremental_replan(
             baseline, DELTAS["move_macro"], abort_check=abort_mid_walk
         )

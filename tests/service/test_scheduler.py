@@ -16,7 +16,7 @@ import pytest
 
 from repro.errors import (
     ConfigurationError,
-    PreemptedError,
+    DeadlineError,
     QueueFullError,
     ServiceError,
     UnknownJobError,
@@ -67,7 +67,7 @@ def until_aborted(abort_check, limit=3.0):
     end = time.monotonic() + limit
     while time.monotonic() < end:
         if abort_check is not None and abort_check():
-            raise PreemptedError("aborted between nets")
+            raise DeadlineError("aborted between nets")
         time.sleep(0.005)
     raise AssertionError("abort_check never fired")
 
@@ -339,7 +339,7 @@ class TestBaselineRebind:
 
         async def scenario():
             service = PlanningService(
-                options=SchedulerOptions(workers=1, preempt_after=0.0),
+                options=SchedulerOptions(workers=1),
                 full_plan_fn=blocking_full_plan,
             )
             service.install_baseline("b0", full_plan(SPEC))
@@ -355,13 +355,13 @@ class TestBaselineRebind:
                     Job("d1", "delta", baseline_id="b0", delta=removal)
                 )
                 await asyncio.sleep(0.2)
-                # Per-baseline order: d1 waits, and does not preempt d0.
+                # Per-baseline order: d1 waits for d0.
                 assert service.record("d1").status is JobStatus.QUEUED
                 release.set()
                 for job_id in ("d0", "d1"):
                     record = await service.wait(job_id)
                     assert record.status is JobStatus.DONE, record.error
-                assert service.record("d0").preemptions == 0
+                assert service.record("d0").attempts == 1
                 return service.baseline("b0").signature
             finally:
                 release.set()
