@@ -5,9 +5,10 @@ IEEE TCAD 2003).
 The library implements the buffer-site methodology end to end: tile-graph
 modeling of buffer sites and wire capacities, the four-stage RABID planner
 (Steiner construction, congestion-driven rip-up/reroute, length-based
-buffer-assignment DP, two-path post-processing), an Elmore timing model, a
-sequence-pair floorplanner, synthetic versions of the paper's benchmarks,
-and a buffer-block-planning (BBP/FR) baseline for the Table V comparison.
+buffer-assignment DP, two-path post-processing), an Elmore timing model,
+synthetic versions of the paper's benchmarks (blocks placed by shelf
+packing), and a buffer-block-planning (BBP/FR) baseline for the Table V
+comparison.
 
 Quickstart::
 
@@ -34,7 +35,7 @@ from repro.obs import NULL_TRACER, NullTracer, Tracer, read_trace, render_summar
 from repro.geometry import Point, Rect
 from repro.technology import TECH_180NM, BufferKind, BufferLibrary, Technology
 from repro.netlist import Net, Netlist, Pin, decompose_to_two_pin
-from repro.floorplan import Block, Floorplan, anneal_floorplan
+from repro.floorplan import Block, Floorplan
 from repro.tilegraph import (
     CapacityModel,
     CongestionStats,
@@ -85,7 +86,6 @@ __all__ = [
     "decompose_to_two_pin",
     "Block",
     "Floorplan",
-    "anneal_floorplan",
     "TileGraph",
     "CapacityModel",
     "SiteDistribution",

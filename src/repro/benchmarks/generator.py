@@ -5,9 +5,7 @@ For each spec we synthesize:
 * a die sized by ``grid x tile_area``;
 * ``cells`` hard blocks with lognormal areas totalling ~60% of the die,
   placed by fast shelf packing (the role the paper fills with the BBP
-  code's annealing floorplanner — any legal spread-out placement serves;
-  :func:`repro.floorplan.anneal_floorplan` is available when an optimized
-  floorplan is wanted);
+  code's annealing floorplanner; any legal spread-out placement serves);
 * ``pads`` I/O pads spaced around the die boundary;
 * ``nets`` nets with ``sinks`` total sinks: every net gets one sink, the
   surplus is scattered multinomially so a few high-fanout nets exist; pins

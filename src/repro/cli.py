@@ -21,6 +21,9 @@ Commands:
   and print the certified bound (``--compare`` for the gap of the plan
   ``service.engine.full_plan`` builds, ``--cert``/``--verify`` for the
   dual certificate).
+* ``workload list|describe|run`` — the named workload tiers: list the
+  registry, print one tier's card with its triage verdict, or replay a
+  seeded streaming ECO trace against it with divergence checkpoints.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ def _capabilities() -> dict:
     from repro.technology import LIBRARY_NAMES
 
     return {
-        "routers": ["pd", "mcf"],
         "bound_modes": list(BOUND_MODES),
         "buffer_libraries": list(LIBRARY_NAMES),
     }
@@ -1048,7 +1050,7 @@ def _dispatch(args) -> int:
             import json
 
             # The leading meta row carries the engine registries
-            # (routers, bound modes, buffer libraries); benchmark rows
+            # (bound modes, buffer libraries); benchmark rows
             # follow, all sharing the name/kind/nets/sinks shape.
             rows = [
                 {

@@ -89,9 +89,6 @@ class RabidConfig:
         window_margin: maze-search window margin (tiles).
         technology: electrical parameters for the delay model.
         use_probability: include the ``p(v)`` term in Eq. (2).
-        router: Stage-1 routing engine: ``"pd"`` (Prim-Dijkstra + overlap
-            removal, the paper's default) or ``"mcf"`` (the approximate
-            multicommodity-flow router the paper cites as an alternative).
         rescue_failing: after the Stage-4 iterations, attempt a whole-net
             bufferable re-route for nets still violating the length rule
             (an extension of Stage 4's goal; see repro.core.rescue).
@@ -121,15 +118,12 @@ class RabidConfig:
     window_margin: int = 6
     technology: Technology = TECH_180NM
     use_probability: bool = True
-    router: str = "pd"
     rescue_failing: bool = True
     buffer_library: str = "single"
     bound: str = ""
     bound_epsilon: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.router not in ("pd", "mcf"):
-            raise ConfigurationError(f"unknown router {self.router!r}")
         if self.bound:
             from repro.bounds.oracle import BOUND_MODES
 
@@ -185,13 +179,20 @@ class RabidConfig:
         a buffering strategy: ``"multi_type"`` is the one Stage-3 solver,
         and so is ``"dp"`` under a one-kind library; any other name (or
         ``"dp"`` with a multi-kind library) planned differently, so it is
-        refused rather than silently re-planned.
+        refused rather than silently re-planned. ``router`` named the
+        Stage-1 engine: ``"pd"`` is the one Stage 1, and any other value
+        is refused the same way.
         """
         if not isinstance(d, dict):
             raise ConfigurationError(f"a RabidConfig must be an object, not {d!r}")
+        if d.get("router", "pd") != "pd":
+            raise ConfigurationError(
+                f"retired router {d['router']!r}: Stage 1 now runs only "
+                "Prim-Dijkstra with overlap removal (\"pd\")"
+            )
         retired = (
             "workers", "stage3_workers", "parallel_backend",
-            "stage3_solver", "stage3_solvers",
+            "stage3_solver", "stage3_solvers", "router",
         )
         types = {f.name: f.type for f in fields(cls)}
         kwargs = {k: v for k, v in d.items() if k not in retired}
@@ -348,20 +349,12 @@ class RabidPlanner:
     # ------------------------------------------------------------------ #
 
     def stage1(self) -> None:
-        """Initial routing: Prim-Dijkstra Steiner trees (default) or the
-        MCF alternative router."""
+        """Initial routing: Prim-Dijkstra Steiner trees, one net at a time."""
         start = time.perf_counter()
-        with self.tracer.span("stage1", router=self.config.router):
-            if self.config.router == "mcf":
-                from repro.routing.mcf import mcf_initial_routes
-
-                self.routes = mcf_initial_routes(
-                    self.graph, self.netlist, tracer=self.tracer
-                )
-            else:
-                for net in self.netlist:
-                    self.routes[net.name] = self._initial_route(net)
-                    self.routes[net.name].add_usage(self.graph)
+        with self.tracer.span("stage1"):
+            for net in self.netlist:
+                self.routes[net.name] = self._initial_route(net)
+                self.routes[net.name].add_usage(self.graph)
             self.tracer.count("nets_routed", len(self.routes))
             self._snapshot(1, time.perf_counter() - start)
 

@@ -8,11 +8,12 @@ one. All objectives are minimized — feasibility is the
 expensive-but-clean one can both survive; the report makes the trade
 explicit rather than hiding infeasible points.
 
-Reports are canonical: entries are sorted by objective vector then key,
-and only deterministic fields (metrics, keys, assignments) appear — no
-timings, attempt counts, or timestamps. For a fixed seed the rendered
-report is therefore byte-identical no matter how many workers evaluated
-the sweep, which the test suite asserts.
+Reports are canonical: entries are sorted by objective vector, then by
+the scenario's canonical JSON, then by key, and only deterministic fields
+(metrics, keys, assignments) appear — no timings, attempt counts, or
+timestamps. For a fixed seed the rendered report is therefore
+byte-identical no matter how many workers evaluated the sweep, which the
+test suite asserts.
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ def objective_vector(record: EvalRecord) -> Tuple[float, ...]:
     return tuple(record.metrics[name] for name in OBJECTIVES)
 
 
+def _scenario_order(record: EvalRecord) -> str:
+    """The record's canonical scenario JSON, which breaks ties between
+    equal figures. ``record.key`` comes last: it also hashes the planner
+    config, so a change to the config's fields alone would re-pick a
+    tied scenario."""
+    return json.dumps(record.scenario, sort_keys=True)
+
+
 def dominates(a: Tuple[float, ...], b: Tuple[float, ...]) -> bool:
     """True when ``a`` is no worse on every axis and better on one."""
     return all(x <= y for x, y in zip(a, b)) and any(
@@ -56,14 +65,14 @@ def pareto_frontier(
     """Non-dominated ``ok`` records, canonically ordered.
 
     Duplicate objective vectors all survive (they are genuinely tied);
-    order is by objective vector then key so the result is deterministic
-    regardless of input order.
+    order is by objective vector, then :func:`_scenario_order`, then key,
+    so the result is deterministic regardless of input order.
     """
     if isinstance(records, dict):
         records = records.values()
     ok = sorted(
         (r for r in records if r.status == "ok"),
-        key=lambda r: (objective_vector(r), r.key),
+        key=lambda r: (objective_vector(r), _scenario_order(r), r.key),
     )
     vectors = [objective_vector(r) for r in ok]
     frontier = []
@@ -106,6 +115,7 @@ def frontier_report(
         key=lambda r: (
             r.metrics["site_budget"],
             r.metrics["wire_budget"],
+            _scenario_order(r),
             r.key,
         ),
         default=None,
@@ -175,9 +185,10 @@ def _no_feasible_record(
     Instead of a silently empty ``cheapest_feasible``, the report says
     so outright and points at the *nearest* evaluated scenario to the
     feasibility boundary: fewest unassigned nets, then (when the bound
-    oracle ran) smallest optimality gap. ``certified_infeasible`` counts
-    scenarios the dual certificate *proved* unroutable — those are not
-    "the heuristic gave up", they are impossible at any effort.
+    oracle ran) smallest optimality gap, then :func:`_scenario_order`.
+    ``certified_infeasible`` counts scenarios the dual certificate
+    *proved* unroutable — those are not "the heuristic gave up", they
+    are impossible at any effort.
     """
     ok = [r for r in records if r.status == "ok"]
     certified = sum(
@@ -186,7 +197,10 @@ def _no_feasible_record(
     nearest = min(
         ok,
         key=lambda r: (
-            r.metrics["unassigned_nets"], _gap_sort_value(r), r.key
+            r.metrics["unassigned_nets"],
+            _gap_sort_value(r),
+            _scenario_order(r),
+            r.key,
         ),
         default=None,
     )

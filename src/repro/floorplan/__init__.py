@@ -1,21 +1,16 @@
-"""Floorplanning substrate.
+"""Floorplanning substrate: hard blocks placed inside a fixed die.
 
 The paper's experiments derive floorplans by running Cong et al.'s BBP code
 (Monte-Carlo simulated annealing) and discarding the inserted buffer blocks.
-We reproduce that role with a sequence-pair simulated-annealing floorplanner:
-given a set of hard macro blocks, it produces non-overlapping placements
-inside a fixed die, minimizing a weighted area/wirelength objective.
+Here :func:`repro.benchmarks.generator.generate_benchmark` fills that role
+by shelf packing; this package holds the :class:`Block` and
+:class:`Floorplan` it places.
 """
 
 from repro.floorplan.block import Block
 from repro.floorplan.floorplan import Floorplan
-from repro.floorplan.sequence_pair import SequencePair
-from repro.floorplan.annealing import AnnealingOptions, anneal_floorplan
 
 __all__ = [
     "Block",
     "Floorplan",
-    "SequencePair",
-    "AnnealingOptions",
-    "anneal_floorplan",
 ]

@@ -14,8 +14,7 @@ class Block:
 
     Attributes:
         name: unique block name.
-        width, height: dimensions in mm (the footprint may be rotated by
-            the floorplanner, which swaps these).
+        width, height: dimensions in mm.
         x, y: lower-left corner after placement; ``None`` until placed.
         allows_buffer_sites: False for array-structured macros (caches,
             data paths) that cannot host buffer sites; the tile-graph site

@@ -14,9 +14,8 @@ from repro.geometry import Point, Rect
 class Floorplan:
     """A fixed die outline with placed, non-overlapping hard blocks.
 
-    ``validate`` enforces the invariants; construction does not, so the
-    annealer can hold intermediate (overlapping) states in plain block lists
-    and only build a Floorplan from a legal result.
+    ``validate`` enforces the invariants; construction does not, so a
+    placer can build one before checking its result.
     """
 
     die: Rect

@@ -26,23 +26,18 @@ Because tile id ``x * ny + y`` is monotone in the ``(x, y)`` lexicographic
 order the old object-keyed heap used for tie-breaking, and the cached
 costs are bit-identical to the scalar formulas, the flat kernel settles
 tiles in exactly the same order and returns byte-identical trees.
-
-The cost is either one of the two built-ins or ``cost_array`` (per-edge-id
-costs, for bulk callers like the MCF router).
 """
 
 from __future__ import annotations
 
 import heapq
 import weakref
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
-from repro.errors import ConfigurationError, RoutingError
+from repro.errors import RoutingError
 from repro.routing.tree import RouteTree
 from repro.tilegraph.cost_cache import OVERFLOW_PENALTY
 from repro.tilegraph.graph import Tile, TileGraph
-
-EdgeCost = Callable[[TileGraph, Tile, Tile], float]
 
 __all__ = [
     "OVERFLOW_PENALTY",
@@ -80,33 +75,23 @@ def soft_congestion_cost(graph: TileGraph, u: Tile, v: Tile) -> float:
     return (usage + 1) / (capacity - usage)
 
 
-def scalar_edge_cost(graph: TileGraph, cost_fn: EdgeCost) -> EdgeCost:
-    """Swap a built-in cost for its cached-lookup equivalent.
+def scalar_edge_cost(graph: TileGraph) -> Callable[[Tile, Tile], float]:
+    """The soft cost of one edge, looked up in the graph's cost cache.
 
     The monotone optimizer evaluates edge costs one scalar at a time
     while *mutating usage between evaluations*, so it cannot hold
     a cost list across calls; the returned closure re-reads the cache on
     every lookup, which is still just a staleness check plus a list index
-    once the dirty set is empty. Unrecognized cost functions are returned
-    unchanged.
+    once the dirty set is empty. Its values equal
+    :func:`soft_congestion_cost`'s.
     """
-    if cost_fn is congestion_cost:
-        cache = graph.cost_cache()
-        edge_id = graph.edge_id
+    cache = graph.cost_cache()
+    edge_id = graph.edge_id
 
-        def _strict(_g: TileGraph, u: Tile, v: Tile) -> float:
-            return cache.strict_costs()[edge_id(u, v)]
+    def cost(u: Tile, v: Tile) -> float:
+        return cache.soft_costs()[edge_id(u, v)]
 
-        return _strict
-    if cost_fn is soft_congestion_cost:
-        cache = graph.cost_cache()
-        edge_id = graph.edge_id
-
-        def _soft(_g: TileGraph, u: Tile, v: Tile) -> float:
-            return cache.soft_costs()[edge_id(u, v)]
-
-        return _soft
-    return cost_fn
+    return cost
 
 
 def _search_window(
@@ -243,22 +228,49 @@ def _dijkstra_flat(
     return -1, expanded, pops, lookups
 
 
-def _route_net_flat(
+def route_net_on_tiles(
     graph: TileGraph,
     source: Tile,
     sinks: Sequence[Tile],
-    strict_costs: Sequence[float],
-    soft_costs_fn: Callable[[], Sequence[float]],
-    start_soft: bool,
-    radius_weight: float,
-    net_name: str,
-    window_margin: int,
-    tracer,
-    cache_backed: bool,
+    radius_weight: float = 0.0,
+    net_name: str = "",
+    window_margin: int = 6,
+    tracer=None,
 ) -> RouteTree:
-    """Route with per-edge-id cost lists on the flat index."""
+    """Route one net on the tile graph, congestion-aware.
+
+    Args:
+        graph: tile graph carrying current usage (this net must already be
+            ripped up, i.e., its own usage removed).
+        source: driver tile.
+        sinks: sink tiles (duplicates and the source tile allowed).
+        radius_weight: PD-style bias ``c``; attaching to a tree tile whose
+            path cost from the source is ``P`` charges ``c * P`` up front.
+        net_name: label for the returned tree.
+        window_margin: initial search-window margin in tiles; widened
+            fourfold, then dropped (whole grid) if a sink is unreachable
+            under the strict Eq. (1) cost, before the margins are scanned
+            again with :func:`soft_congestion_cost`. Both costs are read
+            from the graph's cached cost lists.
+        tracer: optional :class:`repro.obs.Tracer`; accumulates
+            ``maze_nodes_expanded``, ``route.heap_pops`` and
+            ``route.cache_hits``.
+
+    Returns:
+        A :class:`RouteTree` connecting the source to every sink. Its
+        ``read_box`` is the widest window any attempt searched: the
+        search reads ``costs[e]`` only for edges with both endpoints
+        inside it, so the tree is a function of the pins and of those
+        costs (the incremental service relies on this).
+
+    Raises:
+        RoutingError: only if even the soft cost cannot connect (grid
+            disconnected), which cannot happen on a standard grid.
+    """
     flat = graph.flat()
     ws = workspace_for(graph)
+    cache = graph.cost_cache()
+    strict_costs = cache.strict_costs()
     tile_index = graph.tile_index
     tile_at = graph.tile_at
 
@@ -281,39 +293,27 @@ def _route_net_flat(
 
     while pending:
         target = -1
-        used_costs = soft_costs_fn() if start_soft else strict_costs
-        soft = start_soft
-        for attempt, margin in enumerate(margins):
-            widest = max(widest, margin)
-            window = _search_window(graph, all_pins, margin)
-            seeds = [
-                (idx, radius_weight * path_cost)
-                for idx, path_cost in tree_tiles.items()
-            ]
-            target, expanded, pops, lookups = _dijkstra_flat(
-                flat, ws, used_costs, seeds, pending, window
-            )
-            total_expanded += expanded
-            total_pops += pops
-            total_lookups += lookups
+        seeds = [
+            (idx, radius_weight * path_cost)
+            for idx, path_cost in tree_tiles.items()
+        ]
+        # The soft rescan runs only after the full-grid strict search
+        # failed. The workspace (dist/parent/heap buffers) carries over;
+        # only the epoch advances.
+        for soft in (False, True):
+            used_costs = cache.soft_costs() if soft else strict_costs
+            for margin in margins:
+                widest = max(widest, margin)
+                window = _search_window(graph, all_pins, margin)
+                target, expanded, pops, lookups = _dijkstra_flat(
+                    flat, ws, used_costs, seeds, pending, window
+                )
+                total_expanded += expanded
+                total_pops += pops
+                total_lookups += lookups
+                if target >= 0:
+                    break
             if target >= 0:
-                break
-            if attempt == len(margins) - 1 and not soft:
-                # Full-grid strict search failed: relax to the soft cost
-                # and rescan the margins. The workspace (dist/parent/heap
-                # buffers) carries over — only the epoch advances.
-                soft = True
-                used_costs = soft_costs_fn()
-                for margin2 in margins:
-                    window = _search_window(graph, all_pins, margin2)
-                    target, expanded, pops, lookups = _dijkstra_flat(
-                        flat, ws, used_costs, seeds, pending, window
-                    )
-                    total_expanded += expanded
-                    total_pops += pops
-                    total_lookups += lookups
-                    if target >= 0:
-                        break
                 break
         if target < 0:
             unreachable = sorted(tile_at(i) for i in pending)
@@ -341,85 +341,9 @@ def _route_net_flat(
             tracer.count("maze_nodes_expanded", total_expanded)
         if total_pops:
             tracer.count("route.heap_pops", total_pops)
-        if cache_backed and total_lookups:
+        if total_lookups:
             tracer.count("route.cache_hits", total_lookups)
     sink_tiles = sorted(sink_set)
     tree = RouteTree.from_parent_map(source, parent, sink_tiles, net_name=net_name)
-    # The soft rescan runs only after the full-grid strict attempt, so it
-    # never widens the box.
     tree.read_box = _search_window(graph, all_pins, widest)
     return tree
-
-
-def route_net_on_tiles(
-    graph: TileGraph,
-    source: Tile,
-    sinks: Sequence[Tile],
-    cost_fn: EdgeCost = congestion_cost,
-    radius_weight: float = 0.0,
-    net_name: str = "",
-    window_margin: int = 6,
-    tracer=None,
-    cost_array: Optional[Sequence[float]] = None,
-) -> RouteTree:
-    """Route one net on the tile graph, congestion-aware.
-
-    Args:
-        graph: tile graph carrying current usage (this net must already be
-            ripped up, i.e., its own usage removed).
-        source: driver tile.
-        sinks: sink tiles (duplicates and the source tile allowed).
-        cost_fn: per-edge cost: the strict Eq. (1) cost (default) or
-            :func:`soft_congestion_cost`, both read from the graph's cached
-            cost lists.
-        radius_weight: PD-style bias ``c``; attaching to a tree tile whose
-            path cost from the source is ``P`` charges ``c * P`` up front.
-        net_name: label for the returned tree.
-        window_margin: initial search-window margin in tiles; doubled, then
-            dropped (whole grid) if a sink is unreachable, before falling
-            back to the soft cost.
-        tracer: optional :class:`repro.obs.Tracer`; accumulates
-            ``maze_nodes_expanded``, ``route.heap_pops`` and (when the
-            cost cache serves the search) ``route.cache_hits``.
-        cost_array: per-edge-id costs overriding ``cost_fn`` on the flat
-            kernel (bulk callers, e.g. the MCF router). The soft-cost
-            fallback still applies when it leaves a sink unreachable.
-
-    Returns:
-        A :class:`RouteTree` connecting the source to every sink. Its
-        ``read_box`` is the widest window any attempt searched: the
-        search reads ``costs[e]`` only for edges with both endpoints
-        inside it, so the tree is a function of the pins and of those
-        costs (the incremental service relies on this).
-
-    Raises:
-        ConfigurationError: ``cost_fn`` is neither built-in cost and no
-            ``cost_array`` is given.
-        RoutingError: only if even the soft cost cannot connect (grid
-            disconnected), which cannot happen on a standard grid.
-    """
-    if cost_array is not None:
-        cache = graph.cost_cache()
-        return _route_net_flat(
-            graph, source, sinks, cost_array, cache.soft_costs, False,
-            radius_weight, net_name, window_margin, tracer,
-            cache_backed=False,
-        )
-    if cost_fn is congestion_cost:
-        cache = graph.cost_cache()
-        return _route_net_flat(
-            graph, source, sinks, cache.strict_costs(), cache.soft_costs,
-            False, radius_weight, net_name, window_margin, tracer,
-            cache_backed=True,
-        )
-    if cost_fn is soft_congestion_cost:
-        cache = graph.cost_cache()
-        return _route_net_flat(
-            graph, source, sinks, cache.soft_costs(), cache.soft_costs,
-            True, radius_weight, net_name, window_margin, tracer,
-            cache_backed=True,
-        )
-    raise ConfigurationError(
-        f"unsupported cost_fn {cost_fn!r}: pass congestion_cost, "
-        "soft_congestion_cost or a cost_array"
-    )

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Sequence
 
 from repro.errors import ConfigurationError
 from repro.obs import NULL_TRACER
-from repro.routing.maze import congestion_cost, route_net_on_tiles
+from repro.routing.maze import route_net_on_tiles
 from repro.routing.tree import RouteTree
 from repro.tilegraph.congestion import wire_congestion_stats
 from repro.tilegraph.graph import TileGraph
@@ -97,7 +97,6 @@ def _run_pass(
             graph,
             tree.source,
             tree.sink_tiles,
-            cost_fn=congestion_cost,
             radius_weight=options.radius_weight,
             net_name=name,
             window_margin=options.window_margin,

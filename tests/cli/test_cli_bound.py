@@ -62,7 +62,7 @@ class TestCapabilities:
         rows = json.loads(capsys.readouterr().out)
         meta = next(r for r in rows if r["kind"] == "meta")
         assert "gk" in meta["bound_modes"]
-        assert "mcf" in meta["routers"]
+        assert "routers" not in meta
         assert meta["buffer_libraries"] == ["single", "tech"]
 
     def test_list_text_mentions_bound_modes(self, capsys):
@@ -75,3 +75,4 @@ class TestCapabilities:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "bound_modes" in out and "gk" in out
+        assert "routers" not in out

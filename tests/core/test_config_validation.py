@@ -17,16 +17,23 @@ from repro.tilegraph import CapacityModel, TileGraph
 
 class TestRabidConfigValidation:
     def test_defaults_are_valid(self):
-        config = RabidConfig()
-        assert config.router == "pd"
+        RabidConfig()
 
-    @pytest.mark.parametrize("router", ["pd", "mcf"])
-    def test_known_routers_accepted(self, router):
-        assert RabidConfig(router=router).router == router
+    def test_retired_router_pd_dropped(self):
+        """Configs written while Stage 1 had a router choice carry
+        ``"router": "pd"``: they load, and re-save without the key."""
+        legacy = {**RabidConfig().as_dict(), "router": "pd"}
+        config = RabidConfig.from_dict(legacy)
+        assert config == RabidConfig()
+        assert "router" not in config.as_dict()
+        assert RabidConfig.from_dict(config.as_dict()) == config
 
     def test_unknown_router_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown router"):
-            RabidConfig(router="astar")
+        """Any other router would plan a different Stage 1, so it is
+        refused rather than silently re-planned with Prim-Dijkstra."""
+        for router in ("mcf", "astar", 5, None):
+            with pytest.raises(ConfigurationError, match="retired router"):
+                RabidConfig.from_dict({"router": router})
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -1,5 +1,8 @@
 """Pareto dominance, canonical reports, and sensitivity analysis."""
 
+from dataclasses import replace
+
+from repro.core import RabidConfig
 from repro.explore import (
     Dimension,
     OBJECTIVES,
@@ -14,7 +17,7 @@ from repro.explore import (
 from repro.explore.executor import ExploreResult
 from repro.explore.frontier import dominates, objective_vector
 from repro.explore.space import SamplePoint
-from repro.explore.store import EvalRecord
+from repro.explore.store import EvalRecord, scenario_key
 from repro.service.jobs import ScenarioSpec
 
 
@@ -147,6 +150,66 @@ class TestFrontierReport:
         assert one.endswith(b"\n")
         assert b"seconds" not in one
         assert b"attempts" not in one
+
+
+class _ConfigDict:
+    """A config as :func:`scenario_key` sees it: only its ``as_dict()``."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def as_dict(self):
+        return self.payload
+
+
+class TestTieBreak:
+    """Equal figures are ordered by the scenario's canonical JSON, not by
+    the key, which also hashes the planner config: a change to the
+    config's fields alone must not re-pick a tied scenario."""
+
+    # The two scenarios of ``--dim 'buffer_library=single,tech'``.
+    SINGLE = ScenarioSpec(
+        grid=16, num_nets=120, total_sites=600, buffer_library="single"
+    )
+    TECH = replace(SINGLE, buffer_library="tech")
+
+    def picks(self, single_key, tech_key, unassigned):
+        records = [
+            replace(record(key, unassigned=unassigned), scenario=spec.to_dict())
+            for key, spec in ((single_key, self.SINGLE), (tech_key, self.TECH))
+        ]
+        report = frontier_report(records)
+        nearest = (report["no_feasible"] or {}).get("nearest") or {}
+        cheapest = report["cheapest_feasible"] or {}
+        return (
+            [r.key for r in pareto_frontier(records[::-1])],
+            cheapest.get("key"),
+            nearest.get("key"),
+        )
+
+    def test_scenario_order_beats_key_order(self):
+        # "k1" < "k2": the keys put the tech scenario first, while the
+        # canonical JSON puts "single" before "tech".
+        assert self.picks("k2", "k1", unassigned=0) == (["k2", "k1"], "k2", None)
+        assert self.picks("k2", "k1", unassigned=3) == (["k2", "k1"], None, "k2")
+
+    def test_picks_hold_when_keys_are_recomputed(self):
+        # A config dict without and with the retired ``router`` field
+        # hashes the two scenarios in opposite key orders; every pick
+        # stays the "single" scenario.
+        without = RabidConfig().as_dict()
+        without.pop("router", None)
+        orders = set()
+        for payload in (without, {**without, "router": "pd"}):
+            config = _ConfigDict(payload)
+            single = scenario_key(self.SINGLE, config)
+            tech = scenario_key(self.TECH, config)
+            orders.add(single < tech)
+            for unassigned in (0, 3):
+                frontier, cheapest, nearest = self.picks(single, tech, unassigned)
+                assert frontier == [single, tech]
+                assert (cheapest or nearest) == single
+        assert orders == {True, False}
 
 
 def fake_result():

@@ -176,3 +176,18 @@ class TestPlanRoundTrip:
         legacy["config"]["config"]["stage3_solvers"] = {"net1": "greedy"}
         with pytest.raises(ConfigurationError, match="greedy"):
             plan_from_dict(legacy)
+
+    def test_plan_json_with_retired_router_loads(self, planned, tmp_path):
+        """Every plan file written while Stage 1 had a router choice
+        carries ``"router": "pd"``: it loads, and re-saves without it."""
+        payload = plan_to_dict(planned.graph, planned.routes, planned.config)
+        legacy = json.loads(json.dumps(payload))
+        legacy["config"]["config"]["router"] = "pd"
+        path = tmp_path / "legacy-plan.json"
+        path.write_text(json.dumps(legacy))
+        graph, routes, config = load_plan_json(path)
+        assert plan_to_dict(graph, routes, config) == payload
+        legacy["config"]["config"]["router"] = "mcf"
+        path.write_text(json.dumps(legacy))
+        with pytest.raises(ConfigurationError, match="retired router"):
+            load_plan_json(path)

@@ -24,11 +24,7 @@ import repro.core.two_path as two_path
 from repro.core.costs import buffer_site_cost
 from repro.core.two_path import _remove_loops, _wire_path, best_buffered_path
 from repro.geometry import Rect
-from repro.routing.maze import (
-    congestion_cost,
-    scalar_edge_cost,
-    soft_congestion_cost,
-)
+from repro.routing.maze import congestion_cost, soft_congestion_cost
 from repro.tilegraph import CapacityModel, TileGraph
 
 INF = float("inf")
@@ -45,7 +41,6 @@ def reference_buffered_path(
     wire_cost=congestion_cost,
 ):
     L = length_limit
-    wire_cost = scalar_edge_cost(graph, wire_cost)
     goals: Set[Tile] = {goal} if isinstance(goal, tuple) else set(goal)
     if start in goals:
         return [start]
@@ -104,7 +99,6 @@ def reference_buffered_path(
 
 
 def reference_plain_path(graph, start, goal, forbidden, window, wire_cost):
-    wire_cost = scalar_edge_cost(graph, wire_cost)
     x0, y0, x1, y1 = window
     dist: Dict[Tile, float] = {start: 0.0}
     pred: Dict[Tile, Tile] = {}

@@ -1,14 +1,12 @@
 """The flat-array maze kernel: fallback parity, workspaces, blocked tiles."""
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
-import pytest
 
-from repro.errors import ConfigurationError, RoutingError
+from repro.errors import RoutingError
 from repro.routing.maze import (
-    EdgeCost,
     RoutingWorkspace,
     _dijkstra_flat,
     _search_window,
@@ -20,10 +18,13 @@ from repro.routing.maze import (
 )
 from repro.routing.tree import RouteTree
 from repro.tilegraph import CapacityModel, TileGraph
-from repro.tilegraph.graph import Tile
+from repro.tilegraph.graph import Tile, TileGraph
 
-# Reference: the dict-keyed wavefront ``route_net_on_tiles`` ran for
-# caller-supplied cost functions before it rejected them, copied verbatim.
+EdgeCost = Callable[[TileGraph, Tile, Tile], float]
+
+# Reference: the dict-keyed wavefront ``route_net_on_tiles`` once ran for
+# caller-supplied cost functions, copied verbatim. It calls the scalar
+# cost formulas, so it also checks the flat kernel's cached cost lists.
 
 
 def _dijkstra_to_sink(
@@ -167,8 +168,8 @@ class TestSoftFallbackParity:
         for g in (graph_a, graph_b):
             saturate_column(g, 4)  # wall between x=4 and x=5
         fallback = route_net_on_tiles(graph_a, (0, 5), [(9, 5)])
-        direct = route_net_on_tiles(
-            graph_b, (0, 5), [(9, 5)], cost_fn=soft_congestion_cost
+        direct = _route_net_generic(
+            graph_b, (0, 5), [(9, 5)], soft_congestion_cost, 0.0, "", 6, None
         )
         assert canonical_edges(fallback) == canonical_edges(direct)
 
@@ -211,31 +212,17 @@ class TestFlatVsGenericParity:
             slow.add_usage(generic_graph)
         assert (flat_graph.edge_usage == generic_graph.edge_usage).all()
 
-    def test_other_cost_fn_rejected(self, graph10):
-        def strict_clone(graph, u, v):
-            return congestion_cost(graph, u, v)
-
-        with pytest.raises(ConfigurationError, match="cost_fn"):
-            route_net_on_tiles(graph10, (0, 0), [(5, 5)], cost_fn=strict_clone)
-
-    def test_cost_array_override(self, graph10):
-        """A uniform cost array routes like an unweighted BFS (shortest path)."""
-        costs = [1.0] * graph10.num_edges
-        tree = route_net_on_tiles(graph10, (0, 0), [(6, 2)], cost_array=costs)
-        assert tree.wirelength_tiles() == 8
-
     def test_scalar_edge_cost_tracks_mutation(self, graph10):
-        lookup = scalar_edge_cost(graph10, congestion_cost)
-        assert lookup(graph10, (0, 0), (1, 0)) == congestion_cost(
-            graph10, (0, 0), (1, 0)
-        )
-        graph10.add_wire((0, 0), (1, 0), 5)
-        assert lookup(graph10, (0, 0), (1, 0)) == congestion_cost(
-            graph10, (0, 0), (1, 0)
-        )
-        # Unknown callables pass through untouched.
-        custom = lambda g, u, v: 2.0
-        assert scalar_edge_cost(graph10, custom) is custom
+        """The monotone optimizer's lookup reads the soft cost afresh
+        after every usage change, overfull edges included."""
+        lookup = scalar_edge_cost(graph10)
+        edge = ((0, 0), (1, 0))
+        capacity = graph10.wire_capacity(*edge)
+        for load in (0, capacity - 1, 1, capacity):
+            assert lookup(*edge) == soft_congestion_cost(graph10, *edge)
+            graph10.add_wire(*edge, load)
+        assert lookup(*edge) == soft_congestion_cost(graph10, *edge)
+        assert graph10.wire_usage(*edge) > capacity
 
 
 class TestBlockedTiles:

@@ -50,6 +50,19 @@ def test_round_trip_preserves_signature(baseline, tmp_path):
     assert set(restored.outcomes) == set(baseline.outcomes)
 
 
+def test_checkpoint_with_retired_router_loads(baseline, tmp_path):
+    # Checkpoints written while Stage 1 had a router choice carry
+    # ``"router": "pd"`` in the plan's config; they restore as before.
+    payload = checkpoint_to_dict("b0", baseline)
+    payload["plan"]["config"]["config"]["router"] = "pd"
+    path = tmp_path / "legacy.ckpt.json"
+    path.write_text(json.dumps(payload))
+    baseline_id, restored = load_checkpoint(path)
+    assert baseline_id == "b0"
+    assert restored.signature == baseline.signature
+    assert restored.config == baseline.config
+
+
 def test_restored_plan_supports_incremental_replan(baseline, tmp_path):
     path = tmp_path / "b0.ckpt.json"
     save_checkpoint(path, "b0", baseline)
