@@ -3,13 +3,11 @@
 Each run takes one workload (grid / nets / site budget) and a list of
 epsilon values. The ``full_plan`` plan (a maze route plus the Stage-3
 walk, no Stage 2 or 4) is computed once per workload; then, for every
-epsilon, the Garg-Konemann oracle produces a certified lower bound, the
-dual certificate is re-verified from scratch, and the fractional
-columns are rounded into a concrete comparison plan. One trajectory
-entry is appended per epsilon. The bound prices at ``theta = 0`` and
-depends on neither epsilon nor the iteration count, so the gap is the
-same in every row; epsilon moves ``lambda_lb`` and the rounding
-columns.
+epsilon, the Garg-Konemann oracle produces a certified lower bound and
+the dual certificate is re-verified from scratch. One trajectory entry
+is appended per epsilon. The bound prices at ``theta = 0`` and depends
+on neither epsilon nor the iteration count, so the gap is the same in
+every row; epsilon moves ``lambda_lb``.
 
 The acceptance workloads are the 32x32 / 500-net scenario (the repo's
 standard kernel size) and the 64x64 / 2000-net stretch; ``--fast`` runs
@@ -33,7 +31,6 @@ from repro.bounds import (
     BoundOptions,
     bound_scenario,
     plan_surrogate_cost,
-    round_candidates,
     verify_certificate,
 )
 from repro.core.rabid import RabidConfig
@@ -62,8 +59,6 @@ class BoundsKernelResult:
     pricing_calls: int
     seconds_bound: float
     seconds_plan: float
-    rounded_cost: float
-    rounded_wire_overflow: int
     certificate_ok: bool
 
     @property
@@ -122,18 +117,15 @@ def run_bounds_kernel(
             epsilon=epsilon,
             iterations=iterations,
             window_margin=window_margin,
-            seed=seed,
         )
         t0 = time.perf_counter()
         bound = bound_scenario(scenario, options)
         seconds_bound = time.perf_counter() - t0
 
-        graph = build_graph(scenario)
         verify = verify_certificate(
-            bound.certificate(), graph, nets, limits,
+            bound.certificate(), build_graph(scenario), nets, limits,
             window_margin=window_margin,
         )
-        rounded = round_candidates(graph, bound.candidates, seed=seed)
 
         gap: Optional[float] = None
         if not bound.certified_infeasible and unassigned == 0:
@@ -163,8 +155,6 @@ def run_bounds_kernel(
                 pricing_calls=bound.pricing_calls,
                 seconds_bound=round(seconds_bound, 4),
                 seconds_plan=round(seconds_plan, 4),
-                rounded_cost=rounded.total_cost,
-                rounded_wire_overflow=rounded.wire_overflow,
                 certificate_ok=bool(verify["ok"]),
             )
         )
@@ -202,8 +192,6 @@ def append_bounds_entry(
             "pricing_calls": result.pricing_calls,
             "seconds_bound": result.seconds_bound,
             "seconds_plan": result.seconds_plan,
-            "rounded_cost": result.rounded_cost,
-            "rounded_wire_overflow": result.rounded_wire_overflow,
             "certificate_ok": result.certificate_ok,
         },
         extra=extra,

@@ -7,9 +7,8 @@ buffered path, priced by a resource-constrained Dijkstra
 (:mod:`repro.bounds.pricing`), and its length-rule floor; Garg-Konemann
 length updates for the capacity certificate; a serializable dual
 certificate anyone can re-verify (:mod:`repro.bounds.certificate`),
-seeded randomized rounding into a competing integral plan
-(:mod:`repro.bounds.rounding`), and per-scenario ``optimality_gap``
-metrics for the explore subsystem (:mod:`repro.bounds.gap`).
+and per-scenario ``optimality_gap`` metrics for the explore subsystem
+(:mod:`repro.bounds.gap`). The bound certifies plans; it makes none.
 
 Entry points: ``repro bound`` on the CLI, ``RabidConfig(bound="gk")``
 for sweeps, :func:`bound_scenario` / :func:`compute_bound` in code. See
@@ -28,12 +27,10 @@ from repro.bounds.oracle import (
     BOUND_MODES,
     BoundOptions,
     BoundResult,
-    Candidate,
     bound_scenario,
     compute_bound,
 )
 from repro.bounds.pricing import NetPricing, PathPricer, PricedPath
-from repro.bounds.rounding import RoundedPlan, round_candidates
 
 __all__ = [
     "BOUND_CERT_SCHEMA_VERSION",
@@ -41,17 +38,14 @@ __all__ = [
     "BoundCertificate",
     "BoundOptions",
     "BoundResult",
-    "Candidate",
     "NetPricing",
     "PathPricer",
     "PricedPath",
-    "RoundedPlan",
     "bound_scenario",
     "compute_bound",
     "gap_metrics",
     "load_certificate",
     "plan_surrogate_cost",
-    "round_candidates",
     "save_certificate",
     "verify_certificate",
 ]

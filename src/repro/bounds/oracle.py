@@ -40,9 +40,7 @@ the bound; they feed ``D`` and two infeasibility certificates:
   fractional routing fits inside the capacities (the standard
   concurrent-flow dual bound), which triages all-infeasible sweeps.
 
-The per-iteration cheapest routes double as candidate columns for
-seeded randomized rounding (:mod:`repro.bounds.rounding`), making the
-oracle a competing integral arm as well as a certificate. A bound makes
+The oracle certifies plans; it does not make one. A bound makes
 ``(iterations + 2) * nets`` pricing calls: the length rounds, the
 ``theta = 0`` sweep and the ``lambda_lb`` sweep.
 """
@@ -72,14 +70,13 @@ class BoundOptions:
     Attributes:
         mode: which oracle; only ``"gk"`` exists today.
         epsilon: Garg-Konemann length-update step (0, 1]. It moves the
-            dual lengths, hence ``lambda_lb`` and the rounding columns;
-            the bound prices at ``theta = 0`` and depends on neither
-            epsilon nor ``iterations``.
+            dual lengths, hence ``D`` and ``lambda_lb``; the bound
+            prices at ``theta = 0`` and depends on neither epsilon nor
+            ``iterations``.
         iterations: full pricing rounds of length updates.
         window_margin: pricing Dijkstra window margin (tiles).
         wire_cost: cost per tile edge in the LP objective.
         buffer_cost: cost per inserted repeater.
-        seed: randomized-rounding seed.
         triage: run the millisecond routability triage first and skip
             pricing entirely when it *certifies* infeasibility
             (counter ``triage.skips``).
@@ -91,7 +88,6 @@ class BoundOptions:
     window_margin: int = 10
     wire_cost: float = 1.0
     buffer_cost: float = 1.0
-    seed: int = 0
     triage: bool = False
 
     def __post_init__(self) -> None:
@@ -106,15 +102,6 @@ class BoundOptions:
             raise ConfigurationError("bound needs at least one iteration")
         if self.wire_cost < 0 or self.buffer_cost < 0:
             raise ConfigurationError("costs must be >= 0")
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """One buffered route column generated during the length phase."""
-
-    edges: Tuple[int, ...]
-    buffers: Tuple[int, ...]
-    cost: float
 
 
 @dataclass
@@ -140,7 +127,6 @@ class BoundResult:
     structural_nets: List[str]
     edge_lengths: List[float] = field(repr=False)
     site_lengths: List[float] = field(repr=False)
-    candidates: Dict[str, List[Tuple[Candidate, int]]] = field(repr=False)
     pricing_calls: int = 0
     seconds: float = 0.0
 
@@ -231,11 +217,10 @@ def compute_bound(
     site_lengths = [1.0 / cap if cap > 0 else INF for cap in site_caps]
     names = sorted(nets)
     structural: set = set()
-    candidates: Dict[str, Dict[Tuple, List]] = {name: {} for name in names}
     pricing_calls = 0
     epsilon = options.epsilon
 
-    # Phase 1: Garg-Konemann length evolution + column collection.
+    # Phase 1: Garg-Konemann length evolution.
     with tracer.span("bound.lengths", nets=len(names)):
         for _ in range(options.iterations):
             for name in names:
@@ -252,28 +237,16 @@ def compute_bound(
                 if not priced.reachable:
                     structural.add(name)
                     continue
-                union_edges = sorted(
-                    {e for p in priced.paths.values() for e in p.edges}
-                )
-                union_bufs = sorted(
-                    {b for p in priced.paths.values() for b in p.buffers}
-                )
+                union_edges = {
+                    e for p in priced.paths.values() for e in p.edges
+                }
+                union_bufs = {
+                    b for p in priced.paths.values() for b in p.buffers
+                }
                 for eid in union_edges:
                     edge_lengths[eid] *= 1.0 + epsilon / capacities[eid]
                 for idx in union_bufs:
                     site_lengths[idx] *= 1.0 + epsilon / site_caps[idx]
-                column = (tuple(union_edges), tuple(union_bufs))
-                slot = candidates[name].get(column)
-                if slot is None:
-                    cost = (
-                        options.wire_cost * len(union_edges)
-                        + options.buffer_cost * len(union_bufs)
-                    )
-                    candidates[name][column] = [
-                        Candidate(column[0], column[1], cost), 1
-                    ]
-                else:
-                    slot[1] += 1
             tracer.count("bound.iterations")
 
     # D = sum_e W(e) l(e) + sum_v B(v) s(v) over finite lengths.
@@ -344,13 +317,6 @@ def compute_bound(
         structural_nets=sorted(structural),
         edge_lengths=edge_lengths,
         site_lengths=site_lengths,
-        candidates={
-            name: [
-                (slot[0], slot[1])
-                for _, slot in sorted(columns.items())
-            ]
-            for name, columns in candidates.items()
-        },
         pricing_calls=pricing_calls,
         seconds=time.perf_counter() - start,
     )
@@ -406,7 +372,6 @@ def bound_scenario(
                 structural_nets=[],
                 edge_lengths=[],
                 site_lengths=[],
-                candidates={},
                 pricing_calls=0,
                 seconds=verdict.seconds,
             )

@@ -308,11 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "gap against the certified bound",
     )
     bound.add_argument(
-        "--round", action="store_true", dest="round_plan",
-        help="round the fractional solution into an integral plan "
-        "(seeded, deterministic) and report its cost/overflow",
-    )
-    bound.add_argument(
         "--cert", metavar="PATH",
         help="write the dual certificate JSON to PATH",
     )
@@ -623,7 +618,6 @@ def _cmd_bound(args) -> int:
     from repro.bounds import (
         BoundOptions,
         bound_scenario,
-        round_candidates,
         save_certificate,
         verify_certificate,
     )
@@ -641,7 +635,7 @@ def _cmd_bound(args) -> int:
     )
     options = BoundOptions(
         mode=args.mode, epsilon=args.epsilon, iterations=args.iterations,
-        seed=args.seed, triage=args.triage,
+        triage=args.triage,
     )
     result = bound_scenario(scenario, options)
     payload = result.summary()
@@ -659,11 +653,6 @@ def _cmd_bound(args) -> int:
                 (plan - result.lower_bound) / max(result.lower_bound, 1.0),
                 6,
             )
-    if args.round_plan:
-        rounded = round_candidates(
-            build_graph(scenario), result.candidates, seed=args.seed
-        )
-        payload["rounded"] = rounded.summary()
     certificate = result.certificate()
     if args.cert:
         save_certificate(certificate, args.cert)
@@ -703,13 +692,6 @@ def _cmd_bound(args) -> int:
             print(
                 f"plan cost {payload['plan_cost']}"
                 + (f", optimality gap {gap}" if gap is not None else "")
-            )
-        if "rounded" in payload:
-            r = payload["rounded"]
-            print(
-                f"rounded arm: cost {r['total_cost']}, "
-                f"wire overflow {r['wire_overflow']}, "
-                f"site overflow {r['site_overflow']}"
             )
         if "verify" in payload:
             v = payload["verify"]

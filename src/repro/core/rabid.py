@@ -106,8 +106,9 @@ class RabidConfig:
             buffered-MCF bound per scenario and report ``lower_bound``,
             ``optimality_gap``, and ``certified_infeasible`` metrics.
         bound_epsilon: Garg-Konemann epsilon for the oracle's length
-            updates. It moves ``lambda_lb`` and the rounding columns,
-            not the bound, which prices at ``theta = 0``.
+            updates. It moves ``lambda_lb`` (and so explore's
+            ``certified_infeasible``), not the bound, which prices at
+            ``theta = 0``.
     """
 
     length_limit: int = 5

@@ -50,15 +50,6 @@ class Block:
     def center(self) -> Point:
         return self.rect().center
 
-    def rotated(self) -> "Block":
-        """A copy with width and height swapped (placement cleared)."""
-        return Block(
-            name=self.name,
-            width=self.height,
-            height=self.width,
-            allows_buffer_sites=self.allows_buffer_sites,
-        )
-
     def boundary_point(self, t: float) -> Point:
         """Point on the block boundary, parameterized by ``t in [0, 1)``.
 

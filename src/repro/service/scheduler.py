@@ -51,6 +51,7 @@ version only when the attempt succeeds.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import random
 import threading
@@ -166,6 +167,12 @@ class BaselineRecord:
     version: int = 0
     dirty: bool = False
     summary: Optional[Dict[str, Any]] = None
+
+
+def _wake(future: asyncio.Future) -> None:
+    """Resolve a ``wait`` future on its loop, unless it was cancelled."""
+    if not future.done():
+        future.set_result(None)
 
 
 def _baseline_of(job: Job) -> str:
@@ -471,9 +478,11 @@ class PlanningService:
 
     Thread model: ``submit``/``record``/``stats`` run on the caller's
     thread (the event loop); one dispatcher thread per shard runs jobs;
-    every shared structure is guarded by one condition variable. The
-    asyncio surface (``start``/``stop``/``wait``/``drain``) polls, so
-    :class:`repro.service.protocol.ProtocolServer` serves it directly.
+    every shared structure is guarded by one condition variable.
+    :class:`repro.service.protocol.ProtocolServer` serves the asyncio
+    surface (``start``/``stop``/``wait``/``drain``) directly. ``wait``
+    sleeps until the job's finish wakes it; ``stop`` and ``drain_until``
+    poll every 10 ms.
     """
 
     def __init__(
@@ -493,6 +502,10 @@ class PlanningService:
         self._queues = TenantQueues(max_per_tenant=self.options.max_queue)
         self._records: Dict[str, JobRecord] = {}
         self._baselines: Dict[str, BaselineRecord] = {}
+        # job id -> the (loop, future) pairs of the ``wait`` calls on it.
+        self._waiters: Dict[
+            str, List[Tuple[asyncio.AbstractEventLoop, asyncio.Future]]
+        ] = {}
         # The plan cache the job body reads (baseline id -> committed
         # version and plan): the in-process shard's own; a forked shard
         # inherits a copy at fork.
@@ -721,11 +734,21 @@ class PlanningService:
                 "workers": self.options.workers,
             }
 
-    async def wait(self, job_id: str, poll: float = 0.01) -> JobRecord:
-        """Block until a job reaches a terminal status."""
+    async def wait(self, job_id: str) -> JobRecord:
+        """Block until a job reaches a terminal status.
+
+        The status is checked and the waiter registered under the
+        condition, so a finish cannot slip in between; ``_finish`` then
+        wakes the waiter on its own loop.
+        """
         record = self.record(job_id)
-        while record.status not in _TERMINAL:
-            await asyncio.sleep(poll)
+        loop = asyncio.get_running_loop()
+        with self._cond:
+            if record.status in _TERMINAL:
+                return record
+            future = loop.create_future()
+            self._waiters.setdefault(job_id, []).append((loop, future))
+        await future
         return record
 
     # -- dispatch internals (shard threads, under the condition) ---------- #
@@ -786,6 +809,7 @@ class PlanningService:
             record.status = status
             self._count(status.value)
             self._cond.notify_all()
+            waiters = self._waiters.pop(record.job.job_id, [])
         if self.tracer.enabled and status is JobStatus.DONE:
             job = record.job
             mode = "baseline" if job.kind == "baseline" else job.mode
@@ -795,6 +819,10 @@ class PlanningService:
             )
             self.tracer.observe("service.exec_seconds", elapsed)
             self.tracer.observe(f"service.exec_seconds.{mode}", elapsed)
+        for loop, future in waiters:
+            # A closed loop has no waiter left to wake.
+            with contextlib.suppress(RuntimeError):
+                loop.call_soon_threadsafe(_wake, future)
 
     def _commit(self, record: JobRecord, reply: Dict[str, Any]) -> None:
         job = record.job

@@ -39,7 +39,6 @@ from repro.workloads.triage import (
     TRIAGE_MODES,
     VERDICTS,
     RoutabilityVerdict,
-    TriageOptions,
     smear_demand,
     triage_scenario,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "TRIAGE_MODES",
     "VERDICTS",
     "RoutabilityVerdict",
-    "TriageOptions",
     "smear_demand",
     "triage_scenario",
 ]

@@ -24,7 +24,7 @@ Three layers, from proof to estimate:
 * **Site pressure** (estimate): ``demand_lb / total_sites``. Measured
   separation on this repo's workloads: infeasible site-contended
   scenarios sit at ~0.42+, every feasible control at <= 0.30 — the
-  default ceiling 0.40 prunes only well inside the infeasible band.
+  ceiling 0.40 prunes only well inside the infeasible band.
   This is *not* a proof; see docs/WORKLOADS.md for the caveats.
 
 * **Wire utilization** (estimate): per-edge demand smeared uniformly
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -50,32 +50,16 @@ VERDICTS = ("infeasible", "site_starved", "congested", "routable")
 #: Prune policies for gates built on a verdict.
 TRIAGE_MODES = ("off", "certified", "estimate")
 
+#: ``demand_lb / total_sites`` above which a scenario is flagged
+#: ``site_starved``; calibrated with margin on this repo's workload
+#: family (feasible controls measure <= 0.30).
+SITE_PRESSURE_CEILING = 0.40
 
-@dataclass(frozen=True)
-class TriageOptions:
-    """Estimator knobs.
+#: Smeared per-edge utilization above which a scenario is ``congested``.
+UTILIZATION_CEILING = 1.0
 
-    Attributes:
-        site_pressure_ceiling: ``demand_lb / total_sites`` above which
-            the scenario is flagged ``site_starved``. The default 0.40
-            is calibrated with margin on this repo's workload family
-            (feasible controls measure <= 0.30).
-        utilization_ceiling: smeared per-edge utilization above which
-            the scenario is flagged ``congested``.
-        hotspots: how many worst overflow tiles ``as_dict`` reports.
-    """
-
-    site_pressure_ceiling: float = 0.40
-    utilization_ceiling: float = 1.0
-    hotspots: int = 5
-
-    def __post_init__(self) -> None:
-        if self.site_pressure_ceiling <= 0:
-            raise ConfigurationError("site_pressure_ceiling must be > 0")
-        if self.utilization_ceiling <= 0:
-            raise ConfigurationError("utilization_ceiling must be > 0")
-        if self.hotspots < 0:
-            raise ConfigurationError("hotspots must be >= 0")
+#: How many worst overflow tiles ``as_dict`` reports.
+HOTSPOTS = 5
 
 
 @dataclass(frozen=True)
@@ -216,15 +200,10 @@ def smear_demand(
     return h, v
 
 
-def triage_scenario(
-    scenario,
-    options: Optional[TriageOptions] = None,
-    tracer=NULL_TRACER,
-) -> RoutabilityVerdict:
+def triage_scenario(scenario, tracer=NULL_TRACER) -> RoutabilityVerdict:
     """One triage pass over a :class:`ScenarioSpec`."""
     from repro.service.engine import build_graph  # avoid import cycle
 
-    options = options or TriageOptions()
     start = time.perf_counter()
     with tracer.span("triage.scenario", grid=scenario.grid):
         nx = ny = scenario.grid
@@ -286,9 +265,9 @@ def triage_scenario(
         est_overflow_total = float(h_over.sum() + v_over.sum())
 
         hotspots: List[Tuple[int, int, float]] = []
-        if options.hotspots and est_overflow_total > 0:
+        if est_overflow_total > 0:
             flat = heatmap.ravel()
-            top = np.argsort(flat)[::-1][: options.hotspots]
+            top = np.argsort(flat)[::-1][:HOTSPOTS]
             hotspots = [
                 (int(t // ny), int(t % ny), float(flat[t]))
                 for t in top
@@ -314,10 +293,10 @@ def triage_scenario(
             worst_cut=worst_cut,
             certified_infeasible=bool(infeasible_reason),
             infeasible_reason=infeasible_reason,
-            site_starved=site_pressure > options.site_pressure_ceiling,
+            site_starved=site_pressure > SITE_PRESSURE_CEILING,
             congested=bool(
-                (h_util > options.utilization_ceiling).any()
-                or (v_util > options.utilization_ceiling).any()
+                (h_util > UTILIZATION_CEILING).any()
+                or (v_util > UTILIZATION_CEILING).any()
             ),
             seconds=time.perf_counter() - start,
             heatmap=heatmap,

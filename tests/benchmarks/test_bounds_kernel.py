@@ -52,6 +52,8 @@ class TestKernel:
         (entry,) = data["entries"]
         assert entry["gap"] >= 0.0
         assert entry["certificate_ok"] is True
+        assert not [key for key in entry if key.startswith("rounded_")]
+        assert entry["params"]["seed"] == 0
 
 
 class TestRecordedTrajectory:

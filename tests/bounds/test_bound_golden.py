@@ -1,10 +1,11 @@
 """Golden certificates: the lower-bound oracle's output, pinned to the byte.
 
 Each golden records one oracle run: the SHA-256 of the canonical
-certificate JSON, the headline numbers (bound, lambda, dual load,
-pricing calls) and a SHA-256 over every net's candidate columns with
-their pick counts. Any change to the pricing search that
-moves a single dual length, a tie-broken path or a column shows here.
+certificate JSON and the headline numbers (bound, lambda, dual load,
+pricing calls). The certificate carries every dual length, and each
+length records how often its edge or site lay on a priced path, so any
+change to the pricing search that moves a single dual length or a
+tie-broken path shows here.
 
 * ``bound_scenario12_seed0.json``: the 12x12 / 40-net ``SCENARIO`` of
   ``test_oracle.py`` at two iterations (fast, tier 1);
@@ -18,8 +19,10 @@ their first pop. They were recorded again when the bound became one
 in certificate version 2 (no ``theta`` or ``unconstrained_bound``).
 The bound rose from 374 to 527 (scenario12) and from 6,146 to 8,722
 (ladder-32); the pricing calls fell from 520 to 160 and from 6,000 to
-1,500. Lambda, the dual load and the columns did not move. To record
-them again from a checkout's own sources::
+1,500. Lambda, the dual load and the columns did not move. They lost
+their column digest when the oracle stopped collecting candidate
+columns; every other field stayed. To record them again from a
+checkout's own sources::
 
     PYTHONPATH=src python tests/bounds/test_bound_golden.py
 """
@@ -51,20 +54,12 @@ def _sha256(payload) -> str:
 
 def golden_payload(result) -> dict:
     """The pinned digest of one :class:`~repro.bounds.BoundResult`."""
-    columns = {
-        name: [
-            [list(c.edges), list(c.buffers), c.cost, picks]
-            for c, picks in slots
-        ]
-        for name, slots in result.candidates.items()
-    }
     return {
         "certificate_sha256": _sha256(result.certificate().to_dict()),
         "lower_bound": result.lower_bound,
         "lambda_lb": result.lambda_lb,
         "dual_load": result.dual_load,
         "pricing_calls": result.pricing_calls,
-        "columns_sha256": _sha256(columns),
     }
 
 

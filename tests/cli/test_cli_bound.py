@@ -33,11 +33,12 @@ class TestBoundCommand:
         assert payload["plan_cost"] >= payload["lower_bound"]
         assert payload["optimality_gap"] >= 0.0
 
-    def test_round_arm(self, capsys):
-        assert main(ARGS + ["--round", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["rounded"]["nets"] == 10
-        assert payload["rounded"]["total_cost"] >= payload["lower_bound"]
+    def test_round_flag_refused(self, capsys):
+        """The bound certifies plans; it has no rounded arm to ask for."""
+        with pytest.raises(SystemExit) as exc:
+            main(ARGS + ["--round", "--json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --round" in capsys.readouterr().err
 
     def test_cert_save_and_verify(self, capsys, tmp_path):
         cert = str(tmp_path / "cert.json")

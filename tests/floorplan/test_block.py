@@ -25,17 +25,6 @@ class TestBlock:
         assert b.center() == Point(2, 3)
         assert b.area == 8
 
-    def test_rotated_swaps_and_clears_placement(self):
-        b = Block(name="b", width=2, height=4, x=1, y=1)
-        r = b.rotated()
-        assert (r.width, r.height) == (4, 2)
-        assert not r.placed
-        assert r.name == "b"
-
-    def test_rotated_preserves_site_flag(self):
-        b = Block(name="b", width=1, height=1, allows_buffer_sites=False)
-        assert not b.rotated().allows_buffer_sites
-
 
 class TestBoundaryPoint:
     def test_corners(self):

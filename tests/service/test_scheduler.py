@@ -9,6 +9,7 @@ No pytest-asyncio in the environment — tests drive the loop via
 """
 
 import asyncio
+import sys
 import threading
 import time
 
@@ -293,6 +294,111 @@ class TestEndToEnd:
                 await service.stop()
 
         run(scenario())
+
+
+class TestWait:
+    """``wait`` sleeps on a future the job's finish resolves."""
+
+    @staticmethod
+    def gated_service(gate):
+        def gated_replan(state, delta, tracer=None, abort_check=None):
+            gate.wait(5.0)
+            return FakeStats()
+
+        service = PlanningService(replan_fn=gated_replan)
+        service.install_baseline("b0", full_plan(SPEC))
+        return service
+
+    def test_finish_wakes_the_waiter_without_polling(self, monkeypatch):
+        gate = threading.Event()
+
+        async def no_sleep(*args, **kwargs):
+            raise AssertionError("wait polled with asyncio.sleep")
+
+        async def scenario():
+            service = self.gated_service(gate)
+            await service.start()
+            try:
+                service.submit(delta_job("d0"))
+                await running(service, "d0")
+                # The job finishes only after the wait has begun.
+                asyncio.get_running_loop().call_later(0.05, gate.set)
+                with monkeypatch.context() as patch:
+                    patch.setattr(asyncio, "sleep", no_sleep)
+                    record = await asyncio.wait_for(service.wait("d0"), 10)
+                assert record.status is JobStatus.DONE
+            finally:
+                gate.set()
+                await service.stop()
+
+        run(scenario())
+
+    def test_concurrent_waits_return_past_a_cancelled_one(self):
+        gate = threading.Event()
+
+        async def scenario():
+            service = self.gated_service(gate)
+            await service.start()
+            try:
+                service.submit(delta_job("d0"))
+                await running(service, "d0")
+                cancelled, *kept = [
+                    asyncio.ensure_future(service.wait("d0")) for _ in range(3)
+                ]
+                await asyncio.sleep(0)
+                cancelled.cancel()
+                gate.set()
+                records = await asyncio.wait_for(asyncio.gather(*kept), 10)
+                assert [r.status for r in records] == [JobStatus.DONE] * 2
+                assert cancelled.cancelled()
+                # A finished job answers at once.
+                assert (await service.wait("d0")) is records[0]
+            finally:
+                gate.set()
+                await service.stop()
+
+        run(scenario())
+
+    def test_waiters_on_many_loops_all_wake(self):
+        """Four threads, each with its own loop, wait on every job while
+        the shard finishes them; a lost wake-up leaves a thread hung."""
+
+        def quick_replan(state, delta, tracer=None, abort_check=None):
+            time.sleep(0.002)
+            return FakeStats()
+
+        jobs = [f"d{i}" for i in range(40)]
+        statuses = {}
+
+        async def wait_all(service):
+            records = await asyncio.wait_for(
+                asyncio.gather(*(service.wait(job_id) for job_id in jobs)), 30
+            )
+            return [record.status for record in records]
+
+        def waiter(index, service):
+            statuses[index] = asyncio.run(wait_all(service))
+
+        service = PlanningService(replan_fn=quick_replan)
+        service.install_baseline("b0", full_plan(SPEC))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with service:
+                for job_id in jobs:
+                    service.submit(delta_job(job_id))
+                threads = [
+                    threading.Thread(target=waiter, args=(i, service))
+                    for i in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert statuses == {i: [JobStatus.DONE] * len(jobs) for i in range(4)}
 
 
 class TestBaselineIds:

@@ -11,7 +11,6 @@ from repro.service.jobs import ScenarioSpec
 from repro.workloads import (
     TRIAGE_MODES,
     RoutabilityVerdict,
-    TriageOptions,
     get_workload,
     smear_demand,
     triage_scenario,
@@ -24,16 +23,6 @@ FEASIBLE = get_workload("smoke-16").scenario()
 SITE_STARVED = ScenarioSpec(
     grid=12, num_nets=60, capacity=6, total_sites=5, length_limit=2
 )
-
-
-class TestOptions:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            TriageOptions(site_pressure_ceiling=0.0)
-        with pytest.raises(ConfigurationError):
-            TriageOptions(utilization_ceiling=0.0)
-        with pytest.raises(ConfigurationError):
-            TriageOptions(hotspots=-1)
 
 
 class TestCertificates:
@@ -88,9 +77,7 @@ class TestPrunePolicy:
             grid=12, num_nets=80, capacity=8, total_sites=600,
             length_limit=3,
         )
-        verdict = triage_scenario(
-            scenario, TriageOptions(site_pressure_ceiling=0.10)
-        )
+        verdict = triage_scenario(scenario)
         assert not verdict.certified_infeasible
         assert verdict.site_starved
         assert not verdict.should_prune("certified")
